@@ -116,6 +116,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   model_config.topk = FlagValueOrDie(flags.GetInt("topk", 0));
+  if (flags.Has("topk") && model_config.topk < 1) {
+    std::fprintf(stderr, "--topk must be >= 1\n%s", kUsage);
+    return 2;
+  }
   // One flag drives both precision halves: scale preparation at model
   // load and the per-lane PrecisionScope at batch execution.
   const std::string precision_text = flags.GetString("precision", "fp32");

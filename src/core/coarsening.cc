@@ -115,14 +115,18 @@ Tensor CoarseningModule::ComputeAttention(const Tensor& c_or_h) const {
   return SoftmaxRows(LeakyRelu(logits, config_.leaky_slope));  // Eq. 14-15
 }
 
-Tensor CoarseningModule::ClusterFeatures(const Tensor& m_t,
-                                         const Tensor& h) const {
-  if (!config_.normalize_cluster_mass) return MatMul(m_t, h);  // Eq. 17
-  // H' = D_M⁻¹ Mᵀ H: attention-weighted member mean (see config).
-  Tensor mass = ClampMin(ReduceSumCols(m_t), 1e-9f);  // (N', 1)
+namespace {
+
+// Mass-normalised cluster formation H' = D_M⁻¹ Mᵀ H (see
+// normalize_cluster_mass), from MᵀH and M's column sums: each cluster
+// becomes the attention-weighted mean of its members.
+Tensor DivideByClusterMass(const Tensor& mt_h, const Tensor& column_mass) {
+  Tensor mass = ClampMin(column_mass, 1e-9f);  // (N', 1)
   Tensor inv_mass = Div(Tensor::Ones(mass.rows(), 1), mass);
-  return ScaleRows(MatMul(m_t, h), inv_mass);
+  return ScaleRows(mt_h, inv_mass);
 }
+
+}  // namespace
 
 CoarseningModule::CoarsenProducts CoarseningModule::ComputeProducts(
     const Tensor& m, const Tensor& h, const GraphLevel& level) const {
@@ -153,22 +157,31 @@ CoarseningModule::CoarsenProducts CoarseningModule::ComputeProducts(
   if (csr != nullptr) {
     out.sparse = true;
     mode_topk->Increment();
-    Tensor m_k = TopKMaskRows(m, config_.topk);
     const int64_t rows = m.rows(), cols = m.cols();
     const int64_t kept =
         rows * std::min<int64_t>(config_.topk, cols);
     topk_kept->Add(static_cast<uint64_t>(kept));
     topk_dropped->Add(static_cast<uint64_t>(rows * cols - kept));
-    Tensor m_t = Transpose(m_k);
-    out.h = ClusterFeatures(m_t, h);
-    // Eq. 18 without a dense N×N' intermediate: the fused CSR triple
-    // product streams A's nonzeros against m_k's per-row nonzero lists.
+    // One select-and-renormalise pass emits Mₖ as CSR; Eq. 17 and Eq. 18
+    // then run on it directly, with no dense N×N' intermediate. Both
+    // products are fp32 under every precision scope, and bit-identical to
+    // the dense products over the masked Mₖ (docs/SPARSE.md).
+    const SparseAssignment m_k = TopKAssignment(m, config_.topk);
+    out.h = AssignmentTransposeMatMul(m_k, h);
+    if (config_.normalize_cluster_mass) {
+      out.h = DivideByClusterMass(out.h, AssignmentColumnSums(m_k));
+    }
+    // The fused CSR triple product streams A's nonzeros against Mₖ's
+    // per-row entries.
     out.adj = CsrCoarsenAdjacency(*csr, m_k);
     return out;
   }
   mode_dense->Increment();
   Tensor m_t = Transpose(m);
-  out.h = ClusterFeatures(m_t, h);
+  out.h = MatMul(m_t, h);  // Eq. 17
+  if (config_.normalize_cluster_mass) {
+    out.h = DivideByClusterMass(out.h, ReduceSumCols(m_t));
+  }
   // Eq. 18: A' = Mᵀ A M; the inner A·M goes through the level so sparse
   // input adjacencies use the CSR fast path. The adjacency products are
   // pinned to fp32 even under a reduced-precision serving scope

@@ -55,8 +55,9 @@ struct CoarseningConfig {
   /// pooling/readout.h for the per-mode semantics.
   CoarsenMode coarsen_mode = CoarsenMode::kDense;
   /// Per-row assignment budget for the top-k sparse path: each node keeps
-  /// its k strongest cluster assignments. k >= num_clusters degenerates to
-  /// the dense assignment (TopKMaskRows is then an exact no-op).
+  /// its k strongest cluster assignments. k >= num_clusters keeps the
+  /// dense assignment as is (TopKAssignment stores every nonzero entry,
+  /// unscaled).
   int topk = 4;
   /// When true, the MOA column operand uses the paper-literal relaxation of
   /// Claim 3: C_{:,j} ∈ ℝᴺ is truncated to its first N' entries. That
@@ -150,12 +151,9 @@ class CoarseningModule : public Coarsener {
     bool sparse = false;
   };
 
-  /// Cluster formation H' = MᵀH (optionally mass-normalised; see config).
-  Tensor ClusterFeatures(const Tensor& m_t, const Tensor& h) const;
-
-  /// The mode-dispatched products (docs/SPARSE.md): dense MᵀAM, or the
-  /// top-k + fused-CSR path when the mode and the level's CSR availability
-  /// allow it. Falls back to dense (and counts coarsen.sparse_fallback)
+  /// The mode-dispatched products (docs/SPARSE.md): dense MᵀH and MᵀAM,
+  /// or the CSR top-k assignment with sparse MₖᵀH and fused MₖᵀAMₖ when the
+  /// mode and the level's CSR availability allow it. Falls back to dense (and counts coarsen.sparse_fallback)
   /// when topk is requested but the level has no CSR view (taped inner
   /// levels).
   CoarsenProducts ComputeProducts(const Tensor& m, const Tensor& h,

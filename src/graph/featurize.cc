@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/check.h"
 
@@ -58,6 +59,22 @@ Tensor NodeFeatures(const Graph& g, const FeatureSpec& spec) {
   }
   HAP_CHECK(false) << "unreachable";
   return Tensor();
+}
+
+Status CheckNodeLabels(const Graph& g, const FeatureSpec& spec) {
+  int width = 0;
+  if (spec.kind == FeatureKind::kNodeLabelOneHot) width = spec.dim;
+  if (spec.kind == FeatureKind::kDegreeAndLabel) width = spec.label_dim;
+  if (width == 0) return Status::Ok();
+  for (int u = 0; u < g.num_nodes(); ++u) {
+    const int label = g.node_label(u);
+    if (label < 0 || label >= width) {
+      return Status::InvalidArgument(
+          "node " + std::to_string(u) + " label " + std::to_string(label) +
+          " outside one-hot width " + std::to_string(width));
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace hap

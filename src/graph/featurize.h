@@ -1,6 +1,7 @@
 #ifndef HAP_GRAPH_FEATURIZE_H_
 #define HAP_GRAPH_FEATURIZE_H_
 
+#include "common/status.h"
 #include "graph/graph.h"
 #include "tensor/tensor.h"
 
@@ -37,8 +38,16 @@ struct FeatureSpec {
 };
 
 /// Builds the initial feature matrix H for `g` according to `spec`.
-/// The result is a leaf tensor with no gradient.
+/// The result is a leaf tensor with no gradient. Node labels outside the
+/// spec's one-hot width are a HAP_CHECK failure; check untrusted graphs
+/// with CheckNodeLabels first.
 Tensor NodeFeatures(const Graph& g, const FeatureSpec& spec);
+
+/// InvalidArgument when a node label of `g` lies outside the one-hot
+/// width `spec` encodes labels with ([0, dim) for kNodeLabelOneHot,
+/// [0, label_dim) for kDegreeAndLabel); OK otherwise, and always OK for
+/// kinds that ignore labels.
+Status CheckNodeLabels(const Graph& g, const FeatureSpec& spec);
 
 }  // namespace hap
 

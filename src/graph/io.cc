@@ -57,6 +57,11 @@ StatusOr<Graph> ReadGraph(std::istream* stream) {
         std::istringstream rest_stream(rest);
         if (!(rest_stream >> weight)) weight = 1.0f;
       }
+      // Graph stores absent edges as weight 0, so it takes only positive
+      // weights; NaN fails this test too.
+      if (!(weight > 0.0f)) {
+        return Status::InvalidArgument("edge weight must be positive");
+      }
       g.AddEdge(u, v, weight);
     } else {
       // Start of the next block: rewind and stop.

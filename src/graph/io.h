@@ -16,7 +16,7 @@ namespace hap {
 /// Single graph ("edge list with header"):
 ///   graph <N> <label>
 ///   node <id> <node_label>      (optional; default label 0)
-///   edge <u> <v> [weight]
+///   edge <u> <v> [weight]       (weight > 0; default 1)
 ///
 /// Corpus files hold a `dataset <name> <num_classes>` line followed by any
 /// number of graph blocks. This mirrors the information content of the TU

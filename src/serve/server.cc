@@ -4,8 +4,10 @@
 #include <cctype>
 #include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -140,6 +142,12 @@ StatusOr<Graph> GraphFromText(const std::string& text) {
   return ReadGraph(&in);
 }
 
+/// True when `x` is an integer in [lo, hi]. Checked in double, so a JSON
+/// number outside int's range never reaches a cast (NaN fails too).
+bool IntegerInRange(double x, double lo, double hi) {
+  return x >= lo && x <= hi && std::floor(x) == x;
+}
+
 /// Builds a Graph from the POST /predict JSON body:
 ///   {"nodes": N, "node_labels": [..N ints..]?,
 ///    "edges": [[u, v], [u, v, w], ...]?, "deadline_ms": ms?}
@@ -151,13 +159,12 @@ StatusOr<Graph> GraphFromJson(const JsonValue& v) {
   if (nodes == nullptr || !nodes->is_number()) {
     return Status::InvalidArgument("predict body: missing numeric \"nodes\"");
   }
-  const double n_raw = nodes->number_value();
-  const int n = static_cast<int>(n_raw);
-  if (n_raw != static_cast<double>(n) || n < 1 || n > kMaxRequestNodes) {
+  if (!IntegerInRange(nodes->number_value(), 1, kMaxRequestNodes)) {
     return Status::InvalidArgument("predict body: \"nodes\" must be an "
                                    "integer in [1, " +
                                    std::to_string(kMaxRequestNodes) + "]");
   }
+  const int n = static_cast<int>(nodes->number_value());
   Graph g(n);
   if (const JsonValue* labels = v.Find("node_labels")) {
     if (!labels->is_array() ||
@@ -167,9 +174,12 @@ StatusOr<Graph> GraphFromJson(const JsonValue& v) {
     }
     for (int u = 0; u < n; ++u) {
       const JsonValue& lbl = labels->array()[static_cast<size_t>(u)];
-      if (!lbl.is_number()) {
+      if (!lbl.is_number() ||
+          !IntegerInRange(lbl.number_value(),
+                          std::numeric_limits<int>::min(),
+                          std::numeric_limits<int>::max())) {
         return Status::InvalidArgument(
-            "predict body: node_labels entries must be numbers");
+            "predict body: node_labels entries must be integers");
       }
       g.set_node_label(u, static_cast<int>(lbl.number_value()));
     }
@@ -186,17 +196,27 @@ StatusOr<Graph> GraphFromJson(const JsonValue& v) {
         return Status::InvalidArgument("predict body: each edge must be "
                                        "[u, v] or [u, v, w]");
       }
-      const int u = static_cast<int>(e.array()[0].number_value());
-      const int w = static_cast<int>(e.array()[1].number_value());
-      if (u < 0 || u >= n || w < 0 || w >= n || u == w) {
+      const double u_raw = e.array()[0].number_value();
+      const double w_raw = e.array()[1].number_value();
+      if (!IntegerInRange(u_raw, 0, n - 1) ||
+          !IntegerInRange(w_raw, 0, n - 1) || u_raw == w_raw) {
         return Status::InvalidArgument(
-            "predict body: edge (" + std::to_string(u) + ", " +
-            std::to_string(w) + ") out of range or self-loop");
+            "predict body: edge endpoints must be distinct node ids in "
+            "[0, nodes)");
       }
-      const float weight = e.array().size() == 3
-                               ? static_cast<float>(e.array()[2].number_value())
-                               : 1.0f;
-      g.AddEdge(u, w, weight);
+      float weight = 1.0f;
+      if (e.array().size() == 3) {
+        // Range-checked in double before the cast: a double beyond
+        // float's range has no float value, and a tiny one rounds to 0.
+        const double raw = e.array()[2].number_value();
+        if (!(raw > 0) || raw > std::numeric_limits<float>::max() ||
+            !(static_cast<float>(raw) > 0.0f)) {
+          return Status::InvalidArgument(
+              "predict body: edge weight must be a positive float");
+        }
+        weight = static_cast<float>(raw);
+      }
+      g.AddEdge(static_cast<int>(u_raw), static_cast<int>(w_raw), weight);
     }
   }
   return g;
@@ -204,8 +224,11 @@ StatusOr<Graph> GraphFromJson(const JsonValue& v) {
 
 uint32_t DeadlineMsFromJson(const JsonValue& v) {
   const JsonValue* d = v.is_object() ? v.Find("deadline_ms") : nullptr;
-  if (d == nullptr || !d->is_number() || d->number_value() <= 0) return 0;
-  return static_cast<uint32_t>(d->number_value());
+  if (d == nullptr || !d->is_number() || !(d->number_value() > 0)) return 0;
+  const double ms = d->number_value();
+  return ms >= std::numeric_limits<uint32_t>::max()
+             ? std::numeric_limits<uint32_t>::max()
+             : static_cast<uint32_t>(ms);
 }
 
 std::string StatsJson(size_t queue_depth) {
@@ -572,6 +595,10 @@ struct Server::Loop {
   /// a non-OK return means the caller must reply with the error itself.
   Status SubmitPredict(uint64_t conn_id, bool http, uint64_t ticket,
                        uint32_t deadline_ms, const Graph& graph) {
+    // Featurising aborts on a label outside the one-hot width, so the
+    // untrusted graph is checked against the spec before it is prepared.
+    Status labels = CheckNodeLabels(graph, server->spec_);
+    if (!labels.ok()) return labels;
     Status admitted =
         server->admission_.Admit(server->engine_->queue_depth());
     if (!admitted.ok()) return admitted;

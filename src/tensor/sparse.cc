@@ -2,14 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <map>
-#include <numeric>
 #include <utility>
 
 #include "common/check.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
-#include "tensor/ops.h"
 
 namespace hap {
 
@@ -101,50 +101,83 @@ Tensor CsrMatrix::ToDense() const {
   return dense;
 }
 
+namespace {
+
+using BackwardFn = std::function<void(internal::TensorImpl&)>;
+
+// Counts one CSR-by-dense product of `nnz` stored entries against `n`
+// dense columns under the tensor.spmatmul.* family.
+void CountSpMatMul(int64_t nnz, int n) {
+  if (obs::HotCountersEnabled()) {
+    static obs::Counter* calls = obs::GetCounter(obs::names::kSpMatMulCalls);
+    static obs::Counter* flops = obs::GetCounter(obs::names::kSpMatMulFlops);
+    calls->Increment();
+    flops->Add(2ull * static_cast<uint64_t>(nnz) * n);
+  }
+}
+
+// out(m, n) += A X for the CSR arrays of A(m, k) and a dense X(k, n).
+void CsrProduct(const int* row_ptr, const int* col_idx, const float* values,
+                int m, const float* x, int n, float* out) {
+  for (int r = 0; r < m; ++r) {
+    float* out_row = out + static_cast<size_t>(r) * n;
+    for (int i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
+      const float* x_row = x + static_cast<size_t>(col_idx[i]) * n;
+      const float v = values[i];
+      for (int j = 0; j < n; ++j) out_row[j] += v * x_row[j];
+    }
+  }
+}
+
+// out(k, n) += Aᵀ X for the CSR arrays of A(m, k) and a dense X(m, n):
+// scatters v · X[r,:] into out[col,:] row by row, so every output element
+// sums its terms in ascending r — the order of the dense GEMM kernels.
+void CsrTransposeProduct(const int* row_ptr, const int* col_idx,
+                         const float* values, int m, const float* x, int n,
+                         float* out) {
+  for (int r = 0; r < m; ++r) {
+    const float* x_row = x + static_cast<size_t>(r) * n;
+    for (int i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
+      float* out_row = out + static_cast<size_t>(col_idx[i]) * n;
+      const float v = values[i];
+      for (int j = 0; j < n; ++j) out_row[j] += v * x_row[j];
+    }
+  }
+}
+
+// The selection order of TopKAssignment: true when `a` ranks strictly
+// above `b`. NaN ranks above every number and ties with NaN, so this is a
+// strict weak ordering on every float; ties go to the lower column.
+bool Outranks(float a, float b) {
+  return a > b || (std::isnan(a) && !std::isnan(b));
+}
+
+}  // namespace
+
 Tensor SpMatMul(const CsrMatrix& a, const Tensor& x) {
   HAP_CHECK_EQ(a.cols(), x.rows());
   const int m = a.rows(), n = x.cols();
   // Per-kernel counters guard on the hot switch (one relaxed load when
   // off); the timing histogram only records under detailed metrics.
   static obs::Histogram* op_ns = obs::GetHistogram(obs::names::kSpMatMulNs);
-  if (obs::HotCountersEnabled()) {
-    static obs::Counter* calls = obs::GetCounter(obs::names::kSpMatMulCalls);
-    static obs::Counter* flops = obs::GetCounter(obs::names::kSpMatMulFlops);
-    calls->Increment();
-    flops->Add(2ull * a.values().size() * n);
-  }
+  CountSpMatMul(a.nnz(), n);
   obs::ScopedTimerNs timer(op_ns);
-  // Capture the CSR arrays by value into the backward closure (they are
-  // cheap shared vectors relative to training state, and the matrix is
-  // immutable data).
-  const std::vector<int> row_ptr = a.row_ptr();
-  const std::vector<int> col_idx = a.col_idx();
-  const std::vector<float> values = a.values();
-  Tensor out = MakeOpResult(
-      m, n, {x},
-      [row_ptr, col_idx, values, m, n](internal::TensorImpl& node) {
-        internal::TensorImpl& px = *node.parents[0];
-        px.EnsureGrad();
-        // dX[c,:] += A[r,c] * dOut[r,:]
-        for (int r = 0; r < m; ++r) {
-          const float* grad_row = node.grad.data() + static_cast<size_t>(r) * n;
-          for (int i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
-            float* x_row =
-                px.grad.data() + static_cast<size_t>(col_idx[i]) * n;
-            const float v = values[i];
-            for (int j = 0; j < n; ++j) x_row[j] += v * grad_row[j];
-          }
-        }
-      });
-  float* o = out.mutable_data();
-  for (int r = 0; r < m; ++r) {
-    float* out_row = o + static_cast<size_t>(r) * n;
-    for (int i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
-      const float* x_row = x.data() + static_cast<size_t>(col_idx[i]) * n;
-      const float v = values[i];
-      for (int j = 0; j < n; ++j) out_row[j] += v * x_row[j];
-    }
+  BackwardFn backward;
+  if (WillTape(x)) {
+    // The matrix is immutable data: one copy of its arrays rides in the
+    // closure.
+    backward = [row_ptr = a.row_ptr(), col_idx = a.col_idx(),
+                values = a.values(), m, n](internal::TensorImpl& node) {
+      internal::TensorImpl& px = *node.parents[0];
+      px.EnsureGrad();
+      // dX += Aᵀ dOut
+      CsrTransposeProduct(row_ptr.data(), col_idx.data(), values.data(), m,
+                          node.grad.data(), n, px.grad.data());
+    };
   }
+  Tensor out = MakeOpResult(m, n, {x}, std::move(backward));
+  CsrProduct(a.row_ptr().data(), a.col_idx().data(), a.values().data(), m,
+             x.data(), n, out.mutable_data());
   return out;
 }
 
@@ -152,154 +185,271 @@ Tensor CsrTransposeMatMul(const CsrMatrix& a, const Tensor& x) {
   HAP_CHECK_EQ(a.rows(), x.rows());
   const int m = a.rows(), k = a.cols(), n = x.cols();
   static obs::Histogram* op_ns = obs::GetHistogram(obs::names::kSpMatMulNs);
-  if (obs::HotCountersEnabled()) {
-    static obs::Counter* calls = obs::GetCounter(obs::names::kSpMatMulCalls);
-    static obs::Counter* flops = obs::GetCounter(obs::names::kSpMatMulFlops);
-    calls->Increment();
-    flops->Add(2ull * a.values().size() * n);
-  }
+  CountSpMatMul(a.nnz(), n);
   obs::ScopedTimerNs timer(op_ns);
-  const std::vector<int> row_ptr = a.row_ptr();
-  const std::vector<int> col_idx = a.col_idx();
-  const std::vector<float> values = a.values();
-  Tensor out = MakeOpResult(
-      k, n, {x},
-      [row_ptr, col_idx, values, m, n](internal::TensorImpl& node) {
-        internal::TensorImpl& px = *node.parents[0];
-        px.EnsureGrad();
-        // Out = AᵀX, so dX[r,:] += A[r,c] * dOut[c,:].
-        for (int r = 0; r < m; ++r) {
-          float* x_row = px.grad.data() + static_cast<size_t>(r) * n;
-          for (int i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
-            const float* grad_row =
-                node.grad.data() + static_cast<size_t>(col_idx[i]) * n;
-            const float v = values[i];
-            for (int j = 0; j < n; ++j) x_row[j] += v * grad_row[j];
-          }
-        }
-      });
-  float* o = out.mutable_data();
-  for (int r = 0; r < m; ++r) {
-    const float* x_row = x.data() + static_cast<size_t>(r) * n;
-    for (int i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
-      float* out_row = o + static_cast<size_t>(col_idx[i]) * n;
-      const float v = values[i];
-      for (int j = 0; j < n; ++j) out_row[j] += v * x_row[j];
-    }
+  BackwardFn backward;
+  if (WillTape(x)) {
+    backward = [row_ptr = a.row_ptr(), col_idx = a.col_idx(),
+                values = a.values(), m, n](internal::TensorImpl& node) {
+      internal::TensorImpl& px = *node.parents[0];
+      px.EnsureGrad();
+      // dX += A dOut
+      CsrProduct(row_ptr.data(), col_idx.data(), values.data(), m,
+                 node.grad.data(), n, px.grad.data());
+    };
   }
+  Tensor out = MakeOpResult(k, n, {x}, std::move(backward));
+  CsrTransposeProduct(a.row_ptr().data(), a.col_idx().data(),
+                      a.values().data(), m, x.data(), n, out.mutable_data());
   return out;
 }
 
-Tensor TopKMaskRows(const Tensor& m, int k, bool renormalize, float eps) {
+SparseAssignment TopKAssignment(const Tensor& m, int k) {
   HAP_CHECK_GE(k, 1);
+  constexpr float kMinMass = 1e-9f;  // keeps an all-zero row finite
   const int rows = m.rows(), cols = m.cols();
-  if (k >= cols) return m;  // exact no-op, documented in the header
-  // The selection itself is a constant of the tape (straight-through):
-  // build a 0/1 mask from the forward values, then mask with taped ops so
-  // the kept entries carry exact gradients.
-  Tensor mask(rows, cols);
-  float* mask_data = mask.mutable_data();
-  std::vector<int> order(cols);
+  const bool select = k < cols;  // k >= cols keeps M as is
+  const int budget = std::min(k, cols);
+  auto pattern = std::make_shared<SparseAssignment::Pattern>();
+  pattern->rows = rows;
+  pattern->cols = cols;
+  pattern->row_ptr.assign(static_cast<size_t>(rows) + 1, 0);
+  pattern->col_idx.reserve(static_cast<size_t>(rows) * budget);
+  std::vector<float> kept;
+  kept.reserve(static_cast<size_t>(rows) * budget);
+  // Per row: the renormalising factor (1 when M is kept as is), and
+  // whether the row mass carries a gradient (only through an inactive
+  // clamp of a renormalised row).
+  std::vector<float> inv_mass(rows, 1.0f);
+  std::vector<uint8_t> mass_live(rows, 0);
+  std::vector<float> best(budget);
+  std::vector<int> top(budget);
   for (int r = 0; r < rows; ++r) {
     const float* row = m.data() + static_cast<size_t>(r) * cols;
-    std::iota(order.begin(), order.end(), 0);
-    std::partial_sort(order.begin(), order.begin() + k, order.end(),
-                      [row](int a, int b) {
-                        if (row[a] != row[b]) return row[a] > row[b];
-                        return a < b;  // deterministic ties: lower column
-                      });
-    float* mask_row = mask_data + static_cast<size_t>(r) * cols;
-    for (int i = 0; i < k; ++i) mask_row[order[i]] = 1.0f;
+    if (!select) {
+      for (int j = 0; j < cols; ++j) {
+        if (row[j] != 0.0f) {
+          pattern->col_idx.push_back(j);
+          kept.push_back(row[j]);
+        }
+      }
+      pattern->row_ptr[r + 1] = static_cast<int>(kept.size());
+      continue;
+    }
+    // Insertion into a rank-ordered buffer of the best `budget` entries
+    // seen so far. Columns arrive ascending, so an equal-ranked newcomer
+    // never displaces an earlier column.
+    int size = 0;
+    for (int j = 0; j < cols; ++j) {
+      const float v = row[j];
+      if (size == budget && !Outranks(v, best[budget - 1])) continue;
+      int p = size < budget ? size++ : budget - 1;
+      for (; p > 0 && Outranks(v, best[p - 1]); --p) {
+        best[p] = best[p - 1];
+        top[p] = top[p - 1];
+      }
+      best[p] = v;
+      top[p] = j;
+    }
+    std::sort(top.begin(), top.end());
+    double mass = 0.0;
+    for (int j : top) mass += row[j];
+    const float total = static_cast<float>(mass);
+    mass_live[r] = total > kMinMass;
+    inv_mass[r] = 1.0f / std::max(total, kMinMass);  // NaN mass stays NaN
+    for (int j : top) {
+      const float v = row[j] * inv_mass[r];
+      if (v != 0.0f) {
+        pattern->col_idx.push_back(j);
+        kept.push_back(v);
+      }
+    }
+    pattern->row_ptr[r + 1] = static_cast<int>(kept.size());
   }
-  Tensor masked = Mul(m, mask);
-  if (!renormalize) return masked;
-  Tensor row_mass = ClampMin(ReduceSumCols(masked), eps);  // (rows, 1)
-  Tensor inv_mass = Div(Tensor::Ones(rows, 1), row_mass);
-  return ScaleRows(masked, inv_mass);
+  const int nnz = static_cast<int>(kept.size());
+  BackwardFn backward;
+  if (WillTape(m)) {
+    backward = [pattern, inv_mass = std::move(inv_mass),
+                mass_live = std::move(mass_live),
+                cols](internal::TensorImpl& node) {
+      internal::TensorImpl& pm = *node.parents[0];
+      pm.EnsureGrad();
+      const float* g = node.grad.data();
+      for (int r = 0; r < pattern->rows; ++r) {
+        const int begin = pattern->row_ptr[r], end = pattern->row_ptr[r + 1];
+        const size_t base = static_cast<size_t>(r) * cols;
+        // value = m · inv with inv = 1 / mass and mass = Σ kept m, so
+        // d m_j = g_j · inv − (Σ_i g_i · m_i) · inv² while the clamp is
+        // inactive.
+        const float inv = inv_mass[r];
+        float mass_grad = 0.0f;
+        if (mass_live[r]) {
+          double dot = 0.0;
+          for (int i = begin; i < end; ++i) {
+            dot += static_cast<double>(g[i]) *
+                   pm.data[base + pattern->col_idx[i]];
+          }
+          mass_grad = -static_cast<float>(dot) * inv * inv;
+        }
+        for (int i = begin; i < end; ++i) {
+          pm.grad[base + pattern->col_idx[i]] += g[i] * inv + mass_grad;
+        }
+      }
+    };
+  }
+  SparseAssignment out;
+  out.values = MakeOpResult(nnz, 1, {m}, std::move(backward));
+  std::copy(kept.begin(), kept.end(), out.values.mutable_data());
+  out.pattern = std::move(pattern);
+  return out;
 }
 
-Tensor CsrCoarsenAdjacency(const CsrMatrix& a, const Tensor& m) {
+Tensor AssignmentTransposeMatMul(const SparseAssignment& m, const Tensor& x) {
+  HAP_CHECK_EQ(m.rows(), x.rows());
+  const int n = x.cols();
+  static obs::Histogram* op_ns = obs::GetHistogram(obs::names::kSpMatMulNs);
+  CountSpMatMul(m.nnz(), n);
+  obs::ScopedTimerNs timer(op_ns);
+  BackwardFn backward;
+  if (WillTape(m.values, x)) {
+    backward = [pattern = m.pattern, n](internal::TensorImpl& node) {
+      internal::TensorImpl& pv = *node.parents[0];
+      internal::TensorImpl& px = *node.parents[1];
+      const int* row_ptr = pattern->row_ptr.data();
+      const int* col_idx = pattern->col_idx.data();
+      if (pv.requires_grad) {
+        // d value(r, c) = dOut[c,:] · X[r,:]
+        pv.EnsureGrad();
+        for (int r = 0; r < pattern->rows; ++r) {
+          const float* x_row = px.data.data() + static_cast<size_t>(r) * n;
+          for (int i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
+            const float* grad_row =
+                node.grad.data() + static_cast<size_t>(col_idx[i]) * n;
+            double dot = 0.0;
+            for (int j = 0; j < n; ++j) {
+              dot += static_cast<double>(grad_row[j]) * x_row[j];
+            }
+            pv.grad[i] += static_cast<float>(dot);
+          }
+        }
+      }
+      if (px.requires_grad) {
+        px.EnsureGrad();
+        CsrProduct(row_ptr, col_idx, pv.data.data(), pattern->rows,
+                   node.grad.data(), n, px.grad.data());
+      }
+    };
+  }
+  Tensor out = MakeOpResult(m.cols(), n, {m.values, x}, std::move(backward));
+  CsrTransposeProduct(m.pattern->row_ptr.data(), m.pattern->col_idx.data(),
+                      m.values.data(), m.rows(), x.data(), n,
+                      out.mutable_data());
+  return out;
+}
+
+Tensor AssignmentColumnSums(const SparseAssignment& m) {
+  BackwardFn backward;
+  if (WillTape(m.values)) {
+    backward = [pattern = m.pattern](internal::TensorImpl& node) {
+      internal::TensorImpl& pv = *node.parents[0];
+      pv.EnsureGrad();
+      for (size_t i = 0; i < pattern->col_idx.size(); ++i) {
+        pv.grad[i] += node.grad[pattern->col_idx[i]];
+      }
+    };
+  }
+  Tensor out = MakeOpResult(m.cols(), 1, {m.values}, std::move(backward));
+  // Storage order is row-major, so each column's entries arrive in
+  // ascending row order.
+  std::vector<double> sums(m.cols(), 0.0);
+  const std::vector<int>& col_idx = m.pattern->col_idx;
+  for (size_t i = 0; i < col_idx.size(); ++i) {
+    sums[col_idx[i]] += m.values.data()[i];
+  }
+  float* o = out.mutable_data();
+  for (int c = 0; c < m.cols(); ++c) o[c] = static_cast<float>(sums[c]);
+  return out;
+}
+
+Tensor CsrCoarsenAdjacency(const CsrMatrix& a, const SparseAssignment& m) {
   HAP_CHECK_EQ(a.rows(), a.cols());
   HAP_CHECK_EQ(a.rows(), m.rows());
   const int n = a.rows(), c = m.cols();
-  // Per-row nonzero column lists of M: the sparsity the top-k mask
-  // created. Scanning is O(n*c); the product below touches only these.
-  std::vector<std::vector<int>> m_nz(n);
-  const float* md = m.data();
-  int64_t m_nnz = 0;
-  for (int r = 0; r < n; ++r) {
-    const float* row = md + static_cast<size_t>(r) * c;
-    for (int j = 0; j < c; ++j) {
-      if (row[j] != 0.0f) m_nz[r].push_back(j);
-    }
-    m_nnz += static_cast<int64_t>(m_nz[r].size());
-  }
   static obs::Histogram* op_ns = obs::GetHistogram(obs::names::kCsrCoarsenNs);
   if (obs::HotCountersEnabled()) {
     static obs::Counter* calls = obs::GetCounter(obs::names::kCsrCoarsenCalls);
     static obs::Counter* flops = obs::GetCounter(obs::names::kCsrCoarsenFlops);
     calls->Increment();
-    const double avg_k = n == 0 ? 0.0 : static_cast<double>(m_nnz) / n;
-    flops->Add(static_cast<uint64_t>(3.0 * a.values().size() * avg_k * avg_k));
+    const double avg_k = n == 0 ? 0.0 : static_cast<double>(m.nnz()) / n;
+    flops->Add(static_cast<uint64_t>(3.0 * a.nnz() * avg_k * avg_k));
   }
   obs::ScopedTimerNs timer(op_ns);
-  const std::vector<int> row_ptr = a.row_ptr();
-  const std::vector<int> col_idx = a.col_idx();
-  const std::vector<float> values = a.values();
-  Tensor out = MakeOpResult(
-      c, c, {m},
-      [row_ptr, col_idx, values, m_nz, n, c](internal::TensorImpl& node) {
-        internal::TensorImpl& pm = *node.parents[0];
-        pm.EnsureGrad();
-        const float* mv = pm.data.data();
-        const float* g = node.grad.data();  // (c, c)
-        // dM = A (M Gᵀ) + Aᵀ (M G). Both (n, c) products M·Gᵀ and M·G use
-        // M's nonzero lists, then stream A's nonzeros once.
-        std::vector<float> p1(static_cast<size_t>(n) * c, 0.0f);  // M Gᵀ
-        std::vector<float> p2(static_cast<size_t>(n) * c, 0.0f);  // M G
-        for (int i = 0; i < n; ++i) {
-          const float* m_row = mv + static_cast<size_t>(i) * c;
-          float* p1_row = p1.data() + static_cast<size_t>(i) * c;
-          float* p2_row = p2.data() + static_cast<size_t>(i) * c;
-          for (int c2 : m_nz[i]) {
-            const float mval = m_row[c2];
-            const float* g_col = g + c2;  // G[:, c2] strided
-            const float* g_row = g + static_cast<size_t>(c2) * c;  // G[c2, :]
-            for (int c1 = 0; c1 < c; ++c1) {
-              p1_row[c1] += mval * g_col[static_cast<size_t>(c1) * c];
-              p2_row[c1] += mval * g_row[c1];
-            }
+  BackwardFn backward;
+  if (WillTape(m.values)) {
+    backward = [row_ptr = a.row_ptr(), col_idx = a.col_idx(),
+                values = a.values(), pattern = m.pattern, n,
+                c](internal::TensorImpl& node) {
+      internal::TensorImpl& pv = *node.parents[0];
+      pv.EnsureGrad();
+      const float* mv = pv.data.data();
+      const int* m_ptr = pattern->row_ptr.data();
+      const int* m_col = pattern->col_idx.data();
+      const float* g = node.grad.data();  // (c, c)
+      // dM = A (M Gᵀ) + Aᵀ (M G). Both (n, c) products P1 = M·Gᵀ and
+      // P2 = M·G come from M's stored entries.
+      std::vector<float> p1(static_cast<size_t>(n) * c, 0.0f);
+      std::vector<float> p2(static_cast<size_t>(n) * c, 0.0f);
+      for (int i = 0; i < n; ++i) {
+        float* p1_row = p1.data() + static_cast<size_t>(i) * c;
+        float* p2_row = p2.data() + static_cast<size_t>(i) * c;
+        for (int e = m_ptr[i]; e < m_ptr[i + 1]; ++e) {
+          const int c2 = m_col[e];
+          const float mval = mv[e];
+          const float* g_col = g + c2;  // G[:, c2] strided
+          const float* g_row = g + static_cast<size_t>(c2) * c;  // G[c2, :]
+          for (int c1 = 0; c1 < c; ++c1) {
+            p1_row[c1] += mval * g_col[static_cast<size_t>(c1) * c];
+            p2_row[c1] += mval * g_row[c1];
           }
         }
-        // Wait-free single pass over A's nonzeros: entry (r, j, v) adds
-        // v*P1[j,:] to dM[r,:] (the A·P1 term) and v*P2[r,:] to dM[j,:]
-        // (the Aᵀ·P2 term).
-        for (int r = 0; r < n; ++r) {
-          float* dm_r = pm.grad.data() + static_cast<size_t>(r) * c;
-          const float* p2_r = p2.data() + static_cast<size_t>(r) * c;
-          for (int i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
-            const int j = col_idx[i];
-            const float v = values[i];
-            const float* p1_j = p1.data() + static_cast<size_t>(j) * c;
-            float* dm_j = pm.grad.data() + static_cast<size_t>(j) * c;
-            for (int q = 0; q < c; ++q) {
-              dm_r[q] += v * p1_j[q];
-              dm_j[q] += v * p2_r[q];
-            }
+      }
+      // One pass over A's nonzeros, evaluated only at M's stored entries:
+      // entry (r, j, v) adds v·P1[j, col] to row r's entries (the A·P1
+      // term) and v·P2[r, col] to row j's entries (the Aᵀ·P2 term).
+      for (int r = 0; r < n; ++r) {
+        const float* p2_r = p2.data() + static_cast<size_t>(r) * c;
+        for (int i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
+          const int j = col_idx[i];
+          const float v = values[i];
+          const float* p1_j = p1.data() + static_cast<size_t>(j) * c;
+          for (int e = m_ptr[r]; e < m_ptr[r + 1]; ++e) {
+            pv.grad[e] += v * p1_j[m_col[e]];
+          }
+          for (int e = m_ptr[j]; e < m_ptr[j + 1]; ++e) {
+            pv.grad[e] += v * p2_r[m_col[e]];
           }
         }
-      });
+      }
+    };
+  }
+  Tensor out = MakeOpResult(c, c, {m.values}, std::move(backward));
   float* o = out.mutable_data();
+  const int* row_ptr = a.row_ptr().data();
+  const int* col_idx = a.col_idx().data();
+  const float* values = a.values().data();
+  const int* m_ptr = m.pattern->row_ptr.data();
+  const int* m_col = m.pattern->col_idx.data();
+  const float* mv = m.values.data();
   for (int r = 0; r < n; ++r) {
-    const float* m_r = md + static_cast<size_t>(r) * c;
     for (int i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
       const int j = col_idx[i];
       const float v = values[i];
-      const float* m_j = md + static_cast<size_t>(j) * c;
-      for (int c1 : m_nz[r]) {
-        const float left = m_r[c1] * v;
-        float* out_row = o + static_cast<size_t>(c1) * c;
-        for (int c2 : m_nz[j]) out_row[c2] += left * m_j[c2];
+      for (int e1 = m_ptr[r]; e1 < m_ptr[r + 1]; ++e1) {
+        const float left = mv[e1] * v;
+        float* out_row = o + static_cast<size_t>(m_col[e1]) * c;
+        for (int e2 = m_ptr[j]; e2 < m_ptr[j + 1]; ++e2) {
+          out_row[m_col[e2]] += left * mv[e2];
+        }
       }
     }
   }

@@ -1,6 +1,7 @@
 #ifndef HAP_TENSOR_SPARSE_H_
 #define HAP_TENSOR_SPARSE_H_
 
+#include <memory>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -77,7 +78,10 @@ class CsrMatrix {
 };
 
 /// Sparse-dense product A(m,k) * X(k,n) -> (m,n) in O(nnz * n).
-/// Differentiable with respect to X only: dX += Aᵀ dOut.
+/// Differentiable with respect to X only: dX += Aᵀ dOut. Like every op
+/// here that holds a CsrMatrix operand, it copies A's arrays into a
+/// backward closure only when the result lands on the tape; untaped
+/// calls build no closure.
 Tensor SpMatMul(const CsrMatrix& a, const Tensor& x);
 
 /// Transposed sparse-dense product Aᵀ(k,m) * X(m,n) -> (k,n) in
@@ -85,30 +89,67 @@ Tensor SpMatMul(const CsrMatrix& a, const Tensor& x);
 /// with respect to X only: dX += A dOut.
 Tensor CsrTransposeMatMul(const CsrMatrix& a, const Tensor& x);
 
-/// Top-k-per-row assignment sparsification (docs/SPARSE.md): keeps the k
-/// largest entries of each row of `m` (ties broken toward the lower column
-/// index, so the result is deterministic) and zeroes the rest. With
-/// `renormalize` the surviving entries are rescaled to restore each row's
-/// unit mass — the row-stochastic-assignment invariant MOA's softmax
-/// established (all-zero rows stay zero via the eps clamp).
+/// A row-sparse assignment matrix M(n, c) in CSR form (docs/SPARSE.md):
+/// per row, at most k column indices in ascending order, and no stored
+/// zeros. The pattern is a constant of the tape, shared (not copied) by
+/// the backward closures of the ops below; `values` holds the nnz stored
+/// entries in pattern order as an (nnz, 1) tensor that carries gradients
+/// back to the dense matrix the assignment was selected from.
+struct SparseAssignment {
+  struct Pattern {
+    int rows = 0;
+    int cols = 0;
+    std::vector<int> row_ptr;  // size rows + 1
+    std::vector<int> col_idx;  // size nnz
+  };
+  std::shared_ptr<const Pattern> pattern;
+  Tensor values;
+
+  int rows() const { return pattern->rows; }
+  int cols() const { return pattern->cols; }
+  int64_t nnz() const { return static_cast<int64_t>(pattern->col_idx.size()); }
+};
+
+/// Top-k-per-row assignment sparsification in one select-and-renormalise
+/// pass per row (docs/SPARSE.md). Keeps the k largest entries of each row
+/// of `m` — ties go to the lower column, and NaN ranks above every number,
+/// so the order is a strict weak ordering even on rows holding NaN — and
+/// rescales them to unit row mass, the row-stochastic invariant MOA's
+/// softmax established:
+///   value = m[i,j] * (1 / max(mass_i, 1e-9)),
+/// with mass_i summed in double over the kept entries in ascending column
+/// order. Kept entries whose value is exactly 0 are not stored, so an
+/// all-zero row stays empty. k >= cols keeps M as is: every nonzero entry,
+/// unscaled. Selection is by value, not magnitude (nonnegative assignments
+/// in mind).
 ///
 /// Gradients are straight-through with respect to the selection: the
-/// mask is a constant of the tape, and the kept entries carry the exact
-/// gradient of the masked (and renormalised) forward. When k >= cols the
-/// call is an exact no-op and returns `m` unchanged (bit-determinism for
-/// degenerate budgets). Designed for nonnegative assignment matrices;
-/// selection is by value, not magnitude.
-Tensor TopKMaskRows(const Tensor& m, int k, bool renormalize = true,
-                    float eps = 1e-9f);
+/// pattern is a constant of the tape, and the stored entries carry the
+/// exact gradient of the masked and renormalised forward. Entries that are
+/// not stored receive none; for a softmax-produced M that loses nothing,
+/// since the softmax Jacobian is zero wherever its output is.
+SparseAssignment TopKAssignment(const Tensor& m, int k);
+
+/// Mᵀ X -> (c, n) for an assignment M(n, c) and X(n, n') in O(nnz(M)·n'),
+/// bit-identical to MatMul(Transpose(dense M), X): the dense kernels
+/// skip zero multiplicands and sum in ascending row order, as this
+/// scatter does. Differentiable with respect to M's values and X.
+Tensor AssignmentTransposeMatMul(const SparseAssignment& m, const Tensor& x);
+
+/// Column sums of an assignment M(n, c) -> (c, 1), accumulated in double
+/// in ascending row order: bit-identical to
+/// ReduceSumCols(Transpose(dense M)). Differentiable with respect to
+/// M's values.
+Tensor AssignmentColumnSums(const SparseAssignment& m);
 
 /// Fused coarsened adjacency A' = Mᵀ A M -> (c, c) for a CSR A(n,n) and a
-/// (typically top-k-sparsified) dense assignment M(n,c), in
-/// O(nnz(A) * k² + n*c) where k is the max nonzeros per row of M. Neither
-/// the dense (n,c) intermediate A·M nor any dense n×n operand is ever
-/// materialised — the kernel streams A's nonzeros against M's per-row
-/// nonzero lists. Differentiable with respect to M only (A holds input
-/// adjacency data): dM = A (M dOutᵀ) + Aᵀ (M dOut).
-Tensor CsrCoarsenAdjacency(const CsrMatrix& a, const Tensor& m);
+/// sparse assignment M(n,c), in O(nnz(A) * k²) where k is the max
+/// nonzeros per row of M. Neither the dense (n,c) intermediate A·M nor any
+/// dense n×n operand is ever materialised — the kernel streams A's
+/// nonzeros against M's per-row entries. Differentiable with respect to
+/// M's values only (A holds input adjacency data):
+/// dM = A (M dOutᵀ) + Aᵀ (M dOut), evaluated at M's stored entries.
+Tensor CsrCoarsenAdjacency(const CsrMatrix& a, const SparseAssignment& m);
 
 /// Fraction of entries of `dense` with |value| > threshold. The default is
 /// the shared kSparsityThreshold so the reported density matches the entry

@@ -234,6 +234,8 @@ Tensor MakeOpResult(int rows, int cols, std::vector<Tensor> inputs,
     }
   }
   if (any_grad && GradEnabled()) {
+    HAP_CHECK(backward_fn != nullptr)
+        << "taped op result without a backward function";
     impl->requires_grad = true;
     impl->parents.reserve(inputs.size());
     for (const Tensor& input : inputs) {

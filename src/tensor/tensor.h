@@ -176,6 +176,17 @@ Tensor MakeOpResult(int rows, int cols,
                     std::vector<Tensor> inputs,
                     std::function<void(internal::TensorImpl&)> backward_fn);
 
+/// True when MakeOpResult over `inputs` records a backward function: grad
+/// is enabled and some input requires grad. Ops whose closure is costly to
+/// build (the sparse kernels copy CSR arrays into theirs) build it only
+/// when this holds and pass an empty function otherwise; MakeOpResult
+/// refuses an empty function on a taped result.
+template <typename... Inputs>
+bool WillTape(const Inputs&... inputs) {
+  return GradEnabled() &&
+         ((inputs.defined() && inputs.requires_grad()) || ...);
+}
+
 }  // namespace hap
 
 #endif  // HAP_TENSOR_TENSOR_H_

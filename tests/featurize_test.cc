@@ -69,6 +69,24 @@ TEST(FeaturizeTest, RelativeDegreeBucketsScaleFree) {
   }
 }
 
+TEST(FeaturizeTest, CheckNodeLabelsMatchesTheOneHotWidth) {
+  Graph g(2);
+  g.set_node_label(1, 2);
+  EXPECT_TRUE(CheckNodeLabels(g, {FeatureKind::kNodeLabelOneHot, 3, 0}).ok());
+  EXPECT_TRUE(CheckNodeLabels(g, {FeatureKind::kDegreeAndLabel, 4, 3}).ok());
+  g.set_node_label(1, 3);
+  EXPECT_EQ(CheckNodeLabels(g, {FeatureKind::kNodeLabelOneHot, 3, 0}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(CheckNodeLabels(g, {FeatureKind::kDegreeAndLabel, 4, 3}).code(),
+            StatusCode::kInvalidArgument);
+  g.set_node_label(1, -1);
+  EXPECT_EQ(CheckNodeLabels(g, {FeatureKind::kNodeLabelOneHot, 3, 0}).code(),
+            StatusCode::kInvalidArgument);
+  // Kinds that ignore labels accept any.
+  EXPECT_TRUE(CheckNodeLabels(g, {FeatureKind::kDegreeOneHot, 3, 0}).ok());
+  EXPECT_TRUE(CheckNodeLabels(g, {FeatureKind::kConstant, 3, 0}).ok());
+}
+
 TEST(FeaturizeDeathTest, LabelOutsideWidthChecks) {
   Graph g(1);
   g.set_node_label(0, 5);

@@ -56,6 +56,22 @@ TEST(GraphIoTest, RejectsMalformedInput) {
   }
 }
 
+TEST(GraphIoTest, RejectsNonPositiveEdgeWeightWithTypedError) {
+  // Graph takes only positive weights; the parser must refuse the rest
+  // instead of handing them to Graph::AddEdge.
+  for (const char* text : {"graph 3 0\nedge 0 1 0\n", "graph 3 0\nedge 0 1 -2.5\n",
+                           "graph 3 0\nedge 0 1 1\nedge 1 2 -0\n"}) {
+    std::stringstream buffer(text);
+    StatusOr<Graph> g = ReadGraph(&buffer);
+    ASSERT_FALSE(g.ok()) << text;
+    EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+  std::stringstream positive("graph 3 0\nedge 0 1 0.25\n");
+  StatusOr<Graph> g = ReadGraph(&positive);
+  ASSERT_TRUE(g.ok());
+  EXPECT_FLOAT_EQ(g.value().EdgeWeight(0, 1), 0.25f);
+}
+
 TEST(GraphIoTest, DatasetRoundTrip) {
   Rng rng(1);
   GraphDataset dataset = MakeMutagLike(10, &rng);

@@ -191,6 +191,70 @@ TEST(ServerTest, BinaryInvalidGraphGetsTypedError) {
   CloseFd(fd);
 }
 
+TEST(ServerTest, BinaryHostileGraphFieldsGetTypedErrors) {
+  // The fixture serves a 7-wide node-label one-hot (MUTAG-like).
+  ServerFixture fx;
+  const int fd = fx.Connect();
+  const char* const hostile[] = {
+      "graph 3 0\nedge 0 1 0\n",   // zero edge weight
+      "graph 3 0\nedge 0 1 -1\n",  // negative edge weight
+      "graph 3 0\nnode 0 7\n",     // label at the one-hot width
+      "graph 3 0\nnode 2 -1\n",    // negative label
+  };
+  uint64_t ticket = 20;
+  std::string payload;
+  for (const char* text : hostile) {
+    ASSERT_TRUE(SendPredict(fd, ticket, 0, text).ok());
+    StatusOr<WireHeader> header = RecvFrame(fd, &payload);
+    ASSERT_TRUE(header.ok()) << text;
+    EXPECT_EQ(header.value().type, FrameType::kError) << text;
+    EXPECT_EQ(header.value().status, StatusCode::kInvalidArgument) << text;
+    EXPECT_EQ(header.value().ticket, ticket) << text;
+    ++ticket;
+  }
+  // The server is still up and answering on the same connection.
+  ASSERT_TRUE(SendPredict(fd, ticket, 0, fx.GraphText(0)).ok());
+  StatusOr<WireHeader> header = RecvFrame(fd, &payload);
+  ASSERT_TRUE(header.ok());
+  EXPECT_EQ(header.value().type, FrameType::kPredictOk);
+  CloseFd(fd);
+}
+
+TEST(ServerTest, HttpHostileGraphFieldsGetTypedErrors) {
+  ServerFixture fx;
+  const int fd = fx.Connect();
+  const char* const hostile[] = {
+      R"({"nodes":3,"edges":[[0,1,0]]})",       // zero edge weight
+      R"({"nodes":3,"edges":[[0,1,-2]]})",      // negative edge weight
+      R"({"nodes":3,"edges":[[0,1,1e300]]})",   // beyond float's range
+      R"({"nodes":3,"edges":[[0,1,1e-300]]})",  // rounds to a zero float
+      R"({"nodes":3,"node_labels":[7,0,0]})",   // at the one-hot width
+      R"({"nodes":3,"node_labels":[0,1e300,0]})",  // beyond int's range
+      R"({"nodes":3,"node_labels":[0,1.5,0]})",    // not an integer
+      R"({"nodes":1e300})",                        // beyond int's range
+      R"({"nodes":3,"edges":[[0,-1e300]]})",       // beyond int's range
+      R"({"nodes":3,"edges":[[0,4294967297]]})",   // wraps to 1 as int
+  };
+  for (const char* body : hostile) {
+    StatusOr<std::string> response = HttpRoundTrip(fd, Post("/predict", body));
+    ASSERT_TRUE(response.ok()) << body;
+    EXPECT_NE(response.value().find("HTTP/1.1 400"), std::string::npos)
+        << body << " -> " << response.value();
+    EXPECT_NE(response.value().find("INVALID_ARGUMENT"), std::string::npos)
+        << body << " -> " << response.value();
+  }
+  // A huge deadline is clamped, not cast out of range, and the server
+  // keeps answering on the same connection.
+  StatusOr<std::string> response = HttpRoundTrip(
+      fd, Post("/predict",
+               R"({"nodes":3,"node_labels":[0,1,2],"edges":[[0,1,0.5]],)"
+               R"("deadline_ms":1e300})"));
+  ASSERT_TRUE(response.ok());
+  EXPECT_NE(response.value().find("HTTP/1.1 200"), std::string::npos)
+      << response.value();
+  CloseFd(fd);
+}
+
 TEST(ServerTest, BinaryBadMagicClosesConnection) {
   ServerFixture fx;
   const uint64_t errors_before =
