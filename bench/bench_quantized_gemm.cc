@@ -1,7 +1,7 @@
 // Reduced-precision GEMM benchmark (docs/PERFORMANCE.md "Reduced-
 // precision inference"): two measurements in one JSON.
 //
-// Part A — per-shape kernel sweep. Times MatMul at fp32, bf16, and int8
+// Part A — per-shape kernel sweep. Times MatMul at fp32 and int8
 // (dynamic activation quantization, the worst case for int8) across
 // shapes from "too small to bother" to the serving hot path's A·H
 // propagation shape. Small shapes are included deliberately: below the
@@ -256,20 +256,16 @@ int main(int argc, char** argv) {
     const int iters = std::max(1, static_cast<int>(flop_budget / flops));
     const double fp32_ns =
         TimeMatMulNs(a, b, Precision::kFp32, iters, sweep_reps);
-    const double bf16_ns =
-        TimeMatMulNs(a, b, Precision::kBf16, iters, sweep_reps);
     const double int8_ns =
         TimeMatMulNs(a, b, Precision::kInt8, iters, sweep_reps);
     const bool eligible = kernels::ShapeWantsInt8(s.m, s.k, s.n);
     const double int8_speedup = fp32_ns / int8_ns;
-    const double bf16_speedup = fp32_ns / bf16_ns;
     if (s.m == acceptance.m && s.k == acceptance.k && s.n == acceptance.n) {
       acceptance_speedup = int8_speedup;
     }
     std::printf(
-        "  %3dx%3dx%3d : fp32 %9.0f  bf16 %9.0f  int8 %9.0f  "
-        "(int8 %.2fx%s)\n",
-        s.m, s.k, s.n, fp32_ns, bf16_ns, int8_ns, int8_speedup,
+        "  %3dx%3dx%3d : fp32 %9.0f  int8 %9.0f  (int8 %.2fx%s)\n",
+        s.m, s.k, s.n, fp32_ns, int8_ns, int8_speedup,
         eligible ? "" : ", below int8 threshold");
     json.BeginObject();
     json.Field("m", s.m);
@@ -277,9 +273,7 @@ int main(int argc, char** argv) {
     json.Field("n", s.n);
     json.Field("int8_eligible", eligible);
     json.Field("fp32_ns", fp32_ns);
-    json.Field("bf16_ns", bf16_ns);
     json.Field("int8_ns", int8_ns);
-    json.Field("speedup_bf16_vs_fp32", bf16_speedup);
     json.Field("speedup_int8_vs_fp32", int8_speedup);
     json.EndObject();
   }
@@ -367,8 +361,7 @@ int main(int argc, char** argv) {
   double qps_fp32 = 0.0, qps_int8 = 0.0;
   std::vector<int> fp32_reference;
   json.BeginArray("serve");
-  for (Precision precision :
-       {Precision::kFp32, Precision::kBf16, Precision::kInt8}) {
+  for (Precision precision : {Precision::kFp32, Precision::kInt8}) {
     ServedModelConfig config = model_config;
     config.precision = precision;
     if (precision == Precision::kInt8) {
@@ -394,7 +387,6 @@ int main(int argc, char** argv) {
       }
     }
     EngineConfig engine_config;
-    engine_config.precision = precision;
     engine_config.max_batch = 8;
     engine_config.max_delay_us = 200;
     // Quantization covers the per-graph dense GEMMs, not the segment-op
@@ -428,9 +420,7 @@ int main(int argc, char** argv) {
     const std::vector<double> scores =
         precision == Precision::kFp32
             ? fp32_scores
-            : SimilarityScores(
-                  scorer, prepared, precision,
-                  precision == Precision::kInt8 ? &scorer_scales : nullptr);
+            : SimilarityScores(scorer, prepared, precision, &scorer_scales);
     const double tau = KendallTau(fp32_scores, scores);
     if (std::getenv("HAP_BENCH_DEBUG") != nullptr &&
         precision != Precision::kFp32) {

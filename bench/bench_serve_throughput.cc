@@ -291,7 +291,7 @@ int main(int argc, char** argv) {
   // Precision-parity gate: replay the same stream through the engine at
   // each serving precision (tensor/quant.h) and score every prediction
   // against the fp32 model's direct single-graph forwards. fp32 must stay
-  // bit-identical; bf16/int8 are not bit-exact, so they gate on class
+  // bit-identical; int8 is not bit-exact, so it gates on class
   // agreement >= 99% instead — the wiring check that reduced-precision
   // plumbing (lane scales, engine PrecisionScope, calibration) cannot
   // silently corrupt served predictions. The accuracy deep-dive (Kendall
@@ -312,8 +312,7 @@ int main(int argc, char** argv) {
       reference.push_back(ref_model.value()->Predict(g, 0));
     }
     json.BeginArray("precision_parity");
-    for (Precision precision :
-         {Precision::kFp32, Precision::kBf16, Precision::kInt8}) {
+    for (Precision precision : {Precision::kFp32, Precision::kInt8}) {
       ServedModelConfig pconfig = ref_config;
       pconfig.precision = precision;
       if (precision == Precision::kInt8) {
@@ -327,7 +326,6 @@ int main(int argc, char** argv) {
       EngineConfig config;
       config.max_batch = 16;
       config.max_delay_us = 200;
-      config.precision = precision;
       const RunResult run = RunClosedLoop(model.value(), config, prepared,
                                           stream, reference);
       if (precision == Precision::kFp32) {

@@ -20,7 +20,9 @@
 // Graphs come from --input (a SaveDataset file, or `-` for graph blocks
 // on stdin) when given, otherwise from the --dataset generator. Requests
 // cycle through the graph pool. --qps 0 (default) replays in a closed
-// loop as fast as admission allows.
+// loop as fast as admission allows. --max-batch must be at least 1 and
+// --requests and --max-delay-us at least 0; a value out of range exits 2
+// with usage before the checkpoint is read.
 //
 // Example (train a tiny checkpoint with hap_tool, then serve it):
 //   hap_tool classify --dataset mutag --method HAP --graphs 30 --epochs 2
@@ -56,7 +58,7 @@ constexpr char kUsage[] =
     "                 [--requests N] [--qps N] [--max-batch N]\n"
     "                 [--max-delay-us N] [--seed N] [--predictions-out path]\n"
     "                 [--coarsen-mode dense|topk|auto] [--topk K]\n"
-    "                 [--precision fp32|bf16|int8] [--access-log path]\n";
+    "                 [--precision fp32|int8] [--access-log path]\n";
 
 template <typename T>
 T FlagValueOrDie(const StatusOr<T>& result) {
@@ -107,9 +109,15 @@ int main(int argc, char** argv) {
   const std::string dataset_name = flags.GetString("dataset", "mutag");
   const std::string input = flags.GetString("input", "");
   const int pool_graphs = FlagValueOrDie(flags.GetInt("graphs", 32));
-  const int requests = FlagValueOrDie(flags.GetInt("requests", 500));
+  const int requests = FlagValueOrDie(flags.GetInt("requests", 500, 0));
   const int qps = FlagValueOrDie(flags.GetInt("qps", 0));
   const uint64_t seed = FlagValueOrDie(flags.GetUint64("seed", 7));
+  serve::EngineConfig engine_config;
+  engine_config.max_batch =
+      FlagValueOrDie(flags.GetInt("max-batch", engine_config.max_batch, 1));
+  engine_config.max_delay_us = FlagValueOrDie(flags.GetInt(
+      "max-delay-us", static_cast<int>(engine_config.max_delay_us), 0));
+  engine_config.access_log_path = flags.GetString("access-log", "");
 
   // The generator fixes the dataset's feature spec and class count; with
   // --input the graphs are replaced but the spec (and thus the model
@@ -144,37 +152,22 @@ int main(int argc, char** argv) {
                  mode_text.c_str(), kUsage);
     return 2;
   }
-  model_config.topk = FlagValueOrDie(flags.GetInt("topk", 0));
-  if (flags.Has("topk") && model_config.topk < 1) {
-    std::fprintf(stderr, "--topk must be >= 1\n%s", kUsage);
-    return 2;
-  }
-  // One flag drives both halves of the precision knob: the model side
-  // (calibration scales prepared at load) and the engine side (the
-  // PrecisionScope each lane installs per batch).
+  model_config.topk = FlagValueOrDie(flags.GetInt("topk", 0, 1));
+  // The engine runs every batch at the precision the model is loaded
+  // at, with the scales prepared here.
   const std::string precision_text = flags.GetString("precision", "fp32");
-  Precision precision = Precision::kFp32;
-  if (!ParsePrecision(precision_text, &precision)) {
-    std::fprintf(stderr, "unknown --precision '%s' (fp32|bf16|int8)\n%s",
+  if (!ParsePrecision(precision_text, &model_config.precision)) {
+    std::fprintf(stderr, "unknown --precision '%s' (fp32|int8)\n%s",
                  precision_text.c_str(), kUsage);
     return 2;
   }
-  model_config.precision = precision;
-  if (precision == Precision::kInt8) {
+  if (model_config.precision == Precision::kInt8) {
     // Calibrate activation absmax on a small slice of the replay pool
     // when the checkpoint carries no scales of its own.
     const size_t sample = std::min<size_t>(prepared.size(), 8);
     model_config.calibration_graphs.assign(prepared.begin(),
                                            prepared.begin() + sample);
   }
-
-  serve::EngineConfig engine_config;
-  engine_config.precision = precision;
-  engine_config.max_batch =
-      FlagValueOrDie(flags.GetInt("max-batch", engine_config.max_batch));
-  engine_config.max_delay_us = FlagValueOrDie(flags.GetInt(
-      "max-delay-us", static_cast<int>(engine_config.max_delay_us)));
-  engine_config.access_log_path = flags.GetString("access-log", "");
   model_config.lanes = engine_config.max_batch;
 
   // The latency report below reads the engine's streaming sketches,
@@ -192,7 +185,7 @@ int main(int argc, char** argv) {
   std::printf("serving %s (%lld parameters, %d lanes, %s) from %s\n",
               model_config.method.c_str(),
               static_cast<long long>(model.value()->num_parameters()),
-              model.value()->lanes(), PrecisionName(precision),
+              model.value()->lanes(), PrecisionName(model_config.precision),
               checkpoint.c_str());
 
   serve::InferenceEngine engine(model.value(), engine_config);

@@ -17,12 +17,18 @@
 //              [--shed-queue-depth N] [--slo-p99-ms N]
 //              [--default-deadline-ms N] [--cache-capacity N]
 //              [--coarsen-mode dense|topk|auto] [--topk K]
-//              [--precision fp32|bf16|int8] [--max-connections N]
+//              [--precision fp32|int8] [--max-connections N]
 //              [--idle-timeout-ms N] [--access-log path]
 //
 // --port 0 (the default) asks the kernel for a port; --port-file writes
 // the bound port as one line so scripts can discover it. The process
 // runs until SIGINT/SIGTERM, then drains and exits 0.
+//
+// --max-batch, --lanes, --queue-capacity and --cache-capacity must be at
+// least 1. The delay, depth, SLO, deadline, connection and idle-timeout
+// flags must be at least 0, where 0 means none (no shedding, no SLO, no
+// default deadline, no connection cap, no idle timeout). A value out of
+// range exits 2 with usage before the checkpoint is read.
 
 #include <atomic>
 #include <chrono>
@@ -53,7 +59,7 @@ constexpr char kUsage[] =
     "                  [--slo-p99-ms N] [--default-deadline-ms N]\n"
     "                  [--cache-capacity N]\n"
     "                  [--coarsen-mode dense|topk|auto] [--topk K]\n"
-    "                  [--precision fp32|bf16|int8] [--max-connections N]\n"
+    "                  [--precision fp32|int8] [--max-connections N]\n"
     "                  [--idle-timeout-ms N] [--access-log path]\n";
 
 template <typename T>
@@ -115,43 +121,52 @@ int main(int argc, char** argv) {
                  mode_text.c_str(), kUsage);
     return 2;
   }
-  model_config.topk = FlagValueOrDie(flags.GetInt("topk", 0));
-  if (flags.Has("topk") && model_config.topk < 1) {
-    std::fprintf(stderr, "--topk must be >= 1\n%s", kUsage);
-    return 2;
-  }
-  // One flag drives both precision halves: scale preparation at model
-  // load and the per-lane PrecisionScope at batch execution.
+  model_config.topk = FlagValueOrDie(flags.GetInt("topk", 0, 1));
+  // The engine runs every batch at the precision the model is loaded
+  // at, with the scales prepared here.
   const std::string precision_text = flags.GetString("precision", "fp32");
-  Precision precision = Precision::kFp32;
-  if (!ParsePrecision(precision_text, &precision)) {
-    std::fprintf(stderr, "unknown --precision '%s' (fp32|bf16|int8)\n%s",
+  if (!ParsePrecision(precision_text, &model_config.precision)) {
+    std::fprintf(stderr, "unknown --precision '%s' (fp32|int8)\n%s",
                  precision_text.c_str(), kUsage);
     return 2;
   }
-  model_config.precision = precision;
-  if (precision == Precision::kInt8) {
+
+  serve::EngineConfig engine_config;
+  engine_config.max_batch =
+      FlagValueOrDie(flags.GetInt("max-batch", engine_config.max_batch, 1));
+  engine_config.max_delay_us = FlagValueOrDie(flags.GetInt(
+      "max-delay-us", static_cast<int>(engine_config.max_delay_us), 0));
+  engine_config.queue_capacity = static_cast<size_t>(FlagValueOrDie(
+      flags.GetInt("queue-capacity",
+                   static_cast<int>(engine_config.queue_capacity), 1)));
+  engine_config.default_deadline_us =
+      int64_t{1000} *
+      FlagValueOrDie(flags.GetInt("default-deadline-ms", 0, 0));
+  engine_config.access_log_path = flags.GetString("access-log", "");
+  model_config.lanes =
+      FlagValueOrDie(flags.GetInt("lanes", engine_config.max_batch, 1));
+
+  serve::ServerConfig server_config;
+  server_config.port = FlagValueOrDie(flags.GetInt("port", 0));
+  server_config.cache_capacity = static_cast<size_t>(
+      FlagValueOrDie(flags.GetInt("cache-capacity", 256, 1)));
+  server_config.admission.shed_queue_depth = static_cast<size_t>(
+      FlagValueOrDie(flags.GetInt("shed-queue-depth", 0, 0)));
+  server_config.admission.slo_p99_ns =
+      1'000'000ull *
+      static_cast<uint64_t>(FlagValueOrDie(flags.GetInt("slo-p99-ms", 0, 0)));
+  server_config.max_connections = static_cast<size_t>(
+      FlagValueOrDie(flags.GetInt("max-connections", 0, 0)));
+  server_config.idle_timeout_ms =
+      FlagValueOrDie(flags.GetInt("idle-timeout-ms", 0, 0));
+
+  if (model_config.precision == Precision::kInt8) {
     // The checkpoint may carry its own scales (v2); otherwise calibrate
     // on a generated sample from the architecture's dataset family.
     GraphDataset sample =
         MakeDatasetByName(flags.GetString("dataset", "mutag"), 8, &rng);
     model_config.calibration_graphs = PrepareDataset(sample);
   }
-
-  serve::EngineConfig engine_config;
-  engine_config.precision = precision;
-  engine_config.max_batch =
-      FlagValueOrDie(flags.GetInt("max-batch", engine_config.max_batch));
-  engine_config.max_delay_us = FlagValueOrDie(flags.GetInt(
-      "max-delay-us", static_cast<int>(engine_config.max_delay_us)));
-  engine_config.queue_capacity = static_cast<size_t>(FlagValueOrDie(
-      flags.GetInt("queue-capacity",
-                   static_cast<int>(engine_config.queue_capacity))));
-  engine_config.default_deadline_us =
-      1000 * FlagValueOrDie(flags.GetInt("default-deadline-ms", 0));
-  engine_config.access_log_path = flags.GetString("access-log", "");
-  model_config.lanes =
-      FlagValueOrDie(flags.GetInt("lanes", engine_config.max_batch));
 
   // Admission shedding and the /stats quantiles both read the
   // serve.latency.ns sketch, which records only when metrics are on.
@@ -167,19 +182,6 @@ int main(int argc, char** argv) {
   }
   serve::InferenceEngine engine(&registry, model_name, engine_config);
 
-  serve::ServerConfig server_config;
-  server_config.port = FlagValueOrDie(flags.GetInt("port", 0));
-  server_config.cache_capacity = static_cast<size_t>(
-      FlagValueOrDie(flags.GetInt("cache-capacity", 256)));
-  server_config.admission.shed_queue_depth = static_cast<size_t>(
-      FlagValueOrDie(flags.GetInt("shed-queue-depth", 0)));
-  server_config.admission.slo_p99_ns =
-      1'000'000ull *
-      static_cast<uint64_t>(FlagValueOrDie(flags.GetInt("slo-p99-ms", 0)));
-  server_config.max_connections = static_cast<size_t>(
-      FlagValueOrDie(flags.GetInt("max-connections", 0)));
-  server_config.idle_timeout_ms =
-      FlagValueOrDie(flags.GetInt("idle-timeout-ms", 0));
   // POST /reload: re-load the checkpoint at the next version. The
   // version counter lives in the closure; concurrent reloads serialise
   // inside the registry.
@@ -200,7 +202,7 @@ int main(int argc, char** argv) {
   }
   std::printf("hap_served: %s (%d lanes, %s) on 127.0.0.1:%d\n",
               model_config.method.c_str(), model_config.lanes,
-              PrecisionName(precision), server.port());
+              PrecisionName(model_config.precision), server.port());
   std::fflush(stdout);
 
   const std::string port_file = flags.GetString("port-file", "");

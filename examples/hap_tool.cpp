@@ -105,11 +105,7 @@ int RunClassify(int argc, char** argv) {
                  mode_text.c_str(), kUsage);
     return 2;
   }
-  const int topk = FlagValueOrDie(flags.GetInt("topk", 0));
-  if (flags.Has("topk") && topk < 1) {
-    std::fprintf(stderr, "--topk must be >= 1\n%s", kUsage);
-    return 2;
-  }
+  const int topk = FlagValueOrDie(flags.GetInt("topk", 0, 1));
 
   Rng rng(seed);
   GraphDataset dataset = MakeDatasetByName(dataset_name, graphs, &rng);

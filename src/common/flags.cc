@@ -55,7 +55,8 @@ std::string Flags::GetString(const std::string& name,
   return it == values_.end() ? std::move(fallback) : it->second;
 }
 
-StatusOr<int> Flags::GetInt(const std::string& name, int fallback) const {
+StatusOr<int> Flags::GetInt(const std::string& name, int fallback,
+                            int min) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   errno = 0;
@@ -65,6 +66,11 @@ StatusOr<int> Flags::GetInt(const std::string& name, int fallback) const {
       value < std::numeric_limits<int>::min() ||
       value > std::numeric_limits<int>::max()) {
     return Status::InvalidArgument("flag --" + name + " wants an integer, got '" +
+                                   it->second + "'");
+  }
+  if (value < min) {
+    return Status::InvalidArgument("flag --" + name + " must be >= " +
+                                   std::to_string(min) + ", got '" +
                                    it->second + "'");
   }
   return static_cast<int>(value);

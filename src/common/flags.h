@@ -2,6 +2,7 @@
 #define HAP_COMMON_FLAGS_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -31,8 +32,10 @@ class Flags {
   std::string GetString(const std::string& name, std::string fallback) const;
 
   /// Integer value of `name`, or `fallback` when absent. The whole value
-  /// must parse — `--epochs 30x` is an error, not 30.
-  StatusOr<int> GetInt(const std::string& name, int fallback) const;
+  /// must parse — `--epochs 30x` is an error, not 30 — and a supplied
+  /// value below `min` is an error too.
+  StatusOr<int> GetInt(const std::string& name, int fallback,
+                       int min = std::numeric_limits<int>::min()) const;
   StatusOr<uint64_t> GetUint64(const std::string& name,
                                uint64_t fallback) const;
 

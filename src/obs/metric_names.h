@@ -28,9 +28,8 @@ inline constexpr char kMatMulDispatchBlocked[] =
     "tensor.matmul.dispatch.blocked";
 inline constexpr char kMatMulDispatchNaive[] = "tensor.matmul.dispatch.naive";
 // Reduced-precision eval dispatch (tensor/quant.h): forwards that ran on
-// the int8 or bf16 kernel family instead of the fp32 contract kernels.
+// the int8 kernel family instead of the fp32 contract kernels.
 inline constexpr char kMatMulDispatchInt8[] = "tensor.matmul.dispatch.int8";
-inline constexpr char kMatMulDispatchBf16[] = "tensor.matmul.dispatch.bf16";
 
 // --- src/tensor arena (step-scoped buffer pool, src/tensor/arena.h) ---
 inline constexpr char kMemPoolHit[] = "mem.pool.hit";

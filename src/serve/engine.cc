@@ -13,6 +13,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/telemetry.h"
+#include "tensor/quant.h"
 
 namespace hap::serve {
 
@@ -238,24 +239,16 @@ void InferenceEngine::ProcessBatch(std::vector<Request> batch) {
   }
 
   // Group requests that carry the same prepared graph: one forward per
-  // group, the result fanned back to every member.
+  // group, the result fanned back to every member. Predictions are
+  // unchanged because eval-mode forwards are deterministic.
   std::vector<std::vector<Request>> groups;
-  if (config_.coalesce) {
-    std::map<GraphKey, size_t> index;
-    for (Request& request : batch) {
-      auto [it, inserted] =
-          index.emplace(KeyOf(request.graph), groups.size());
-      if (inserted) groups.emplace_back();
-      groups[it->second].push_back(std::move(request));
-    }
-    coalesced->Add(batch.size() - groups.size());
-  } else {
-    groups.reserve(batch.size());
-    for (Request& request : batch) {
-      groups.emplace_back();
-      groups.back().push_back(std::move(request));
-    }
+  std::map<GraphKey, size_t> index;
+  for (Request& request : batch) {
+    auto [it, inserted] = index.emplace(KeyOf(request.graph), groups.size());
+    if (inserted) groups.emplace_back();
+    groups[it->second].push_back(std::move(request));
   }
+  coalesced->Add(batch.size() - groups.size());
 
   // Fails every waiter in the batch: future holders get `error`,
   // network-path callbacks get `status`. Either way nobody is left
@@ -342,7 +335,7 @@ void InferenceEngine::ProcessBatch(std::vector<Request> batch) {
         // Precision is thread-local state, so the scope lives on the pool
         // thread running this lane's forward, not on the batcher.
         PrecisionScope precision_scope(
-            config_.precision, model->lane_scales(static_cast<int>(lane)));
+            model->precision(), model->lane_scales(static_cast<int>(lane)));
         std::vector<PreparedGraph> graphs;
         graphs.reserve(hi - lo);
         for (size_t g = lo; g < hi; ++g) {
@@ -368,7 +361,7 @@ void InferenceEngine::ProcessBatch(std::vector<Request> batch) {
           const uint64_t start = telemetry ? obs::MonotonicNs() : 0;
           ArenaScope arena_scope(lane_arenas_[static_cast<size_t>(lane)]);
           PrecisionScope precision_scope(
-              config_.precision, model->lane_scales(static_cast<int>(lane)));
+              model->precision(), model->lane_scales(static_cast<int>(lane)));
           predictions[g] =
               model->Predict(groups[g].front().graph, static_cast<int>(lane));
           if (telemetry) stamp_forward(g, g + 1, start, obs::MonotonicNs());

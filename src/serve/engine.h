@@ -17,7 +17,6 @@
 #include "serve/request_queue.h"
 #include "serve/served_model.h"
 #include "tensor/arena.h"
-#include "tensor/quant.h"
 
 namespace hap::serve {
 
@@ -34,11 +33,6 @@ struct EngineConfig {
   /// Admission bound: Submit fails with ResourceExhausted beyond this
   /// (backpressure instead of unbounded memory growth).
   size_t queue_capacity = 1024;
-  /// Collapse duplicate graphs inside a batch into one forward whose
-  /// result fans back out to every requester. Pure win on hot-key
-  /// traffic; predictions are unchanged because eval-mode forwards are
-  /// deterministic.
-  bool coalesce = true;
   /// Run each lane's share of the DISTINCT graphs in a micro-batch as one
   /// batched forward (segment ops, docs/BATCHING.md) instead of one
   /// forward per graph. Predictions are bit-identical either way (the
@@ -60,12 +54,6 @@ struct EngineConfig {
   /// (serve.deadline_miss.skipped); one that expires mid-compute still
   /// resolves with its prediction and ticks serve.deadline_miss.total.
   int64_t default_deadline_us = 0;
-  /// Forward-pass precision for lane compute (tensor/quant.h). Installed
-  /// as a PrecisionScope on each lane's pool thread per batch; int8 picks
-  /// up the served model's pre-quantized lane scales automatically. The
-  /// fp32 default keeps every forward bit-deterministic; bf16/int8 trade
-  /// bounded rounding error for throughput (docs/PERFORMANCE.md).
-  Precision precision = Precision::kFp32;
 };
 
 /// Inference front end: admission control, micro-batching, and fan-out of
@@ -75,8 +63,12 @@ struct EngineConfig {
 /// against the current model and either enqueues it — returning a future
 /// for the predicted class — or fails fast with a Status (bad input,
 /// backpressure, engine shut down). A single batcher thread gathers
-/// micro-batches (RequestQueue), optionally coalesces duplicate graphs,
-/// and runs the unique forwards on distinct model lanes in parallel.
+/// micro-batches (RequestQueue), coalesces requests that carry the same
+/// prepared graph into one forward whose result fans back out to every
+/// requester, and runs the unique forwards on distinct model lanes in
+/// parallel. Each lane forward runs at the precision the resolved model
+/// was loaded at (ServedModelConfig::precision), with that lane's
+/// pre-quantized scales.
 ///
 /// Hot-swap: an engine built over a ModelRegistry re-resolves its model
 /// for every batch, so a Publish/Reload takes effect on the next batch

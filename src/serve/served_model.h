@@ -31,12 +31,13 @@ struct ServedModelConfig {
   /// Per-row assignment budget for the top-k sparse path; <= 0 keeps the
   /// model's configured default.
   int topk = 0;
-  /// Eval-only forward precision prepared at load time (tensor/quant.h).
-  /// int8 needs activation scales: they come from the checkpoint's v2
-  /// scale section when present, else are calibrated on
-  /// `calibration_graphs`, else every activation quantizes dynamically.
-  /// Execution opts in per batch via EngineConfig::precision — a loaded
-  /// model never changes fp32 results by itself.
+  /// Eval-only forward precision (tensor/quant.h). int8 needs activation
+  /// scales: they come from the checkpoint's v2 scale section when
+  /// present, else are calibrated on `calibration_graphs`, else every
+  /// activation quantizes dynamically. The InferenceEngine runs each
+  /// batch at the precision of the model it resolved for that batch;
+  /// Predict and PredictBatched called directly run at the caller's
+  /// PrecisionScope (fp32 when none).
   Precision precision = Precision::kFp32;
   /// Held-out sample for absmax calibration (see above). Only read at
   /// Load, only when precision == int8 and the checkpoint carries no
@@ -87,7 +88,7 @@ class ServedModel {
   /// The precision this model was prepared for at load time.
   Precision precision() const { return config_.precision; }
   /// Pre-quantized weight panels for lane `lane`, or nullptr when the
-  /// model was prepared at fp32/bf16 (no scales needed). Callers install
+  /// model was prepared at fp32 (no scales needed). Callers install
   /// these via PrecisionScope on the thread running the lane forward.
   const QuantScales* lane_scales(int lane) const;
   /// The index-keyed scale entries backing lane_scales (for inspection

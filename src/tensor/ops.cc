@@ -107,45 +107,6 @@ Tensor Int8MatMul(const Tensor& a, const Tensor& b, const float* bias,
   return out;
 }
 
-// bf16 product: truncate both operands round-to-nearest-even, then run
-// the ordinary fp32 kernels (fp32 accumulation).
-Tensor Bf16MatMul(const Tensor& a, const Tensor& b) {
-  const int m = a.rows(), k = a.cols(), n = b.cols();
-  static obs::Histogram* op_ns = obs::GetHistogram(obs::names::kMatMulNs);
-  if (obs::HotCountersEnabled()) {
-    static obs::Counter* calls = obs::GetCounter(obs::names::kMatMulCalls);
-    static obs::Counter* flops = obs::GetCounter(obs::names::kMatMulFlops);
-    static obs::Counter* disp =
-        obs::GetCounter(obs::names::kMatMulDispatchBf16);
-    calls->Increment();
-    flops->Add(2ull * m * k * n);
-    disp->Increment();
-  }
-  obs::ScopedTimerNs timer(op_ns);
-  float* fa = kernels::FloatScratchA(static_cast<size_t>(m) * k);
-  float* fb = kernels::FloatScratchB(static_cast<size_t>(k) * n);
-  kernels::TruncateBf16(a.data(), fa, static_cast<int64_t>(m) * k);
-  kernels::TruncateBf16(b.data(), fb, static_cast<int64_t>(k) * n);
-  Tensor out = MakeOpResult(m, n, {}, [](internal::TensorImpl&) {
-    HAP_CHECK(false) << "bf16 MatMul result must never be taped";
-  });
-  float* o = out.mutable_data();
-  if (kernels::UseBlockedForward(m, k, n)) {
-    const float* packed_b = kernels::PackBPanels(fb, k, n);
-    ParallelFor(0, m, RowGrain(static_cast<int64_t>(k) * n),
-                [&](int64_t lo, int64_t hi) {
-                  kernels::BlockedForwardRows(fa, packed_b, fb, o, k, n, lo,
-                                              hi);
-                });
-  } else {
-    ParallelFor(0, m, RowGrain(static_cast<int64_t>(k) * n),
-                [&](int64_t lo, int64_t hi) {
-                  kernels::NaiveForwardRows(fa, fb, o, k, n, lo, hi);
-                });
-  }
-  return out;
-}
-
 }  // namespace
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
@@ -161,9 +122,6 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
         << ") refuses taped tensors; wrap eval-only code in NoGradGuard";
     if (prec == Precision::kInt8 && kernels::ShapeWantsInt8(m, k, n)) {
       return Int8MatMul(a, b, /*bias=*/nullptr, /*leaky_alpha=*/0.0f);
-    }
-    if (prec == Precision::kBf16) {
-      return Bf16MatMul(a, b);
     }
     // Small-shape int8 falls through: quantize+pack costs more than the
     // fp32 blocked kernels save there (docs/PERFORMANCE.md).
@@ -280,7 +238,7 @@ Tensor MatMulBiasLeakyRelu(const Tensor& a, const Tensor& b,
       kernels::ShapeWantsInt8(m, a.cols(), n)) {
     return Int8MatMul(a, b, bias.data(), alpha);
   }
-  Tensor out = MatMul(a, b);  // untaped; bf16 scope handled inside
+  Tensor out = MatMul(a, b);  // untaped
   float* o = out.mutable_data();
   const float* bi = bias.data();
   ParallelFor(0, m, RowGrain(n), [&](int64_t lo, int64_t hi) {

@@ -1,16 +1,9 @@
 #include "train/classifier.h"
 
-#include <algorithm>
-#include <cstdio>
-
 #include "common/check.h"
-#include "obs/metrics.h"
-#include "obs/run_logger.h"
-#include "obs/trace.h"
 #include "tensor/ops.h"
-#include "tensor/optimizer.h"
 #include "tensor/segment_ops.h"
-#include "train/parallel_batch.h"
+#include "train/train_loop.h"
 
 namespace hap {
 
@@ -114,179 +107,49 @@ ClassificationResult TrainClassifier(
     GraphClassifier* model, const std::vector<PreparedGraph>& data,
     const Split& split, const TrainConfig& config,
     const ClassifierFactory& replica_factory) {
-  Rng rng(config.seed);
-  Adam optimizer(model->Parameters(), config.lr);
-  std::vector<int> order = split.train;
+  std::vector<std::unique_ptr<GraphClassifier>> owned;
+  const std::vector<GraphClassifier*> models =
+      MakeReplicas(model, config.num_threads, replica_factory, &owned);
   ClassificationResult result;
-  double best_val = -1.0;
-  int epochs_since_best = 0;
-
-  // Data-parallel state (config.num_threads >= 1): the master model is
-  // replica 0; the factory supplies the others. Per-example noise seeds are
-  // drawn from a dedicated stream on this thread so the schedule never
-  // depends on worker interleaving.
-  const bool data_parallel = config.num_threads >= 1;
-  std::vector<std::unique_ptr<GraphClassifier>> replica_storage;
-  std::vector<GraphClassifier*> models = {model};
-  std::unique_ptr<ParallelBatchRunner> runner;
-  Rng noise_seeds(config.seed * 0x9e3779b97f4a7c15ull + 0x51ab5eedull);
-  if (data_parallel) {
-    for (int w = 1; w < config.num_threads; ++w) {
-      HAP_CHECK(replica_factory != nullptr)
-          << "TrainClassifier: num_threads > 1 needs a replica factory";
-      replica_storage.push_back(replica_factory());
-      models.push_back(replica_storage.back().get());
-    }
-    std::vector<std::vector<Tensor>> replica_params;
-    replica_params.reserve(models.size());
-    for (GraphClassifier* m : models) replica_params.push_back(m->Parameters());
-    runner = std::make_unique<ParallelBatchRunner>(model->Parameters(),
-                                                   std::move(replica_params));
-  }
-
-  // Telemetry: console sink mirrors the old `verbose` printf; a JSONL
-  // sink is opened when config.log_path is set. Timers and counter
-  // deltas never feed back into the math, so trajectories are identical
-  // with logging on or off.
-  obs::RunLogger logger(config.verbose, config.log_path);
-  obs::RunCounters counters_prev = obs::ReadRunCounters();
-
-  // Step-scoped tensor memory (docs/PERFORMANCE.md): buffers for the
-  // tape, eval forwards, and gradients allocated on this thread cycle
-  // through this pool (worker threads use the runner's per-worker
-  // arenas), so steady-state steps are allocation-free after warm-up.
-  auto arena = std::make_shared<TensorArena>();
-  ArenaScope arena_scope(arena);
-
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    HAP_TRACE_SCOPE("train.epoch");
-    const uint64_t epoch_start_ns = obs::MonotonicNs();
-    for (GraphClassifier* m : models) m->set_training(true);
-    rng.Shuffle(&order);
-    double epoch_loss = 0.0;
-    double grad_norm_sum = 0.0;
-    int optimizer_steps = 0;
-    {
-      HAP_TRACE_SCOPE("epoch.train");
-      if (data_parallel) {
-        // Batched forward (docs/BATCHING.md): each worker's slice runs as
-        // one tape over the concatenated graphs. Falls back silently to
-        // the per-example path for architectures without a batched mirror.
-        const bool batched =
-            config.batched_forward && model->SupportsBatched();
-        for (size_t start = 0; start < order.size();
-             start += static_cast<size_t>(config.batch_size)) {
-          const size_t stop = std::min(
-              order.size(), start + static_cast<size_t>(config.batch_size));
-          const std::vector<int> batch(order.begin() + start,
-                                       order.begin() + stop);
-          if (batched) {
-            epoch_loss += runner->RunBatchBatched(
-                batch, noise_seeds.NextU64(), 1.0f / config.batch_size,
-                [&](int worker, const std::vector<int>& items,
-                    const std::vector<uint64_t>& seeds) {
-                  std::vector<Tensor> features;
-                  std::vector<GraphLevel> levels;
-                  std::vector<int> labels;
-                  features.reserve(items.size());
-                  levels.reserve(items.size());
-                  labels.reserve(items.size());
-                  for (int item : items) {
-                    features.push_back(data[item].h);
-                    levels.push_back(data[item].level);
-                    labels.push_back(data[item].label);
-                  }
-                  return models[worker]->LossesBatched(
-                      BatchGraphs(features, levels, labels), seeds);
-                });
-          } else {
-            epoch_loss += runner->RunBatch(
-                batch, noise_seeds.NextU64(), 1.0f / config.batch_size,
-                [&](int worker, uint64_t seed) {
-                  models[worker]->ReseedNoise(seed);
-                },
-                [&](int worker, int item) {
-                  return models[worker]->Loss(data[item]);
-                });
-          }
-          grad_norm_sum += optimizer.ClipGradNorm(config.clip_norm);
-          ++optimizer_steps;
-          optimizer.Step();
-          arena->ResetStep();
-          runner->ResetStep();
-        }
-      } else {
-        int in_batch = 0;
-        for (int index : order) {
-          Tensor loss = model->Loss(data[index]);
-          epoch_loss += loss.Item();
-          // Scale so accumulated batch gradients are means, not sums (keeps
-          // the effective step size independent of batch_size).
-          MulScalar(loss, 1.0f / config.batch_size).Backward();
-          if (++in_batch >= config.batch_size) {
-            grad_norm_sum += optimizer.ClipGradNorm(config.clip_norm);
-            ++optimizer_steps;
-            optimizer.Step();
-            arena->ResetStep();
-            in_batch = 0;
-          }
-        }
-        if (in_batch > 0) {
-          grad_norm_sum += optimizer.ClipGradNorm(config.clip_norm);
-          ++optimizer_steps;
-          optimizer.Step();
-          arena->ResetStep();
-        }
+  TrainTask task;
+  task.name = "classification";
+  task.metric_key = "val_accuracy";
+  task.metric_label = "val";
+  task.replicas.assign(models.begin(), models.end());
+  task.set_training = [&models](bool training) {
+    for (GraphClassifier* m : models) m->set_training(training);
+  };
+  task.items = split.train;
+  task.loss = [&](int worker, int item) {
+    return models[worker]->Loss(data[item]);
+  };
+  if (model->SupportsBatched()) {
+    task.slice_losses = [&](int worker, const std::vector<int>& items,
+                            const std::vector<uint64_t>& seeds) {
+      std::vector<Tensor> features;
+      std::vector<GraphLevel> levels;
+      std::vector<int> labels;
+      features.reserve(items.size());
+      levels.reserve(items.size());
+      labels.reserve(items.size());
+      for (int item : items) {
+        features.push_back(data[item].h);
+        levels.push_back(data[item].level);
+        labels.push_back(data[item].label);
       }
-    }
-    const uint64_t train_end_ns = obs::MonotonicNs();
-    const double mean_loss =
-        epoch_loss / std::max<size_t>(order.size(), 1);
-    result.epoch_losses.push_back(mean_loss);
-    model->set_training(false);
-    double val = 0.0;
-    {
-      HAP_TRACE_SCOPE("epoch.eval");
-      val = EvaluateClassifier(*model, data, split.val);
-      if (val > best_val) {
-        best_val = val;
-        result.best_epoch = epoch;
-        result.val_accuracy = val;
-        result.test_accuracy = EvaluateClassifier(*model, data, split.test);
-        result.train_accuracy = EvaluateClassifier(*model, data, split.train);
-        epochs_since_best = 0;
-      } else if (config.patience > 0 &&
-                 ++epochs_since_best >= config.patience) {
-        break;
-      }
-    }
-    if (logger.enabled()) {
-      const uint64_t end_ns = obs::MonotonicNs();
-      const obs::RunCounters counters_now = obs::ReadRunCounters();
-      const obs::RunCounters delta = counters_now.DeltaSince(counters_prev);
-      counters_prev = counters_now;
-      obs::JsonRecord record;
-      record.Add("task", "classification")
-          .Add("epoch", epoch)
-          .Add("train_loss", mean_loss)
-          .Add("val_accuracy", val)
-          .Add("grad_norm",
-               optimizer_steps > 0 ? grad_norm_sum / optimizer_steps : 0.0)
-          .Add("train_s", (train_end_ns - epoch_start_ns) / 1e9)
-          .Add("eval_s", (end_ns - train_end_ns) / 1e9)
-          .Add("epoch_s", (end_ns - epoch_start_ns) / 1e9)
-          .Add("matmul_calls", delta.matmul_calls)
-          .Add("spmatmul_calls", delta.spmatmul_calls)
-          .Add("dispatch_dense", delta.dispatch_dense)
-          .Add("dispatch_sparse", delta.dispatch_sparse)
-          .Add("cache_hits", delta.cache_hits)
-          .Add("cache_misses", delta.cache_misses);
-      char line[96];
-      std::snprintf(line, sizeof(line), "epoch %d loss %.4f val %.4f", epoch,
-                    mean_loss, val);
-      logger.Log(record, line);
-    }
+      return models[worker]->LossesBatched(
+          BatchGraphs(features, levels, labels), seeds);
+    };
   }
+  task.evaluate = [&] { return EvaluateClassifier(*model, data, split.val); };
+  task.on_best = [&](int epoch, double val) {
+    result.best_epoch = epoch;
+    result.val_accuracy = val;
+    result.test_accuracy = EvaluateClassifier(*model, data, split.test);
+    result.train_accuracy = EvaluateClassifier(*model, data, split.train);
+  };
+  task.early_stopping = true;
+  result.epoch_losses = RunTrainLoop(config, std::move(task));
   return result;
 }
 

@@ -1,17 +1,11 @@
 #include "train/matching_trainer.h"
 
-#include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <memory>
 
 #include "common/check.h"
-#include "obs/metrics.h"
-#include "obs/run_logger.h"
-#include "obs/trace.h"
 #include "tensor/ops.h"
-#include "tensor/optimizer.h"
-#include "train/parallel_batch.h"
+#include "train/train_loop.h"
 
 namespace hap {
 
@@ -82,152 +76,39 @@ MatchingTrainResult TrainMatcher(PairScorer* scorer,
                                  const Split& split, const TrainConfig& config,
                                  float scale,
                                  const ScorerFactory& replica_factory) {
-  Rng rng(config.seed);
-  Adam optimizer(scorer->Parameters(), config.lr);
-  std::vector<int> order = split.train;
+  std::vector<std::unique_ptr<PairScorer>> owned;
+  const std::vector<PairScorer*> scorers =
+      MakeReplicas(scorer, config.num_threads, replica_factory, &owned);
   MatchingTrainResult result;
-  double best_val = -1.0;
-  int epochs_since_best = 0;
-
-  const bool data_parallel = config.num_threads >= 1;
-  std::vector<std::unique_ptr<PairScorer>> replica_storage;
-  std::vector<PairScorer*> scorers = {scorer};
-  std::unique_ptr<ParallelBatchRunner> runner;
-  Rng noise_seeds(config.seed * 0x9e3779b97f4a7c15ull + 0x51ab5eedull);
-  if (data_parallel) {
-    for (int w = 1; w < config.num_threads; ++w) {
-      HAP_CHECK(replica_factory != nullptr)
-          << "TrainMatcher: num_threads > 1 needs a replica factory";
-      replica_storage.push_back(replica_factory());
-      scorers.push_back(replica_storage.back().get());
-    }
-    std::vector<std::vector<Tensor>> replica_params;
-    replica_params.reserve(scorers.size());
-    for (PairScorer* s : scorers) replica_params.push_back(s->Parameters());
-    runner = std::make_unique<ParallelBatchRunner>(scorer->Parameters(),
-                                                   std::move(replica_params));
-  }
-  auto pair_loss = [&](PairScorer* s, const PreparedPair& pair) {
-    std::vector<Tensor> distances = s->PairDistances(pair.g1, pair.g2);
+  TrainTask task;
+  task.name = "matching";
+  task.metric_key = "val_accuracy";
+  task.metric_label = "val";
+  task.replicas.assign(scorers.begin(), scorers.end());
+  task.set_training = [&scorers](bool training) {
+    for (PairScorer* s : scorers) s->set_training(training);
+  };
+  task.items = split.train;
+  task.loss = [&](int worker, int item) {
+    const PreparedPair& pair = data[item];
+    std::vector<Tensor> distances =
+        scorers[worker]->PairDistances(pair.g1, pair.g2);
     if (config.final_level_only && distances.size() > 1) {
       distances = {distances.back()};
     }
     return MatchingLoss(distances, pair.label, scale);
   };
-
-  obs::RunLogger logger(config.verbose, config.log_path);
-  obs::RunCounters counters_prev = obs::ReadRunCounters();
-
-  // Step-scoped tensor memory (docs/PERFORMANCE.md): this thread's tape,
-  // eval, and gradient buffers cycle through the pool; workers use the
-  // runner's per-worker arenas.
-  auto arena = std::make_shared<TensorArena>();
-  ArenaScope arena_scope(arena);
-
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    HAP_TRACE_SCOPE("train.epoch");
-    const uint64_t epoch_start_ns = obs::MonotonicNs();
-    for (PairScorer* s : scorers) s->set_training(true);
-    rng.Shuffle(&order);
-    double epoch_loss = 0.0;
-    double grad_norm_sum = 0.0;
-    int optimizer_steps = 0;
-    {
-      HAP_TRACE_SCOPE("epoch.train");
-      if (data_parallel) {
-        for (size_t start = 0; start < order.size();
-             start += static_cast<size_t>(config.batch_size)) {
-          const size_t stop = std::min(
-              order.size(), start + static_cast<size_t>(config.batch_size));
-          const std::vector<int> batch(order.begin() + start,
-                                       order.begin() + stop);
-          epoch_loss += runner->RunBatch(
-              batch, noise_seeds.NextU64(), 1.0f / config.batch_size,
-              [&](int worker, uint64_t seed) {
-                scorers[worker]->ReseedNoise(seed);
-              },
-              [&](int worker, int item) {
-                return pair_loss(scorers[worker], data[item]);
-              });
-          grad_norm_sum += optimizer.ClipGradNorm(config.clip_norm);
-          ++optimizer_steps;
-          optimizer.Step();
-          arena->ResetStep();
-          runner->ResetStep();
-        }
-      } else {
-        int in_batch = 0;
-        for (int index : order) {
-          Tensor loss = pair_loss(scorer, data[index]);
-          epoch_loss += loss.Item();
-          // Mean-of-batch gradient (see classifier.cc).
-          MulScalar(loss, 1.0f / config.batch_size).Backward();
-          if (++in_batch >= config.batch_size) {
-            grad_norm_sum += optimizer.ClipGradNorm(config.clip_norm);
-            ++optimizer_steps;
-            optimizer.Step();
-            arena->ResetStep();
-            in_batch = 0;
-          }
-        }
-        if (in_batch > 0) {
-          grad_norm_sum += optimizer.ClipGradNorm(config.clip_norm);
-          ++optimizer_steps;
-          optimizer.Step();
-          arena->ResetStep();
-        }
-      }
-    }
-    const uint64_t train_end_ns = obs::MonotonicNs();
-    const double mean_loss =
-        epoch_loss / std::max<size_t>(order.size(), 1);
-    result.epoch_losses.push_back(mean_loss);
-    scorer->set_training(false);
-    double val = 0.0;
-    {
-      HAP_TRACE_SCOPE("epoch.eval");
-      val = EvaluateMatcher(*scorer, data, split.val, scale);
-      if (val > best_val) {
-        best_val = val;
-        result.best_epoch = epoch;
-        result.val_accuracy = val;
-        result.test_accuracy =
-            EvaluateMatcher(*scorer, data, split.test, scale);
-        result.train_accuracy =
-            EvaluateMatcher(*scorer, data, split.train, scale);
-        epochs_since_best = 0;
-      } else if (config.patience > 0 &&
-                 ++epochs_since_best >= config.patience) {
-        break;
-      }
-    }
-    if (logger.enabled()) {
-      const uint64_t end_ns = obs::MonotonicNs();
-      const obs::RunCounters counters_now = obs::ReadRunCounters();
-      const obs::RunCounters delta = counters_now.DeltaSince(counters_prev);
-      counters_prev = counters_now;
-      obs::JsonRecord record;
-      record.Add("task", "matching")
-          .Add("epoch", epoch)
-          .Add("train_loss", mean_loss)
-          .Add("val_accuracy", val)
-          .Add("grad_norm",
-               optimizer_steps > 0 ? grad_norm_sum / optimizer_steps : 0.0)
-          .Add("train_s", (train_end_ns - epoch_start_ns) / 1e9)
-          .Add("eval_s", (end_ns - train_end_ns) / 1e9)
-          .Add("epoch_s", (end_ns - epoch_start_ns) / 1e9)
-          .Add("matmul_calls", delta.matmul_calls)
-          .Add("spmatmul_calls", delta.spmatmul_calls)
-          .Add("dispatch_dense", delta.dispatch_dense)
-          .Add("dispatch_sparse", delta.dispatch_sparse)
-          .Add("cache_hits", delta.cache_hits)
-          .Add("cache_misses", delta.cache_misses);
-      char line[96];
-      std::snprintf(line, sizeof(line), "epoch %d loss %.4f val %.4f", epoch,
-                    mean_loss, val);
-      logger.Log(record, line);
-    }
-  }
+  task.evaluate = [&] {
+    return EvaluateMatcher(*scorer, data, split.val, scale);
+  };
+  task.on_best = [&](int epoch, double val) {
+    result.best_epoch = epoch;
+    result.val_accuracy = val;
+    result.test_accuracy = EvaluateMatcher(*scorer, data, split.test, scale);
+    result.train_accuracy = EvaluateMatcher(*scorer, data, split.train, scale);
+  };
+  task.early_stopping = true;
+  result.epoch_losses = RunTrainLoop(config, std::move(task));
   return result;
 }
 

@@ -79,6 +79,19 @@ TEST(FlagsTest, ParsesNegativeAndBoundaryIntegers) {
   EXPECT_EQ(flags.value().GetUint64("seed", 9).value(), 0u);
 }
 
+TEST(FlagsTest, RejectsIntegersBelowTheMinimum) {
+  StatusOr<Flags> flags = ParseArgs({"--epochs", "0", "--seed", "-1"});
+  ASSERT_TRUE(flags.ok());
+  StatusOr<int> epochs = flags.value().GetInt("epochs", 5, /*min=*/1);
+  ASSERT_FALSE(epochs.ok());
+  EXPECT_NE(epochs.status().message().find("--epochs must be >= 1"),
+            std::string::npos);
+  EXPECT_FALSE(flags.value().GetInt("seed", 5, /*min=*/0).ok());
+  EXPECT_EQ(flags.value().GetInt("epochs", 5, /*min=*/0).value(), 0);
+  // The fallback of an absent flag is not checked against the minimum.
+  EXPECT_EQ(flags.value().GetInt("dataset", -7, /*min=*/1).value(), -7);
+}
+
 TEST(FlagsTest, RespectsFirstOffset) {
   std::vector<const char*> argv = {"hap_tool", "classify", "--epochs", "2"};
   StatusOr<Flags> flags = Flags::Parse(static_cast<int>(argv.size()),

@@ -135,6 +135,37 @@ TEST(ParallelTrainTest, ClassifierTrajectoryIdenticalAcrossThreadCounts) {
   EXPECT_EQ(one.test_accuracy, four.test_accuracy);
 }
 
+MatchingTrainResult TrainSmallMatcher(int num_threads) {
+  Rng rng(41);
+  auto pairs = MakeMatchingPairs(20, 10, &rng);
+  FeatureSpec spec{FeatureKind::kRelativeDegreeBuckets, 8, 0};
+  auto data = PreparePairs(pairs, spec);
+  Split split = SplitIndices(static_cast<int>(data.size()), &rng);
+  const HapConfig config = SmallModelConfig(8);
+  Rng model_rng(63);
+  EmbedderPairScorer scorer(MakeHapModel(config, &model_rng));
+  auto factory = [&config]() -> std::unique_ptr<PairScorer> {
+    Rng replica_rng(1);
+    return std::make_unique<EmbedderPairScorer>(
+        MakeHapModel(config, &replica_rng));
+  };
+  return TrainMatcher(&scorer, data, split, ShortTraining(num_threads),
+                      /*scale=*/0.5f, factory);
+}
+
+TEST(ParallelTrainTest, MatcherTrajectoryIdenticalAcrossThreadCounts) {
+  MatchingTrainResult one = TrainSmallMatcher(1);
+  MatchingTrainResult two = TrainSmallMatcher(2);
+  ASSERT_EQ(one.epoch_losses.size(), two.epoch_losses.size());
+  ASSERT_FALSE(one.epoch_losses.empty());
+  for (size_t e = 0; e < one.epoch_losses.size(); ++e) {
+    EXPECT_EQ(one.epoch_losses[e], two.epoch_losses[e]) << "epoch " << e;
+  }
+  EXPECT_EQ(one.best_epoch, two.best_epoch);
+  EXPECT_EQ(one.val_accuracy, two.val_accuracy);
+  EXPECT_EQ(one.test_accuracy, two.test_accuracy);
+}
+
 SimilarityTrainResult TrainSmallSimilarity(int num_threads) {
   Rng rng(31);
   auto pool = MakeAidsLikePool(10, &rng);

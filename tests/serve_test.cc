@@ -97,6 +97,50 @@ TEST(ServeEngineTest, PredictionsMatchDirectForwardAtAnyThreadCount) {
   SetNumThreads(1);
 }
 
+// The engine runs each batch at the precision its model was loaded at;
+// nothing on EngineConfig selects it. batch_distinct is off so the
+// per-graph GEMMs run: at hidden 32 on PROTEINS-sized graphs they are
+// int8-eligible, while the fused segment GEMMs of the batched path
+// ignore the precision scope.
+TEST(ServeEngineTest, RunsAtTheLoadedModelsPrecision) {
+  Rng rng(5);
+  GraphDataset dataset = MakeProteinsLike(8, &rng);
+  std::vector<PreparedGraph> prepared = PrepareDataset(dataset);
+  ServedModelConfig config;
+  config.method = "HAP";
+  config.feature_dim = dataset.feature_spec.FeatureDim();
+  config.hidden = 32;
+  config.num_classes = dataset.num_classes;
+  config.lanes = 2;
+  const std::string checkpoint =
+      WriteCheckpoint(config, "serve_precision.bin", 9);
+  obs::HotCountersHold hot_counters;
+  for (Precision precision : {Precision::kFp32, Precision::kInt8}) {
+    ServedModelConfig loaded = config;
+    loaded.precision = precision;
+    if (precision == Precision::kInt8) loaded.calibration_graphs = prepared;
+    std::shared_ptr<const ServedModel> model =
+        ServedModel::Load(loaded, checkpoint).value();
+    EngineConfig engine_config;
+    engine_config.batch_distinct = false;
+    InferenceEngine engine(model, engine_config);
+    const uint64_t before =
+        obs::CounterValue(obs::names::kMatMulDispatchInt8);
+    for (const PreparedGraph& g : prepared) {
+      StatusOr<std::future<int>> result = engine.Submit(g);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      result.value().get();
+    }
+    const uint64_t int8_matmuls =
+        obs::CounterValue(obs::names::kMatMulDispatchInt8) - before;
+    if (precision == Precision::kInt8) {
+      EXPECT_GT(int8_matmuls, 0u);
+    } else {
+      EXPECT_EQ(int8_matmuls, 0u);
+    }
+  }
+}
+
 TEST(ServeEngineTest, RejectsMalformedGraphs) {
   ServeFixture fx;
   InferenceEngine engine(fx.model, EngineConfig{});
