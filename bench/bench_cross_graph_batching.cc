@@ -1,21 +1,16 @@
-// Cross-graph batching harness (docs/BATCHING.md): measures what running
-// N DISTINCT graphs as one segment-batched tape buys over one tape per
-// graph, on both halves of the system:
+// Cross-graph batching harness (docs/BATCHING.md): measures what serving
+// N DISTINCT graphs as one batched eval-mode forward buys over smaller
+// batches — closed-loop throughput of the InferenceEngine on a stream of
+// distinct graphs (no hot keys, so duplicate coalescing cannot help) at
+// max_batch 1/4/16/64. At max_batch 1 every lane chunk is a batch of one
+// graph, which is the per-graph baseline.
 //
-//  * Training — ms per optimizer step for RunBatchBatched vs RunBatch at
-//    batch sizes 1/4/16/64 on a mixed-size graph pool (single worker, so
-//    the speedup is pure batching, not thread fan-out).
-//  * Serving — closed-loop throughput of the InferenceEngine on a stream
-//    of distinct graphs (no hot keys, so duplicate coalescing cannot
-//    help) at max_batch 1/4/16/64 with batch_distinct on, plus a
-//    batch-16 control with batch_distinct off.
-//
-// Correctness gate: batched losses and predictions must be bit-identical
-// to the per-graph path — the bench exits nonzero on any mismatch. The
-// acceptance gate checked by scripts/check.sh reads the committed JSON:
-// serve throughput at batch 16 must be >= 2x batch 1 for SumPool (the
-// flat GIN-family architecture, whose per-graph forwards are tape-
-// overhead-bound — the regime batching targets). MeanPool and HAP
+// Correctness gate: every served prediction must be bit-identical to the
+// model's direct per-graph forward — the bench exits nonzero on any
+// mismatch. The acceptance gate checked by scripts/check.sh reads the
+// committed JSON: serve throughput at batch 16 must be >= 2x batch 1 for
+// SumPool (the flat GIN-family architecture, whose per-graph forwards are
+// tape-overhead-bound — the regime batching targets). MeanPool and HAP
 // figures are reported ungated; HAP's per-segment attention blocks
 // amortise less.
 //
@@ -32,16 +27,13 @@
 
 #include "bench_common.h"
 #include "common/thread_pool.h"
-#include "graph/batched_graph.h"
 #include "graph/generators.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "serve/engine.h"
-#include "tensor/optimizer.h"
 #include "tensor/serialize.h"
 #include "train/classifier.h"
 #include "train/model_zoo.h"
-#include "train/parallel_batch.h"
 #include "train/prepared.h"
 
 namespace hap::bench {
@@ -53,80 +45,6 @@ using serve::ServedModel;
 using serve::ServedModelConfig;
 
 constexpr int kHidden = 16;
-
-struct TrainResult {
-  double ms_per_step = 0.0;
-  double loss_sum = 0.0;  // bit-comparable across modes (same seeds)
-};
-
-/// Runs `steps` optimizer steps of `method` over batches cycling through
-/// `data`, timing the steady state (after one warm-up step). Both modes
-/// construct the model and draw noise seeds identically, so loss_sum must
-/// be bit-equal between them — that is the parity check.
-TrainResult MeasureTraining(const std::string& method,
-                            const std::vector<PreparedGraph>& data,
-                            int num_classes, int batch_size, bool batched,
-                            int steps) {
-  Rng init(7);
-  const int feature_dim = data[0].h.cols();
-  GraphClassifier model(
-      MakeEmbedderByName(method, feature_dim, kHidden, &init), num_classes,
-      kHidden, &init);
-  HAP_CHECK(model.SupportsBatched()) << method;
-  model.set_training(true);
-  ParallelBatchRunner runner(model.Parameters(), {model.Parameters()});
-  Sgd optimizer(model.Parameters(), 0.01f);
-  auto arena = std::make_shared<TensorArena>();
-  ArenaScope arena_scope(arena);
-
-  Rng seed_rng(101);
-  TrainResult result;
-  std::chrono::steady_clock::time_point timed_start;
-  int cursor = 0;
-  for (int step = 0; step < steps + 1; ++step) {
-    if (step == 1) timed_start = std::chrono::steady_clock::now();
-    std::vector<int> batch;
-    batch.reserve(batch_size);
-    for (int i = 0; i < batch_size; ++i) {
-      batch.push_back(cursor);
-      cursor = (cursor + 1) % static_cast<int>(data.size());
-    }
-    const uint64_t noise_seed = seed_rng.NextU64();
-    const float loss_scale = 1.0f / static_cast<float>(batch_size);
-    double batch_loss;
-    if (batched) {
-      batch_loss = runner.RunBatchBatched(
-          batch, noise_seed, loss_scale,
-          [&](int /*worker*/, const std::vector<int>& items,
-              const std::vector<uint64_t>& seeds) {
-            std::vector<Tensor> features;
-            std::vector<GraphLevel> levels;
-            std::vector<int> labels;
-            for (int item : items) {
-              features.push_back(data[item].h);
-              levels.push_back(data[item].level);
-              labels.push_back(data[item].label);
-            }
-            return model.LossesBatched(BatchGraphs(features, levels, labels),
-                                       seeds);
-          });
-    } else {
-      batch_loss = runner.RunBatch(
-          batch, noise_seed, loss_scale,
-          [&](int /*worker*/, uint64_t seed) { model.ReseedNoise(seed); },
-          [&](int /*worker*/, int item) { return model.Loss(data[item]); });
-    }
-    optimizer.Step();
-    arena->ResetStep();
-    runner.ResetStep();
-    if (step >= 1) result.loss_sum += batch_loss;  // timed steps only
-  }
-  result.ms_per_step = std::chrono::duration<double, std::milli>(
-                           std::chrono::steady_clock::now() - timed_start)
-                           .count() /
-                       steps;
-  return result;
-}
 
 struct ServeResult {
   double wall_ms = 0.0;
@@ -201,25 +119,23 @@ int main(int argc, char** argv) {
       argc > 1 ? argv[1] : "BENCH_cross_graph_batching.json";
   const int pool_size = 64;
   const int requests = FastOr(2000, 2000);
-  const int train_steps = FastOr(3, 12);
   const std::vector<int> batch_sizes = {1, 4, 16, 64};
   const std::vector<std::string> methods = {"SumPool", "MeanPool", "HAP"};
 
   SetNumThreads(1);  // isolate batching from thread fan-out
   // Latency percentiles come from the engine's streaming sketches
-  // (metrics must be on); the obs check.sh pass pins that enabling
-  // metrics leaves training bits unchanged.
+  // (metrics must be on); metrics never feed back into the math.
   obs::SetMetricsEnabled(true);
 
   // Mixed-size distinct graph pool: MUTAG-like sizes (~10–28 nodes), so
   // per-graph GEMMs sit below the blocked-kernel threshold while batched
-  // tapes cross it — the shape regime batching is built for.
+  // forwards cross it — the shape regime batching is built for.
   Rng rng(11);
   GraphDataset dataset = MakeMutagLike(pool_size, &rng);
   std::vector<PreparedGraph> prepared = PrepareDataset(dataset);
 
   // Distinct-graph request stream: uniform over the pool, so duplicate
-  // coalescing finds almost nothing and batch_distinct does the work.
+  // coalescing finds almost nothing and batching does the work.
   std::vector<int> stream;
   stream.reserve(requests);
   Rng traffic(29);
@@ -232,43 +148,8 @@ int main(int argc, char** argv) {
   json.Field("bench", std::string("cross_graph_batching"));
   json.Field("pool_graphs", pool_size);
   json.Field("requests", requests);
-  json.Field("train_steps", train_steps);
 
   bool all_identical = true;
-
-  // --- Training: step time, batched tape vs per-example tapes. ---
-  std::printf("training step time (1 worker, %d steps):\n", train_steps);
-  json.BeginArray("training");
-  for (const std::string& method : methods) {
-    for (int batch_size : batch_sizes) {
-      const TrainResult per_graph = MeasureTraining(
-          method, prepared, dataset.num_classes, batch_size, false,
-          train_steps);
-      const TrainResult batched = MeasureTraining(
-          method, prepared, dataset.num_classes, batch_size, true,
-          train_steps);
-      const bool identical = per_graph.loss_sum == batched.loss_sum;
-      all_identical = all_identical && identical;
-      const double speedup =
-          batched.ms_per_step > 0.0 ? per_graph.ms_per_step / batched.ms_per_step
-                                    : 0.0;
-      std::printf(
-          "  %-8s batch %2d : %7.2f ms/step per-graph, %7.2f ms/step "
-          "batched (%.2fx, %s)\n",
-          method.c_str(), batch_size, per_graph.ms_per_step,
-          batched.ms_per_step, speedup,
-          identical ? "bit-identical" : "LOSS MISMATCH");
-      json.BeginObject();
-      json.Field("method", method);
-      json.Field("batch_size", batch_size);
-      json.Field("ms_per_step_per_graph", per_graph.ms_per_step);
-      json.Field("ms_per_step_batched", batched.ms_per_step);
-      json.Field("step_speedup", speedup);
-      json.Field("loss_bit_identical", identical);
-      json.EndObject();
-    }
-  }
-  json.EndArray();
 
   // --- Serving: closed-loop throughput on the distinct-graph stream. ---
   // Best-of-`serve_reps` per configuration over SHORT windows: the box
@@ -313,25 +194,16 @@ int main(int argc, char** argv) {
     for (const PreparedGraph& g : prepared) {
       reference.push_back(model.value()->Predict(g, 0));
     }
-    // batch_distinct on at every size, plus the per-graph control at 16.
-    struct Config {
-      int max_batch;
-      bool batch_distinct;
-    };
-    std::vector<Config> configs;
-    for (int b : batch_sizes) configs.push_back({b, true});
-    configs.push_back({16, false});
-    // Repetitions are interleaved across configurations (round-robin)
-    // rather than run back-to-back, so one configuration's windows
-    // spread across the whole sweep — a noise burst can poison one
-    // window per configuration, not every window of one configuration.
-    std::vector<ServeResult> best(configs.size());
+    // Repetitions are interleaved across batch sizes (round-robin)
+    // rather than run back-to-back, so one size's windows spread across
+    // the whole sweep — a noise burst can poison one window per size, not
+    // every window of one size.
+    std::vector<ServeResult> best(batch_sizes.size());
     for (int rep = 0; rep < serve_reps; ++rep) {
-      for (size_t ci = 0; ci < configs.size(); ++ci) {
+      for (size_t ci = 0; ci < batch_sizes.size(); ++ci) {
         EngineConfig engine_config;
-        engine_config.max_batch = configs[ci].max_batch;
+        engine_config.max_batch = batch_sizes[ci];
         engine_config.max_delay_us = 200;
-        engine_config.batch_distinct = configs[ci].batch_distinct;
         const ServeResult run = RunClosedLoop(model.value(), engine_config,
                                               prepared, stream, reference);
         all_identical = all_identical && run.bit_identical;
@@ -344,21 +216,18 @@ int main(int argc, char** argv) {
         }
       }
     }
-    for (size_t ci = 0; ci < configs.size(); ++ci) {
-      const Config& c = configs[ci];
+    for (size_t ci = 0; ci < batch_sizes.size(); ++ci) {
+      const int max_batch = batch_sizes[ci];
       const ServeResult& best_run = best[ci];
-      if (c.batch_distinct && c.max_batch == 1) qps1[m] = best_run.qps;
-      if (c.batch_distinct && c.max_batch == 16) qps16[m] = best_run.qps;
-      std::printf(
-          "  %-8s max_batch %2d %-14s: %8.0f req/s  p99 %7.0f us  (%s)\n",
-          method.c_str(), c.max_batch,
-          c.batch_distinct ? "batched" : "per-graph", best_run.qps,
-          best_run.latency_p99_us,
-          best_run.bit_identical ? "bit-identical" : "MISMATCH");
+      if (max_batch == 1) qps1[m] = best_run.qps;
+      if (max_batch == 16) qps16[m] = best_run.qps;
+      std::printf("  %-8s max_batch %2d: %8.0f req/s  p99 %7.0f us  (%s)\n",
+                  method.c_str(), max_batch, best_run.qps,
+                  best_run.latency_p99_us,
+                  best_run.bit_identical ? "bit-identical" : "MISMATCH");
       json.BeginObject();
       json.Field("method", method);
-      json.Field("max_batch", c.max_batch);
-      json.Field("batch_distinct", c.batch_distinct);
+      json.Field("max_batch", max_batch);
       json.Field("wall_ms", best_run.wall_ms);
       json.Field("throughput_qps", best_run.qps);
       json.Field("latency_p50_us", best_run.latency_p50_us);
@@ -394,7 +263,7 @@ int main(int argc, char** argv) {
   json.EndObject();
   std::printf("gate (SumPool) %.2fx vs >= 2x: %s%s\n", gate_speedup,
               gate_speedup >= 2.0 ? "PASS" : "FAIL",
-              all_identical ? "" : "  PREDICTION/LOSS MISMATCH");
+              all_identical ? "" : "  PREDICTION MISMATCH");
   if (!json.WriteFile(out_path)) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 1;

@@ -389,10 +389,6 @@ int main(int argc, char** argv) {
     EngineConfig engine_config;
     engine_config.max_batch = 8;
     engine_config.max_delay_us = 200;
-    // Quantization covers the per-graph dense GEMMs, not the segment-op
-    // batched path — and per-graph forwards keep each graph's dynamic
-    // activation range independent of batch composition.
-    engine_config.batch_distinct = false;
     // Untimed warm-up pass: the first loop per process pays scratch
     // growth and page faults, which would otherwise land entirely on the
     // fp32 run (it goes first) and inflate the reported speedups.

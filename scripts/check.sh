@@ -231,6 +231,10 @@ network_pass() {
     --dataset mutag --method HAP --hidden 8 --port 0 \
     --port-file build/served_port --shed-queue-depth 48 > /dev/null &
   local served_pid=$!
+  # Under set -e any failure below (a client, the /reload POST, an
+  # assert) exits the script; the trap keeps the daemon from outliving
+  # it still bound to its port.
+  trap "kill ${served_pid} 2>/dev/null || true" EXIT
   local port=""
   for _ in $(seq 100); do
     if [ -s build/served_port ]; then port=$(cat build/served_port); break; fi
@@ -238,7 +242,6 @@ network_pass() {
   done
   if [ -z "${port}" ]; then
     echo "hap_served never published its port"
-    kill "${served_pid}" 2>/dev/null || true
     exit 1
   fi
 
@@ -314,6 +317,7 @@ print(f"network smoke OK: light {light['ok']}/{light['sent']} clean "
 EOF
   kill "${served_pid}"
   wait "${served_pid}" 2>/dev/null || true
+  trap - EXIT
 
   python3 - <<'EOF'
 import json

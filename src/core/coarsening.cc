@@ -10,7 +10,6 @@
 #include "obs/trace.h"
 #include "tensor/ops.h"
 #include "tensor/quant.h"
-#include "tensor/segment_ops.h"
 #include "tensor/sparse.h"
 
 namespace hap {
@@ -35,21 +34,22 @@ CoarseningModule::CoarseningModule(const CoarseningConfig& config, Rng* rng)
 Tensor CoarseningModule::ComputeGCont(const Tensor& h) const {
   HAP_CHECK(config_.use_gcont);
   HAP_CHECK_EQ(h.cols(), config_.in_features);
-  Tensor c = MatMul(h, gcont_transform_);
-  if (config_.normalize_gcont) {
-    // Differentiable whole-matrix standardisation; see the config comment.
-    const int n = c.rows(), k = c.cols();
-    Tensor mean = ReduceMeanAll(c);  // (1,1)
-    Tensor mean_full =
-        MatMul(Tensor::Ones(n, 1), MatMul(mean, Tensor::Ones(1, k)));
-    Tensor centered = Sub(c, mean_full);
-    Tensor stddev =
-        Sqrt(AddScalar(ReduceMeanAll(Square(centered)), 1e-6f));  // (1,1)
-    Tensor stddev_full =
-        MatMul(Tensor::Ones(n, 1), MatMul(stddev, Tensor::Ones(1, k)));
-    c = Div(centered, stddev_full);
-  }
-  return c;
+  return NormalizeGCont(MatMul(h, gcont_transform_));
+}
+
+Tensor CoarseningModule::NormalizeGCont(Tensor c) const {
+  if (!config_.normalize_gcont) return c;
+  // Differentiable whole-matrix standardisation; see the config comment.
+  const int n = c.rows(), k = c.cols();
+  Tensor mean = ReduceMeanAll(c);  // (1,1)
+  Tensor mean_full =
+      MatMul(Tensor::Ones(n, 1), MatMul(mean, Tensor::Ones(1, k)));
+  Tensor centered = Sub(c, mean_full);
+  Tensor stddev =
+      Sqrt(AddScalar(ReduceMeanAll(Square(centered)), 1e-6f));  // (1,1)
+  Tensor stddev_full =
+      MatMul(Tensor::Ones(n, 1), MatMul(stddev, Tensor::Ones(1, k)));
+  return Div(centered, stddev_full);
 }
 
 Tensor CoarseningModule::ComputeAttention(const Tensor& c_or_h) const {
@@ -196,6 +196,18 @@ CoarseningModule::CoarsenProducts CoarseningModule::ComputeProducts(
   return out;
 }
 
+CoarsenResult CoarseningModule::FormClusters(const Tensor& m,
+                                             const Tensor& h,
+                                             const GraphLevel& level) const {
+  CoarsenProducts products = ComputeProducts(m, h, level);
+  Tensor coarse_adj = std::move(products.adj);
+  if (config_.use_gumbel) {
+    coarse_adj =
+        GumbelSoftSample(coarse_adj, config_.tau, &noise_rng_, training_);
+  }
+  return CoarsenResult(std::move(products.h), std::move(coarse_adj));
+}
+
 CoarsenResult CoarseningModule::Forward(const Tensor& h,
                                         const GraphLevel& level) const {
   HAP_CHECK_EQ(h.rows(), level.num_nodes());
@@ -213,29 +225,20 @@ CoarsenResult CoarseningModule::Forward(const Tensor& h,
   Tensor m = config_.use_gcont ? ComputeAttention(ComputeGCont(h))
                                : ComputeAttention(h);
   last_attention_ = m;
-  CoarsenProducts products = ComputeProducts(m, h, level);
-  Tensor coarse_adj = std::move(products.adj);
-  if (config_.use_gumbel) {
-    coarse_adj =
-        GumbelSoftSample(coarse_adj, config_.tau, &noise_rng_, training_);
-  }
-  return CoarsenResult(std::move(products.h), std::move(coarse_adj));
+  return FormClusters(m, h, level);
 }
 
 BatchedCoarsenResult CoarseningModule::ForwardBatched(
-    const Tensor& h, const BatchedLevel& level,
-    std::vector<Rng>* noise_rngs) const {
+    const Tensor& h, const BatchedLevel& level) const {
   HAP_CHECK(SupportsBatched())
       << "this coarsening configuration requires per-graph execution";
+  // Eval mode draws no Gumbel noise, so no graph needs a noise stream of
+  // its own.
+  HAP_CHECK(!training_) << "batched coarsening runs in eval mode only";
   const SegmentSpec& seg = level.segments;
   seg.Validate(h.rows());
   HAP_CHECK_EQ(h.cols(), config_.in_features);
   const int num_graphs = seg.num_segments();
-  if (config_.use_gumbel && training_) {
-    HAP_CHECK(noise_rngs != nullptr &&
-              static_cast<int>(noise_rngs->size()) == num_graphs)
-        << "training-mode batched coarsening needs one noise stream per graph";
-  }
   HAP_TRACE_SCOPE("coarsen.batched");
   static obs::Counter* calls = obs::GetCounter(obs::names::kCoarsenCalls);
   static obs::Histogram* nodes_in =
@@ -245,11 +248,10 @@ BatchedCoarsenResult CoarseningModule::ForwardBatched(
   static obs::Histogram* span_ns = obs::GetHistogram(obs::names::kCoarsenNs);
   obs::ScopedTimerNs timer(span_ns);
 
-  // The one cross-graph fusion: C₀ = H T over all rows at once. Each
-  // segment's rows feed a single SliceRows below, so dT accumulates the
-  // per-graph contributions in ascending segment order — exactly the order
-  // the per-graph reference produces them (docs/BATCHING.md).
-  Tensor c0 = SegmentMatMulSharedB(h, gcont_transform_, seg);
+  // The one cross-graph fusion: C₀ = H T over all rows at once. Rows are
+  // independent, so each graph's slice holds its per-graph C bit-for-bit
+  // in fp32 (docs/BATCHING.md).
+  Tensor c0 = MatMul(h, gcont_transform_);
 
   std::vector<Tensor> parts;
   parts.reserve(num_graphs);
@@ -259,46 +261,13 @@ BatchedCoarsenResult CoarseningModule::ForwardBatched(
     calls->Increment();
     nodes_in->Record(static_cast<uint64_t>(seg.size(s)));
     clusters_out->Record(static_cast<uint64_t>(config_.num_clusters));
-    const int n = seg.size(s);
-    Tensor c = SliceRows(c0, seg.begin(s), seg.end(s));
-    if (config_.normalize_gcont) {
-      // Mirror of ComputeGCont's standardisation block.
-      const int k = c.cols();
-      Tensor mean = ReduceMeanAll(c);  // (1,1)
-      Tensor mean_full =
-          MatMul(Tensor::Ones(n, 1), MatMul(mean, Tensor::Ones(1, k)));
-      Tensor centered = Sub(c, mean_full);
-      Tensor stddev =
-          Sqrt(AddScalar(ReduceMeanAll(Square(centered)), 1e-6f));  // (1,1)
-      Tensor stddev_full =
-          MatMul(Tensor::Ones(n, 1), MatMul(stddev, Tensor::Ones(1, k)));
-      c = Div(centered, stddev_full);
-    }
-    // Mirror of ComputeAttention's GCont branch. The a₁/a₂ products stay
-    // per segment (MatMulSharedB): `c` has other direct consumers, so
-    // re-concatenating these would pre-sum grad contributions out of the
-    // reference order.
-    Tensor row_scores = MatMulSharedB(c, attn_row_, s);  // (n, 1)
-    Tensor projected = MatMulSharedB(c, attn_col_, s);   // (n, 1)
-    Tensor col_scores = MulScalar(MatMul(Transpose(c), projected),
-                                  1.0f / static_cast<float>(n));
-    Tensor logits = OuterSum(row_scores, Transpose(col_scores));  // (n, N')
-    if (config_.bilinear_moa) {
-      Tensor interaction = MulScalar(
-          MatMul(c, MatMul(Transpose(c), c)), 1.0f / static_cast<float>(n));
-      logits = Add(logits, interaction);
-    }
-    Tensor m = SoftmaxRows(LeakyRelu(logits, config_.leaky_slope));
-    // Mirror of Forward()'s mode-dispatched cluster formation + Eq. 18.
-    Tensor h_s = SliceRows(h, seg.begin(s), seg.end(s));
-    CoarsenProducts products = ComputeProducts(m, h_s, level.levels[s]);
-    Tensor coarse_adj = std::move(products.adj);
-    if (config_.use_gumbel) {
-      Rng* rng = noise_rngs != nullptr ? &(*noise_rngs)[s] : &noise_rng_;
-      coarse_adj = GumbelSoftSample(coarse_adj, config_.tau, rng, training_);
-    }
-    parts.push_back(std::move(products.h));
-    new_levels.emplace_back(coarse_adj);
+    Tensor m = ComputeAttention(
+        NormalizeGCont(SliceRows(c0, seg.begin(s), seg.end(s))));
+    CoarsenResult coarse =
+        FormClusters(m, SliceRows(h, seg.begin(s), seg.end(s)),
+                     level.levels[s]);
+    parts.push_back(std::move(coarse.h));
+    new_levels.push_back(std::move(coarse.level));
   }
   BatchedCoarsenResult out;
   out.h = ConcatRows(parts);

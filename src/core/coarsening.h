@@ -92,24 +92,20 @@ class CoarseningModule : public Coarsener {
   CoarsenResult Forward(const Tensor& h,
                         const GraphLevel& level) const override;
 
-  /// Batched execution covers the GCont-based configurations; the ablated
-  /// (!use_gcont) and paper-literal-relaxation paths multiply parameters
-  /// as left operands or slice them, which the segment grad-routing
-  /// machinery does not model, so they fall back per graph.
+  /// Batched execution covers the GCont-based configurations the served
+  /// models use; the ablated (!use_gcont) and paper-literal-relaxation
+  /// configurations run per graph.
   bool SupportsBatched() const override {
     return config_.use_gcont && !config_.paper_literal_relaxation;
   }
 
-  /// Per-segment mirror of Forward(): every graph's subgraph replays the
-  /// single-graph tape op-for-op (bit-parity guarded by batched_parity
-  /// tests). Only C₀ = H·T is fused across graphs; each segment's rows
-  /// reach its subgraph through a single slice, which preserves the
-  /// reference gradient-accumulation order. `noise_rngs` must carry one
-  /// Gumbel stream per graph when training with use_gumbel; in eval mode
-  /// it may be null. Does NOT update last_attention().
-  BatchedCoarsenResult ForwardBatched(
-      const Tensor& h, const BatchedLevel& level,
-      std::vector<Rng>* noise_rngs) const override;
+  /// Eval-mode mirror of Forward() over N concatenated graphs (CHECK-fails
+  /// in training mode): C₀ = H·T runs as one GEMM over all graphs, then
+  /// each graph's slice of C₀ goes through the same attention, cluster
+  /// formation and deterministic soft sampling as Forward(). Bit-equal
+  /// per graph to Forward() in fp32. Does NOT update last_attention().
+  BatchedCoarsenResult ForwardBatched(const Tensor& h,
+                                      const BatchedLevel& level) const override;
 
   void CollectParameters(std::vector<Tensor>* out) const override;
 
@@ -158,6 +154,14 @@ class CoarseningModule : public Coarsener {
   /// levels).
   CoarsenProducts ComputeProducts(const Tensor& m, const Tensor& h,
                                   const GraphLevel& level) const;
+
+  /// Applies config().normalize_gcont to a GCont matrix C (identity when
+  /// the option is off).
+  Tensor NormalizeGCont(Tensor c) const;
+
+  /// Cluster formation and soft sampling for assignment `m` (Eq. 17-19).
+  CoarsenResult FormClusters(const Tensor& m, const Tensor& h,
+                             const GraphLevel& level) const;
 
   CoarseningConfig config_;
   Tensor gcont_transform_;  // T: (F, N')          (when use_gcont)

@@ -22,9 +22,8 @@ const char* LevelTraceName(size_t stage) {
 }  // namespace
 
 std::vector<Tensor> GraphEmbedder::EmbedLevelsBatched(
-    const BatchedGraph& batch, const std::vector<uint64_t>& noise_seeds) const {
+    const BatchedGraph& batch) const {
   (void)batch;
-  (void)noise_seeds;
   HAP_CHECK(false) << "embedder does not support batched execution; "
                       "check SupportsBatched() and fall back per graph";
   return {};
@@ -43,8 +42,7 @@ std::vector<Tensor> FlatEmbedder::EmbedLevels(const Tensor& h,
 }
 
 std::vector<Tensor> FlatEmbedder::EmbedLevelsBatched(
-    const BatchedGraph& batch, const std::vector<uint64_t>& noise_seeds) const {
-  (void)noise_seeds;  // flat embedders draw no training-time noise
+    const BatchedGraph& batch) const {
   Tensor encoded = encoder_->ForwardBatched(batch.h, batch.level);
   return {readout_->ForwardBatched(encoded, batch.level)};
 }
@@ -92,31 +90,15 @@ bool HierarchicalEmbedder::SupportsBatched() const {
 }
 
 std::vector<Tensor> HierarchicalEmbedder::EmbedLevelsBatched(
-    const BatchedGraph& batch, const std::vector<uint64_t>& noise_seeds) const {
-  const int num_graphs = batch.num_graphs();
-  // Reconstruct each graph's noise chain exactly as the per-graph path
-  // would: ReseedNoise(seed_g) feeds coarsener k the k-th draw of
-  // Rng(seed_g), so stage k below hands graph g the stream
-  // Rng(k-th draw of Rng(noise_seeds[g])).
-  std::vector<Rng> mixers;
-  if (!noise_seeds.empty()) {
-    HAP_CHECK_EQ(static_cast<int>(noise_seeds.size()), num_graphs);
-    mixers.reserve(noise_seeds.size());
-    for (uint64_t seed : noise_seeds) mixers.emplace_back(seed);
-  }
+    const BatchedGraph& batch) const {
   std::vector<Tensor> out;
   Tensor features = batch.h;
   BatchedLevel current = batch.level;
   for (size_t stage = 0; stage < encoders_.size(); ++stage) {
     HAP_TRACE_SCOPE(LevelTraceName(stage));
     Tensor encoded = encoders_[stage]->ForwardBatched(features, current);
-    std::vector<Rng> stage_rngs;
-    if (!mixers.empty()) {
-      stage_rngs.reserve(mixers.size());
-      for (Rng& mixer : mixers) stage_rngs.emplace_back(mixer.NextU64());
-    }
-    BatchedCoarsenResult coarse = coarseners_[stage]->ForwardBatched(
-        encoded, current, mixers.empty() ? nullptr : &stage_rngs);
+    BatchedCoarsenResult coarse =
+        coarseners_[stage]->ForwardBatched(encoded, current);
     features = coarse.h;
     current = std::move(coarse.level);
     out.push_back(SegmentMean(features, current.segments));
@@ -173,8 +155,7 @@ std::vector<Tensor> GcnConcatEmbedder::EmbedLevels(
 }
 
 std::vector<Tensor> GcnConcatEmbedder::EmbedLevelsBatched(
-    const BatchedGraph& batch, const std::vector<uint64_t>& noise_seeds) const {
-  (void)noise_seeds;  // deterministic architecture
+    const BatchedGraph& batch) const {
   Tensor x = batch.h;
   Tensor concat;
   for (const auto& layer : layers_) {

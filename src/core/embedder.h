@@ -59,15 +59,13 @@ class GraphEmbedder : public Module {
   /// execution otherwise (docs/BATCHING.md).
   virtual bool SupportsBatched() const { return false; }
 
-  /// Batched EmbedLevels over N concatenated graphs: per-level embeddings,
-  /// each (N_graphs, embedding_dim()), with row g bit-equal to graph g's
-  /// EmbedLevels output. `noise_seeds` carries one per-graph seed — the
-  /// value the per-graph path would pass to ReseedNoise — for training-mode
-  /// noise; pass an empty vector in eval mode. Only valid when
-  /// SupportsBatched().
+  /// Eval-only batched EmbedLevels over N concatenated graphs: per-level
+  /// embeddings, each (N_graphs, embedding_dim()), with row g bit-equal to
+  /// graph g's EmbedLevels output in fp32. Run it in eval mode under
+  /// NoGradGuard: with grad enabled on the parameters it CHECK-fails
+  /// instead of taping. Only valid when SupportsBatched().
   virtual std::vector<Tensor> EmbedLevelsBatched(
-      const BatchedGraph& batch,
-      const std::vector<uint64_t>& noise_seeds) const;
+      const BatchedGraph& batch) const;
 };
 
 /// GNN encoder + flat readout: the architecture of every universal /
@@ -84,8 +82,7 @@ class FlatEmbedder : public GraphEmbedder {
     return readout_->SupportsBatched();
   }
   std::vector<Tensor> EmbedLevelsBatched(
-      const BatchedGraph& batch,
-      const std::vector<uint64_t>& noise_seeds) const override;
+      const BatchedGraph& batch) const override;
   int embedding_dim() const override { return embedding_dim_; }
   void CollectParameters(std::vector<Tensor>* out) const override;
 
@@ -112,8 +109,7 @@ class HierarchicalEmbedder : public GraphEmbedder {
                                   const GraphLevel& level) const override;
   bool SupportsBatched() const override;
   std::vector<Tensor> EmbedLevelsBatched(
-      const BatchedGraph& batch,
-      const std::vector<uint64_t>& noise_seeds) const override;
+      const BatchedGraph& batch) const override;
   int embedding_dim() const override { return embedding_dim_; }
   void CollectParameters(std::vector<Tensor>* out) const override;
   void set_training(bool training) override;
@@ -146,8 +142,7 @@ class GcnConcatEmbedder : public GraphEmbedder {
                                   const GraphLevel& level) const override;
   bool SupportsBatched() const override { return true; }
   std::vector<Tensor> EmbedLevelsBatched(
-      const BatchedGraph& batch,
-      const std::vector<uint64_t>& noise_seeds) const override;
+      const BatchedGraph& batch) const override;
   int embedding_dim() const override { return embedding_dim_; }
   void CollectParameters(std::vector<Tensor>* out) const override;
 

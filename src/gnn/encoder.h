@@ -34,7 +34,7 @@ class GnnEncoder : public Module {
   }
 
   /// Batched forward over N concatenated graphs (docs/BATCHING.md):
-  /// bit-equal per segment to Forward on each graph alone.
+  /// bit-equal per segment to Forward on each graph alone in fp32.
   Tensor ForwardBatched(const Tensor& h, const BatchedLevel& level) const;
 
   void CollectParameters(std::vector<Tensor>* out) const override;

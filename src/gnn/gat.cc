@@ -32,9 +32,9 @@ Tensor GatLayer::ForwardBatched(const Tensor& h,
   // Shared-parameter products run fused over all graphs; the attention
   // itself is per segment — each graph's scores normalise behind its own
   // log mask, so nothing crosses a graph boundary.
-  Tensor wh = linear_.ForwardBatched(h, seg);
-  Tensor self_scores = SegmentMatMulSharedB(wh, attn_self_, seg);
-  Tensor neighbor_scores = SegmentMatMulSharedB(wh, attn_neighbor_, seg);
+  Tensor wh = linear_.Forward(h);
+  Tensor self_scores = MatMul(wh, attn_self_);
+  Tensor neighbor_scores = MatMul(wh, attn_neighbor_);
   std::vector<Tensor> parts;
   parts.reserve(level.levels.size());
   for (int s = 0; s < level.num_graphs(); ++s) {

@@ -41,8 +41,7 @@ Tensor GcnLayer::ForwardBatched(const Tensor& h,
     parts.push_back(level.levels[s].Propagate(h_s));
   }
   Tensor propagated = ConcatRows(parts);
-  return ApplyActivation(linear_.ForwardBatched(propagated, seg),
-                         activation_);
+  return ApplyActivation(linear_.Forward(propagated), activation_);
 }
 
 void GcnLayer::CollectParameters(std::vector<Tensor>* out) const {

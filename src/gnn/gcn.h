@@ -37,7 +37,7 @@ class GcnLayer : public Module {
 
   /// Batched forward over N concatenated graphs: propagation runs per
   /// segment against each graph's cached operator, the linear as one fused
-  /// GEMM. Bit-equal per segment to Forward on that graph alone.
+  /// GEMM. Bit-equal per segment to Forward on that graph alone in fp32.
   Tensor ForwardBatched(const Tensor& h, const BatchedLevel& level) const;
 
   void CollectParameters(std::vector<Tensor>* out) const override;

@@ -31,8 +31,8 @@ Tensor GinLayer::ForwardBatched(const Tensor& h,
     parts.push_back(level.levels[s].Aggregate(h_s));
   }
   Tensor aggregated = Add(MulScalar(h, 1.0f + eps_), ConcatRows(parts));
-  Tensor hidden = Relu(mlp1_.ForwardBatched(aggregated, seg));
-  return ApplyActivation(mlp2_.ForwardBatched(hidden, seg), activation_);
+  Tensor hidden = Relu(mlp1_.Forward(aggregated));
+  return ApplyActivation(mlp2_.Forward(hidden), activation_);
 }
 
 void GinLayer::CollectParameters(std::vector<Tensor>* out) const {

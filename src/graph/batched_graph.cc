@@ -1,6 +1,5 @@
 #include "graph/batched_graph.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "common/check.h"
@@ -8,12 +7,9 @@
 namespace hap {
 
 BatchedGraph BatchGraphs(const std::vector<Tensor>& features,
-                         const std::vector<GraphLevel>& levels,
-                         const std::vector<int>& labels) {
+                         const std::vector<GraphLevel>& levels) {
   HAP_CHECK(!features.empty()) << "cannot batch zero graphs";
   HAP_CHECK_EQ(features.size(), levels.size());
-  HAP_CHECK(labels.empty() || labels.size() == features.size())
-      << "labels must be empty or one per graph";
 
   const int feature_dim = features.front().cols();
   std::vector<int> sizes;
@@ -33,21 +29,15 @@ BatchedGraph BatchGraphs(const std::vector<Tensor>& features,
   BatchedGraph batch;
   batch.level.segments = SegmentSpec::FromSizes(sizes);
   batch.level.levels = levels;
-  batch.labels = labels;
 
   // Plain data copy — the concatenated tensor is a fresh leaf, not an op
   // result, so batching never extends any autograd tape.
   batch.h = Tensor(total, feature_dim);
   float* dst = batch.h.mutable_data();
-  batch.node_graph_index.reserve(total);
-  for (size_t g = 0; g < features.size(); ++g) {
-    const Tensor& f = features[g];
+  for (const Tensor& f : features) {
     if (f.size() > 0) {
       std::memcpy(dst, f.data(), static_cast<size_t>(f.size()) * sizeof(float));
       dst += f.size();
-    }
-    for (int i = 0; i < f.rows(); ++i) {
-      batch.node_graph_index.push_back(static_cast<int>(g));
     }
   }
   return batch;

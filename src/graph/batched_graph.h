@@ -8,9 +8,9 @@
 
 namespace hap {
 
-// Cross-graph batching substrate: N distinct graphs laid out as one
-// concatenated node tensor plus a segment-indexed adjacency. Rather than
-// materialising a block-diagonal adjacency (dense O((Σn)²) zeros), each
+// Cross-graph batched inference substrate: N distinct graphs laid out as
+// one concatenated node tensor plus a segment-indexed adjacency. Rather
+// than materialising a block-diagonal adjacency (dense O((Σn)²) zeros), each
 // graph keeps its own GraphLevel — with its warmed dense/CSR caches — and
 // the SegmentSpec records which row range of the concatenated tensors
 // belongs to which graph. Structure-independent layers (linears, biases,
@@ -33,11 +33,6 @@ struct BatchedGraph {
   /// free leaf: slicing it back apart produces untaped per-graph views.
   Tensor h;
   BatchedLevel level;
-  /// Row -> graph index (tf_geometric's node_graph_index).
-  std::vector<int> node_graph_index;
-  /// Per-graph classification labels; empty when batching for inference
-  /// on unlabeled graphs.
-  std::vector<int> labels;
 
   int num_graphs() const { return level.num_graphs(); }
   int feature_dim() const { return h.cols(); }
@@ -47,10 +42,9 @@ struct BatchedGraph {
 /// Concatenates per-graph features and levels into one BatchedGraph, in
 /// order. All feature tensors must share one width and must be gradient-
 /// free leaves (dataset tensors are); features[i].rows() must match
-/// levels[i].num_nodes(). `labels` is either empty or one per graph.
+/// levels[i].num_nodes().
 BatchedGraph BatchGraphs(const std::vector<Tensor>& features,
-                         const std::vector<GraphLevel>& levels,
-                         const std::vector<int>& labels = {});
+                         const std::vector<GraphLevel>& levels);
 
 }  // namespace hap
 

@@ -48,26 +48,36 @@ StatusOr<Graph> ReadGraph(std::istream* stream) {
           u == v) {
         return Status::InvalidArgument("malformed edge line");
       }
-      // Optional weight: peek at the rest of the line.
+      // Optional weight: peek at the rest of the line. A non-blank rest
+      // must be exactly one float; anything else (junk, a second number,
+      // an out-of-range value) is rejected, never read as weight 1.
+      // Extraction fails on overflow and never yields inf or NaN.
       float weight = 1.0f;
       const int next = stream->peek();
       if (next == ' ' || next == '\t') {
         std::string rest;
         std::getline(*stream, rest);
         std::istringstream rest_stream(rest);
-        if (!(rest_stream >> weight)) weight = 1.0f;
+        if (!(rest_stream >> std::ws).eof() &&
+            (!(rest_stream >> weight) || !(rest_stream >> std::ws).eof())) {
+          return Status::InvalidArgument("malformed edge weight '" + rest +
+                                         "'");
+        }
       }
       // Graph stores absent edges as weight 0, so it takes only positive
-      // weights; NaN fails this test too.
+      // weights.
       if (!(weight > 0.0f)) {
         return Status::InvalidArgument("edge weight must be positive");
       }
       g.AddEdge(u, v, weight);
-    } else {
+    } else if (keyword == "graph") {
       // Start of the next block: rewind and stop.
       stream->clear();
       stream->seekg(before);
       break;
+    } else {
+      return Status::InvalidArgument("unexpected token '" + keyword +
+                                     "' in graph block");
     }
   }
   return g;

@@ -26,8 +26,10 @@ namespace hap {
 /// Serialises one graph.
 void WriteGraph(const Graph& g, std::ostream* stream);
 
-/// Parses one graph block (starting at a `graph` line). Returns an error
-/// on malformed input.
+/// Parses one graph block (starting at a `graph` line). The block ends at
+/// end of input or before the next `graph` keyword; any other unknown
+/// token, and an edge weight that is not one positive float, is an
+/// InvalidArgument error.
 StatusOr<Graph> ReadGraph(std::istream* stream);
 
 /// Serialises a whole classification dataset.

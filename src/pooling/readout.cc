@@ -48,11 +48,9 @@ Tensor Readout::ForwardBatched(const Tensor& h,
 }
 
 BatchedCoarsenResult Coarsener::ForwardBatched(
-    const Tensor& h, const BatchedLevel& level,
-    std::vector<Rng>* noise_rngs) const {
+    const Tensor& h, const BatchedLevel& level) const {
   (void)h;
   (void)level;
-  (void)noise_rngs;
   HAP_CHECK(false) << "coarsener does not support batched execution; "
                       "check SupportsBatched() and fall back per graph";
   return BatchedCoarsenResult();

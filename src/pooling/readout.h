@@ -127,13 +127,11 @@ class Coarsener : public Module {
   /// configuration (see docs/BATCHING.md for the supported set).
   virtual bool SupportsBatched() const { return false; }
 
-  /// Batched coarsening over N concatenated graphs, bit-equal per segment
-  /// to Forward on each graph alone. `noise_rngs` supplies one training-
-  /// time noise stream per graph (pass nullptr in eval mode); deterministic
-  /// coarseners ignore it. Only valid when SupportsBatched().
+  /// Eval-mode batched coarsening over N concatenated graphs, bit-equal
+  /// per segment to Forward on each graph alone in fp32. Only valid when
+  /// SupportsBatched().
   virtual BatchedCoarsenResult ForwardBatched(const Tensor& h,
-                                              const BatchedLevel& level,
-                                              std::vector<Rng>* noise_rngs) const;
+                                              const BatchedLevel& level) const;
 };
 
 }  // namespace hap

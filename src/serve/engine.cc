@@ -278,96 +278,63 @@ void InferenceEngine::ProcessBatch(std::vector<Request> batch) {
   }
   const std::shared_ptr<const ServedModel>& model = resolved.value();
 
-  // Fan the unique forwards across the pool, one model lane per in-flight
-  // group (lanes are independent replicas; a lane must never run two
-  // forwards at once, hence waves when the batch outgrows the lane count).
+  // Split the unique graphs into one contiguous chunk per lane (lanes are
+  // independent replicas; a lane never runs two forwards at once) and fan
+  // the chunks across the pool.
   std::vector<int> predictions(groups.size(), -1);
   const int lanes = model->lanes();
+  const size_t chunks = std::min(groups.size(), static_cast<size_t>(lanes));
   // Per-lane tensor pools: a lane runs at most one forward at a time, so
   // its arena is never contended. Buffers persist across batches; each
   // batch is an arena "step", allocation-free after the first.
   while (lane_arenas_.size() < static_cast<size_t>(lanes)) {
     lane_arenas_.push_back(std::make_shared<TensorArena>());
   }
-  // Stamps forward start/end on every request in groups [lo, hi) —
-  // per-request attribution of lane time (the same instant for all
-  // members of a chunk: the chunk is one forward).
-  const auto stamp_forward = [&groups](size_t lo, size_t hi, uint64_t start,
-                                       uint64_t end) {
-    for (size_t g = lo; g < hi; ++g) {
-      for (Request& request : groups[g]) {
-        request.forward_start_ns = start;
-        request.forward_end_ns = end;
-      }
-    }
-  };
-  // Flow terminators for groups [lo, hi), emitted inside the lane span
-  // so the arrowhead binds to the lane slice ("bp":"e").
-  const auto flow_finish = [&groups](size_t lo, size_t hi) {
-    for (size_t g = lo; g < hi; ++g) {
-      for (const Request& request : groups[g]) {
-        obs::TraceFlow("serve.request", 'f', request.id);
-      }
-    }
-  };
 
   const uint64_t compute_start = metrics ? obs::MonotonicNs() : 0;
   try {
     HAP_TRACE_SCOPE("serve.batch.compute");
-    if (config_.batch_distinct && model->SupportsBatchedInference()) {
-      // Batched path: split the unique graphs into one contiguous chunk
-      // per lane and run each chunk as a single segment-batched forward
-      // (docs/BATCHING.md). Predictions are bit-identical to the
-      // per-graph path below — chunking only changes kernel shapes.
-      static obs::Counter* batched_forwards =
-          obs::GetCounter(obs::names::kServeBatchedForwards);
-      const size_t chunks =
-          std::min(groups.size(), static_cast<size_t>(lanes));
-      batched_forwards->Add(chunks);
-      GlobalThreadPool().Run(static_cast<int64_t>(chunks), [&](int64_t lane) {
-        const size_t lo = groups.size() * static_cast<size_t>(lane) / chunks;
-        const size_t hi =
-            groups.size() * (static_cast<size_t>(lane) + 1) / chunks;
-        HAP_TRACE_SCOPE("serve.lane.forward");
-        if (tracing) flow_finish(lo, hi);
-        const uint64_t start = telemetry ? obs::MonotonicNs() : 0;
-        ArenaScope arena_scope(lane_arenas_[static_cast<size_t>(lane)]);
-        // Precision is thread-local state, so the scope lives on the pool
-        // thread running this lane's forward, not on the batcher.
-        PrecisionScope precision_scope(
-            model->precision(), model->lane_scales(static_cast<int>(lane)));
-        std::vector<PreparedGraph> graphs;
-        graphs.reserve(hi - lo);
+    GlobalThreadPool().Run(static_cast<int64_t>(chunks), [&](int64_t lane) {
+      const size_t lo = groups.size() * static_cast<size_t>(lane) / chunks;
+      const size_t hi =
+          groups.size() * (static_cast<size_t>(lane) + 1) / chunks;
+      HAP_TRACE_SCOPE("serve.lane.forward");
+      if (tracing) {
+        // Flow terminators inside the lane span, so the arrowhead binds
+        // to the lane slice ("bp":"e").
         for (size_t g = lo; g < hi; ++g) {
-          graphs.push_back(groups[g].front().graph);
+          for (const Request& request : groups[g]) {
+            obs::TraceFlow("serve.request", 'f', request.id);
+          }
         }
-        std::vector<int> chunk_predictions =
-            model->PredictBatched(graphs, static_cast<int>(lane));
-        std::copy(chunk_predictions.begin(), chunk_predictions.end(),
-                  predictions.begin() + static_cast<int64_t>(lo));
-        if (telemetry) stamp_forward(lo, hi, start, obs::MonotonicNs());
-      });
-    } else {
-      // Per-graph fallback: one forward per unique graph, fanned across
-      // the lanes in waves.
-      for (size_t wave = 0; wave < groups.size();
-           wave += static_cast<size_t>(lanes)) {
-        const int64_t wave_size = static_cast<int64_t>(
-            std::min(groups.size() - wave, static_cast<size_t>(lanes)));
-        GlobalThreadPool().Run(wave_size, [&](int64_t lane) {
-          const size_t g = wave + static_cast<size_t>(lane);
-          HAP_TRACE_SCOPE("serve.lane.forward");
-          if (tracing) flow_finish(g, g + 1);
-          const uint64_t start = telemetry ? obs::MonotonicNs() : 0;
-          ArenaScope arena_scope(lane_arenas_[static_cast<size_t>(lane)]);
-          PrecisionScope precision_scope(
-              model->precision(), model->lane_scales(static_cast<int>(lane)));
-          predictions[g] =
-              model->Predict(groups[g].front().graph, static_cast<int>(lane));
-          if (telemetry) stamp_forward(g, g + 1, start, obs::MonotonicNs());
-        });
       }
-    }
+      const uint64_t start = telemetry ? obs::MonotonicNs() : 0;
+      ArenaScope arena_scope(lane_arenas_[static_cast<size_t>(lane)]);
+      // Precision is thread-local state, so the scope lives on the pool
+      // thread running this lane's forward, not on the batcher.
+      PrecisionScope precision_scope(
+          model->precision(), model->lane_scales(static_cast<int>(lane)));
+      std::vector<PreparedGraph> graphs;
+      graphs.reserve(hi - lo);
+      for (size_t g = lo; g < hi; ++g) {
+        graphs.push_back(groups[g].front().graph);
+      }
+      std::vector<int> chunk_predictions =
+          model->PredictBatched(graphs, static_cast<int>(lane));
+      std::copy(chunk_predictions.begin(), chunk_predictions.end(),
+                predictions.begin() + static_cast<int64_t>(lo));
+      if (telemetry) {
+        // Per-request attribution of lane time: every member of a chunk
+        // reports the chunk's forward span.
+        const uint64_t end = obs::MonotonicNs();
+        for (size_t g = lo; g < hi; ++g) {
+          for (Request& request : groups[g]) {
+            request.forward_start_ns = start;
+            request.forward_end_ns = end;
+          }
+        }
+      }
+    });
     for (int lane = 0; lane < lanes; ++lane) {
       lane_arenas_[static_cast<size_t>(lane)]->ResetStep();
     }

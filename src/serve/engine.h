@@ -23,9 +23,9 @@ namespace hap::serve {
 /// Micro-batching knobs. Defaults favour throughput on bursty traffic
 /// while keeping the added latency bounded by max_delay_us.
 struct EngineConfig {
-  /// Largest micro-batch handed to the compute stage. Also the natural
-  /// lane count for ServedModelConfig::lanes — with lanes >= max_batch a
-  /// whole batch fans out across the thread pool in one wave.
+  /// Largest micro-batch handed to the compute stage. Its distinct
+  /// graphs are split into one chunk per model lane
+  /// (ServedModelConfig::lanes), and the chunks run in parallel.
   int max_batch = 16;
   /// How long the batcher waits for stragglers after the first request of
   /// a batch before dispatching it anyway.
@@ -33,12 +33,6 @@ struct EngineConfig {
   /// Admission bound: Submit fails with ResourceExhausted beyond this
   /// (backpressure instead of unbounded memory growth).
   size_t queue_capacity = 1024;
-  /// Run each lane's share of the DISTINCT graphs in a micro-batch as one
-  /// batched forward (segment ops, docs/BATCHING.md) instead of one
-  /// forward per graph. Predictions are bit-identical either way (the
-  /// batched-parity contract); models whose architecture has no batched
-  /// mirror silently fall back to per-graph forwards.
-  bool batch_distinct = true;
   /// Non-empty: append one JSON line per completed request (id, stage
   /// timestamps, latency, batch size, prediction — the RequestExemplar
   /// fields) to this path. Opening the access log turns on per-request
@@ -65,7 +59,8 @@ struct EngineConfig {
 /// backpressure, engine shut down). A single batcher thread gathers
 /// micro-batches (RequestQueue), coalesces requests that carry the same
 /// prepared graph into one forward whose result fans back out to every
-/// requester, and runs the unique forwards on distinct model lanes in
+/// requester, splits the unique graphs into one chunk per model lane, and
+/// runs each chunk through ServedModel::PredictBatched, the lanes in
 /// parallel. Each lane forward runs at the precision the resolved model
 /// was loaded at (ServedModelConfig::precision), with that lane's
 /// pre-quantized scales.

@@ -1,5 +1,7 @@
 #include "serve/served_model.h"
 
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/serialize.h"
 #include "train/model_zoo.h"
@@ -111,15 +113,25 @@ int ServedModel::Predict(const PreparedGraph& graph, int lane) const {
   return replicas_[lane]->Predict(graph);
 }
 
-bool ServedModel::SupportsBatchedInference() const {
-  return replicas_[0]->SupportsBatched();
-}
-
 std::vector<int> ServedModel::PredictBatched(
     const std::vector<PreparedGraph>& graphs, int lane) const {
   HAP_CHECK_GE(lane, 0);
   HAP_CHECK_LT(lane, lanes());
   HAP_CHECK(!graphs.empty());
+  const GraphClassifier& replica = *replicas_[lane];
+  if (!replica.SupportsBatched()) {
+    // No batched mirror (attention readouts, baseline coarseners): run
+    // the chunk graph by graph on this lane.
+    std::vector<int> predictions;
+    predictions.reserve(graphs.size());
+    for (const PreparedGraph& graph : graphs) {
+      predictions.push_back(replica.Predict(graph));
+    }
+    return predictions;
+  }
+  static obs::Counter* batched_forwards =
+      obs::GetCounter(obs::names::kServeBatchedForwards);
+  batched_forwards->Increment();
   std::vector<Tensor> features;
   std::vector<GraphLevel> levels;
   features.reserve(graphs.size());
@@ -128,7 +140,7 @@ std::vector<int> ServedModel::PredictBatched(
     features.push_back(graph.h);
     levels.push_back(graph.level);
   }
-  return replicas_[lane]->PredictBatched(BatchGraphs(features, levels));
+  return replica.PredictBatched(BatchGraphs(features, levels));
 }
 
 }  // namespace hap::serve

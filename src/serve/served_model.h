@@ -65,19 +65,18 @@ class ServedModel {
 
   /// Arg-max class prediction on lane `lane` (0 <= lane < lanes()).
   /// Deterministic: eval mode disables Gumbel noise, so the result is
-  /// independent of lane, batching, and thread count. The caller must
-  /// serialise calls on the same lane; distinct lanes are independent.
+  /// independent of lane and thread count. The caller must serialise
+  /// calls on the same lane; distinct lanes are independent.
   int Predict(const PreparedGraph& graph, int lane) const;
 
-  /// True when the architecture supports running several DISTINCT graphs
-  /// as one batched forward (docs/BATCHING.md); the engine falls back to
-  /// one forward per graph otherwise.
-  bool SupportsBatchedInference() const;
-
-  /// Predictions for a micro-batch of distinct graphs, one forward on lane
-  /// `lane`. Bit-identical to calling Predict on each graph alone (the
-  /// batched-parity contract). Only valid when SupportsBatchedInference();
-  /// the same per-lane serialisation rule as Predict applies.
+  /// Predictions for a micro-batch of distinct graphs on lane `lane`: one
+  /// batched forward (docs/BATCHING.md) when the architecture has a
+  /// batched mirror, else one Predict per graph. In fp32 the result is
+  /// bit-identical to calling Predict on each graph alone; under int8 a
+  /// fused GEMM may take the int8 kernel for the batch's total rows, so
+  /// predictions can depend on batch composition. Counts
+  /// serve.batched_forwards.total when the batched forward ran. The same
+  /// per-lane serialisation rule as Predict applies.
   std::vector<int> PredictBatched(const std::vector<PreparedGraph>& graphs,
                                   int lane) const;
 

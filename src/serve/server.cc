@@ -129,7 +129,9 @@ std::string JsonEscape(const std::string& s) {
 }
 
 /// Bounds-checks the `graph N ...` header line before ReadGraph gets to
-/// construct the (dense N x N) Graph, then parses the block.
+/// construct the (dense N x N) Graph, then parses the block. The payload
+/// must hold exactly one block: anything after it but whitespace (a
+/// second `graph` block) is rejected rather than silently dropped.
 StatusOr<Graph> GraphFromText(const std::string& text) {
   long long n = -1;
   if (std::sscanf(text.c_str(), " graph %lld", &n) == 1 &&
@@ -139,7 +141,11 @@ StatusOr<Graph> GraphFromText(const std::string& text) {
                                    std::to_string(kMaxRequestNodes) + "]");
   }
   std::istringstream in(text);
-  return ReadGraph(&in);
+  StatusOr<Graph> graph = ReadGraph(&in);
+  if (graph.ok() && !(in >> std::ws).eof()) {
+    return Status::InvalidArgument("payload holds more than one graph block");
+  }
+  return graph;
 }
 
 /// True when `x` is an integer in [lo, hi]. Checked in double, so a JSON

@@ -17,12 +17,6 @@ Tensor Linear::Forward(const Tensor& x) const {
   return out;
 }
 
-Tensor Linear::ForwardBatched(const Tensor& x, const SegmentSpec& seg) const {
-  Tensor out = SegmentMatMulSharedB(x, weight_, seg);
-  if (bias_.defined()) out = SegmentAddRowBroadcast(out, bias_, seg);
-  return out;
-}
-
 void Linear::CollectParameters(std::vector<Tensor>* out) const {
   out->push_back(weight_);
   if (bias_.defined()) out->push_back(bias_);

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "tensor/segment_ops.h"
 #include "tensor/tensor.h"
 
 namespace hap {
@@ -51,11 +50,6 @@ class Linear : public Module {
 
   /// x is (m, in_features); returns (m, out_features).
   Tensor Forward(const Tensor& x) const;
-
-  /// Batched forward over a concatenation of independent examples: one
-  /// fused GEMM, bit-equal per row to Forward on each segment alone, with
-  /// weight/bias gradients split per segment (see tensor/segment_ops.h).
-  Tensor ForwardBatched(const Tensor& x, const SegmentSpec& seg) const;
 
   void CollectParameters(std::vector<Tensor>* out) const override;
 

@@ -1,22 +1,13 @@
 #include "tensor/segment_ops.h"
 
 #include <algorithm>
-#include <cmath>
-#include <utility>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
-#include "obs/metric_names.h"
-#include "obs/metrics.h"
-#include "tensor/matmul_kernels.h"
 
 namespace hap {
 
 namespace {
-
-internal::TensorImpl& Parent(internal::TensorImpl& node, size_t i) {
-  return *node.parents[i];
-}
 
 // Same grain policy as tensor/ops.cc: parallel blocks only ever split
 // disjoint output rows, and each block must amortise the scheduling cost.
@@ -24,20 +15,6 @@ constexpr int64_t kParallelGrainWork = 1 << 15;
 
 int64_t RowGrain(int64_t row_work) {
   return kParallelGrainWork / std::max<int64_t>(row_work, 1) + 1;
-}
-
-thread_local SegmentGradSink* g_segment_sink = nullptr;
-
-// Accumulation target for a shared parameter's segment-s gradient: the
-// sink cell when a sink is installed on this thread, else the parameter's
-// own grad buffer. Both start zeroed, so the in-place kernels produce the
-// same bits a single-example tape would.
-float* SegmentGradTarget(internal::TensorImpl& param, int segment) {
-  if (g_segment_sink != nullptr) {
-    return g_segment_sink->Cell(&param, segment, param.data.size()).data();
-  }
-  param.EnsureGrad();
-  return param.grad.data();
 }
 
 }  // namespace
@@ -53,13 +30,6 @@ SegmentSpec SegmentSpec::FromSizes(const std::vector<int>& sizes) {
   return seg;
 }
 
-SegmentSpec SegmentSpec::RowPerSegment(int rows) {
-  SegmentSpec seg;
-  seg.offsets.resize(static_cast<size_t>(rows) + 1);
-  for (int i = 0; i <= rows; ++i) seg.offsets[i] = i;
-  return seg;
-}
-
 void SegmentSpec::Validate(int rows) const {
   HAP_CHECK_GE(static_cast<int>(offsets.size()), 2)
       << "SegmentSpec needs at least one segment";
@@ -71,64 +41,16 @@ void SegmentSpec::Validate(int rows) const {
       << "segment offsets do not cover the tensor's rows";
 }
 
-std::vector<float>& SegmentGradSink::Cell(const internal::TensorImpl* param,
-                                          int segment, size_t size) {
-  HAP_CHECK(segment >= 0 && segment < num_segments_)
-      << "segment " << segment << " out of range for " << num_segments_;
-  auto& per_segment = cells_[param];
-  if (per_segment.empty()) per_segment.resize(num_segments_);
-  std::vector<float>& cell = per_segment[segment];
-  if (cell.empty() && size > 0) {
-    // Acquired under the caller's arena scope; ownership passes to whoever
-    // Take()s the cell (the batch runner releases it back to that arena).
-    std::shared_ptr<TensorArena> arena;
-    cell = internal::AcquireBuffer(size, &arena);
-  }
-  HAP_CHECK_EQ(cell.size(), size);
-  return cell;
-}
-
-std::vector<float> SegmentGradSink::Take(const Tensor& param, int segment) {
-  HAP_CHECK(segment >= 0 && segment < num_segments_);
-  auto it = cells_.find(param.impl_ptr().get());
-  if (it == cells_.end() || it->second.empty()) return {};
-  return std::move(it->second[segment]);
-}
-
-SegmentGradSinkScope::SegmentGradSinkScope(SegmentGradSink* sink)
-    : previous_(g_segment_sink) {
-  g_segment_sink = sink;
-}
-
-SegmentGradSinkScope::~SegmentGradSinkScope() { g_segment_sink = previous_; }
-
-SegmentGradSink* CurrentSegmentGradSink() { return g_segment_sink; }
+// The ops below pass no backward function: MakeOpResult refuses to tape
+// a result without one, so a batched forward with grad enabled on its
+// inputs CHECK-fails instead of recording a tape it cannot replay.
 
 Tensor SegmentSum(const Tensor& a, const SegmentSpec& seg) {
   seg.Validate(a.rows());
   const int n = a.cols();
   const int num_segments = seg.num_segments();
-  const std::vector<int> offsets = seg.offsets;
-  Tensor out = MakeOpResult(
-      num_segments, n, {a}, [offsets, n](internal::TensorImpl& node) {
-        internal::TensorImpl& pa = Parent(node, 0);
-        pa.EnsureGrad();
-        const int segments = static_cast<int>(offsets.size()) - 1;
-        // Every input row receives its segment's output gradient — the
-        // broadcast backward of ReduceSumRows, row-parallel within a
-        // segment because rows are disjoint outputs.
-        for (int s = 0; s < segments; ++s) {
-          ParallelFor(offsets[s], offsets[s + 1], RowGrain(n),
-                      [&](int64_t lo, int64_t hi) {
-                        for (int64_t i = lo; i < hi; ++i) {
-                          for (int j = 0; j < n; ++j) {
-                            pa.grad[static_cast<size_t>(i) * n + j] +=
-                                node.grad[static_cast<size_t>(s) * n + j];
-                          }
-                        }
-                      });
-        }
-      });
+  const std::vector<int>& offsets = seg.offsets;
+  Tensor out = MakeOpResult(num_segments, n, {a}, nullptr);
   float* o = out.mutable_data();
   const float* adat = a.data();
   const int64_t rows_per_segment =
@@ -158,29 +80,8 @@ Tensor SegmentMean(const Tensor& a, const SegmentSpec& seg) {
   for (int s = 0; s < num_segments; ++s) {
     HAP_CHECK_GT(seg.size(s), 0) << "SegmentMean needs non-empty segments";
   }
-  const std::vector<int> offsets = seg.offsets;
-  Tensor out = MakeOpResult(
-      num_segments, n, {a}, [offsets, n](internal::TensorImpl& node) {
-        internal::TensorImpl& pa = Parent(node, 0);
-        pa.EnsureGrad();
-        const int segments = static_cast<int>(offsets.size()) - 1;
-        for (int s = 0; s < segments; ++s) {
-          const float inv =
-              1.0f / static_cast<float>(offsets[s + 1] - offsets[s]);
-          ParallelFor(offsets[s], offsets[s + 1], RowGrain(n),
-                      [&](int64_t lo, int64_t hi) {
-                        for (int64_t i = lo; i < hi; ++i) {
-                          for (int j = 0; j < n; ++j) {
-                            // One float multiply then broadcast-add: the
-                            // exact MulScalar∘ReduceSumRows backward.
-                            pa.grad[static_cast<size_t>(i) * n + j] +=
-                                node.grad[static_cast<size_t>(s) * n + j] *
-                                inv;
-                          }
-                        }
-                      });
-        }
-      });
+  const std::vector<int>& offsets = seg.offsets;
+  Tensor out = MakeOpResult(num_segments, n, {a}, nullptr);
   float* o = out.mutable_data();
   const float* adat = a.data();
   const int64_t rows_per_segment =
@@ -207,285 +108,19 @@ Tensor SegmentMax(const Tensor& a, const SegmentSpec& seg) {
   seg.Validate(a.rows());
   const int n = a.cols();
   const int num_segments = seg.num_segments();
-  // First strict maximum per (segment, column), captured for backward —
-  // same tie-breaking as ReduceMaxRows on the segment alone.
-  std::vector<int> argmax(static_cast<size_t>(num_segments) * n, 0);
+  Tensor out = MakeOpResult(num_segments, n, {a}, nullptr);
+  float* o = out.mutable_data();
   const float* adat = a.data();
   for (int s = 0; s < num_segments; ++s) {
     HAP_CHECK_GT(seg.size(s), 0) << "SegmentMax needs non-empty segments";
-    const int lo = seg.begin(s);
+    // First strict maximum per column, as ReduceMaxRows scans it.
     for (int j = 0; j < n; ++j) {
-      int best_row = lo;
-      float best = adat[static_cast<size_t>(lo) * n + j];
-      for (int i = lo + 1; i < seg.end(s); ++i) {
-        const float v = adat[static_cast<size_t>(i) * n + j];
-        if (v > best) {
-          best = v;
-          best_row = i;
-        }
+      float best = adat[static_cast<size_t>(seg.begin(s)) * n + j];
+      for (int i = seg.begin(s) + 1; i < seg.end(s); ++i) {
+        best = std::max(best, adat[static_cast<size_t>(i) * n + j]);
       }
-      argmax[static_cast<size_t>(s) * n + j] = best_row;
+      o[static_cast<size_t>(s) * n + j] = best;
     }
-  }
-  Tensor out = MakeOpResult(
-      num_segments, n, {a}, [argmax, n](internal::TensorImpl& node) {
-        internal::TensorImpl& pa = Parent(node, 0);
-        pa.EnsureGrad();
-        const int segments = static_cast<int>(argmax.size()) / n;
-        for (int s = 0; s < segments; ++s) {
-          for (int j = 0; j < n; ++j) {
-            const int row = argmax[static_cast<size_t>(s) * n + j];
-            pa.grad[static_cast<size_t>(row) * n + j] +=
-                node.grad[static_cast<size_t>(s) * n + j];
-          }
-        }
-      });
-  float* o = out.mutable_data();
-  for (int s = 0; s < num_segments; ++s) {
-    for (int j = 0; j < n; ++j) {
-      const int row = argmax[static_cast<size_t>(s) * n + j];
-      o[static_cast<size_t>(s) * n + j] = adat[static_cast<size_t>(row) * n + j];
-    }
-  }
-  return out;
-}
-
-Tensor SegmentSoftmax(const Tensor& a, const SegmentSpec& seg) {
-  seg.Validate(a.rows());
-  const int n = a.cols();
-  const int num_segments = seg.num_segments();
-  const std::vector<int> offsets = seg.offsets;
-  Tensor out = MakeOpResult(
-      a.rows(), n, {a}, [offsets, n](internal::TensorImpl& node) {
-        internal::TensorImpl& pa = Parent(node, 0);
-        pa.EnsureGrad();
-        const int segments = static_cast<int>(offsets.size()) - 1;
-        // dA_ij = y_ij * (g_ij - sum_i g_ij y_ij): SoftmaxRows' backward
-        // with the reduction running down each segment's column. Segments
-        // write disjoint rows, so the segment loop may parallelise.
-        ParallelFor(0, segments, 1, [&](int64_t slo, int64_t shi) {
-          for (int64_t s = slo; s < shi; ++s) {
-            for (int j = 0; j < n; ++j) {
-              double dot = 0.0;
-              for (int i = offsets[s]; i < offsets[s + 1]; ++i) {
-                const size_t idx = static_cast<size_t>(i) * n + j;
-                dot += node.grad[idx] * node.data[idx];
-              }
-              for (int i = offsets[s]; i < offsets[s + 1]; ++i) {
-                const size_t idx = static_cast<size_t>(i) * n + j;
-                pa.grad[idx] += node.data[idx] * (node.grad[idx] -
-                                                  static_cast<float>(dot));
-              }
-            }
-          }
-        });
-      });
-  float* o = out.mutable_data();
-  const float* adat = a.data();
-  ParallelFor(0, num_segments, 1, [&](int64_t slo, int64_t shi) {
-    for (int64_t s = slo; s < shi; ++s) {
-      const int lo = offsets[s], hi = offsets[s + 1];
-      if (lo == hi) continue;
-      for (int j = 0; j < n; ++j) {
-        float mx = adat[static_cast<size_t>(lo) * n + j];
-        for (int i = lo + 1; i < hi; ++i) {
-          mx = std::max(mx, adat[static_cast<size_t>(i) * n + j]);
-        }
-        double sum = 0.0;
-        for (int i = lo; i < hi; ++i) {
-          const size_t idx = static_cast<size_t>(i) * n + j;
-          o[idx] = std::exp(adat[idx] - mx);
-          sum += o[idx];
-        }
-        const float inv = static_cast<float>(1.0 / sum);
-        for (int i = lo; i < hi; ++i) {
-          o[static_cast<size_t>(i) * n + j] *= inv;
-        }
-      }
-    }
-  });
-  return out;
-}
-
-namespace {
-
-// Forward and dA of the shared-B matmuls are the plain MatMul paths from
-// tensor/ops.cc: rows are independent, so one fused GEMM over the
-// concatenated rows produces the per-segment bits (blocked == naive
-// bitwise, see tensor/matmul_kernels.h).
-void MatMulForwardInto(const Tensor& a, const Tensor& b, Tensor* out) {
-  const int m = a.rows(), k = a.cols(), n = b.cols();
-  static obs::Histogram* op_ns = obs::GetHistogram(obs::names::kMatMulNs);
-  const bool blocked_fwd = kernels::UseBlockedForward(m, k, n);
-  if (obs::HotCountersEnabled()) {
-    static obs::Counter* calls = obs::GetCounter(obs::names::kMatMulCalls);
-    static obs::Counter* flops = obs::GetCounter(obs::names::kMatMulFlops);
-    static obs::Counter* disp_blocked =
-        obs::GetCounter(obs::names::kMatMulDispatchBlocked);
-    static obs::Counter* disp_naive =
-        obs::GetCounter(obs::names::kMatMulDispatchNaive);
-    calls->Increment();
-    flops->Add(2ull * m * k * n);
-    (blocked_fwd ? disp_blocked : disp_naive)->Increment();
-  }
-  obs::ScopedTimerNs timer(op_ns);
-  float* o = out->mutable_data();
-  const float* pa = a.data();
-  const float* pb = b.data();
-  if (blocked_fwd) {
-    const float* packed_b = kernels::PackBPanels(pb, k, n);
-    ParallelFor(0, m, RowGrain(static_cast<int64_t>(k) * n),
-                [&](int64_t lo, int64_t hi) {
-                  kernels::BlockedForwardRows(pa, packed_b, pb, o, k, n, lo,
-                                              hi);
-                });
-  } else {
-    ParallelFor(0, m, RowGrain(static_cast<int64_t>(k) * n),
-                [&](int64_t lo, int64_t hi) {
-                  kernels::NaiveForwardRows(pa, pb, o, k, n, lo, hi);
-                });
-  }
-}
-
-void MatMulGradA(internal::TensorImpl& node, internal::TensorImpl& pa,
-                 const internal::TensorImpl& pb, int m, int k, int n) {
-  pa.EnsureGrad();
-  const float* g = node.grad.data();
-  const float* bdat = pb.data.data();
-  float* ga = pa.grad.data();
-  if (kernels::UseBlockedGradA(m, k, n)) {
-    const float* packed_bt = kernels::PackBTransposed(bdat, k, n);
-    ParallelFor(0, m, RowGrain(static_cast<int64_t>(k) * n),
-                [&](int64_t lo, int64_t hi) {
-                  kernels::BlockedGradARows(g, packed_bt, bdat, ga, k, n, lo,
-                                            hi);
-                });
-  } else {
-    ParallelFor(0, m, RowGrain(static_cast<int64_t>(k) * n),
-                [&](int64_t lo, int64_t hi) {
-                  kernels::NaiveGradARows(g, bdat, ga, k, n, lo, hi);
-                });
-  }
-}
-
-// dB for the rows [lo, lo+rows) of one segment, accumulated in place on
-// `gb` (a sink cell or B's grad buffer) with the kernels' i-ascending
-// per-element order — the same bits a single-example MatMul produces.
-void SegmentGradB(const internal::TensorImpl& node,
-                  const internal::TensorImpl& pa, internal::TensorImpl& pb,
-                  int segment, int lo, int rows, int k, int n) {
-  if (rows == 0) return;
-  float* gb = SegmentGradTarget(pb, segment);
-  const float* a_seg = pa.data.data() + static_cast<size_t>(lo) * k;
-  const float* g_seg = node.grad.data() + static_cast<size_t>(lo) * n;
-  if (kernels::UseBlockedGradB(rows, k, n)) {
-    kernels::BlockedGradBRows(a_seg, g_seg, gb, rows, k, n, 0, k);
-  } else {
-    kernels::NaiveGradBRows(a_seg, g_seg, gb, rows, k, n, 0, k);
-  }
-}
-
-}  // namespace
-
-Tensor SegmentMatMulSharedB(const Tensor& a, const Tensor& b,
-                            const SegmentSpec& seg) {
-  HAP_CHECK_EQ(a.cols(), b.rows());
-  seg.Validate(a.rows());
-  const int m = a.rows(), k = a.cols(), n = b.cols();
-  const std::vector<int> offsets = seg.offsets;
-  Tensor out = MakeOpResult(
-      m, n, {a, b}, [offsets, m, k, n](internal::TensorImpl& node) {
-        internal::TensorImpl& pa = Parent(node, 0);
-        internal::TensorImpl& pb = Parent(node, 1);
-        if (pa.requires_grad) MatMulGradA(node, pa, pb, m, k, n);
-        if (pb.requires_grad) {
-          const int segments = static_cast<int>(offsets.size()) - 1;
-          for (int s = 0; s < segments; ++s) {
-            SegmentGradB(node, pa, pb, s, offsets[s],
-                         offsets[s + 1] - offsets[s], k, n);
-          }
-        }
-      });
-  MatMulForwardInto(a, b, &out);
-  return out;
-}
-
-Tensor MatMulSharedB(const Tensor& a, const Tensor& b, int segment) {
-  HAP_CHECK_EQ(a.cols(), b.rows());
-  const int m = a.rows(), k = a.cols(), n = b.cols();
-  Tensor out = MakeOpResult(
-      m, n, {a, b}, [segment, m, k, n](internal::TensorImpl& node) {
-        internal::TensorImpl& pa = Parent(node, 0);
-        internal::TensorImpl& pb = Parent(node, 1);
-        if (pa.requires_grad) MatMulGradA(node, pa, pb, m, k, n);
-        if (pb.requires_grad) SegmentGradB(node, pa, pb, segment, 0, m, k, n);
-      });
-  MatMulForwardInto(a, b, &out);
-  return out;
-}
-
-Tensor SegmentAddRowBroadcast(const Tensor& a, const Tensor& row,
-                              const SegmentSpec& seg) {
-  HAP_CHECK_EQ(row.rows(), 1);
-  HAP_CHECK_EQ(row.cols(), a.cols());
-  seg.Validate(a.rows());
-  const int m = a.rows(), n = a.cols();
-  const std::vector<int> offsets = seg.offsets;
-  Tensor out = MakeOpResult(
-      m, n, {a, row}, [offsets, m, n](internal::TensorImpl& node) {
-        internal::TensorImpl& pa = Parent(node, 0);
-        internal::TensorImpl& pr = Parent(node, 1);
-        if (pa.requires_grad) {
-          pa.EnsureGrad();
-          for (int i = 0; i < m; ++i) {
-            for (int j = 0; j < n; ++j) {
-              pa.grad[static_cast<size_t>(i) * n + j] +=
-                  node.grad[static_cast<size_t>(i) * n + j];
-            }
-          }
-        }
-        if (pr.requires_grad) {
-          const int segments = static_cast<int>(offsets.size()) - 1;
-          // Serial i-then-j accumulation per segment, the AddRowBroadcast
-          // bias backward restricted to the segment's rows.
-          for (int s = 0; s < segments; ++s) {
-            if (offsets[s + 1] == offsets[s]) continue;
-            float* gr = SegmentGradTarget(pr, s);
-            for (int i = offsets[s]; i < offsets[s + 1]; ++i) {
-              for (int j = 0; j < n; ++j) {
-                gr[j] += node.grad[static_cast<size_t>(i) * n + j];
-              }
-            }
-          }
-        }
-      });
-  float* o = out.mutable_data();
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < n; ++j) {
-      o[static_cast<size_t>(i) * n + j] =
-          a.data()[static_cast<size_t>(i) * n + j] + row.data()[j];
-    }
-  }
-  return out;
-}
-
-Tensor NllLossPerRow(const Tensor& logprobs, const std::vector<int>& labels) {
-  const int b = logprobs.rows(), c = logprobs.cols();
-  HAP_CHECK_EQ(static_cast<int>(labels.size()), b);
-  for (int label : labels) HAP_CHECK(label >= 0 && label < c);
-  Tensor out = MakeOpResult(
-      b, 1, {logprobs}, [labels, b, c](internal::TensorImpl& node) {
-        internal::TensorImpl& pa = Parent(node, 0);
-        pa.EnsureGrad();
-        // Row i is NllLoss at batch size 1: grad[label] -= g (g / 1).
-        for (int i = 0; i < b; ++i) {
-          pa.grad[static_cast<size_t>(i) * c + labels[i]] -= node.grad[i];
-        }
-      });
-  float* o = out.mutable_data();
-  for (int i = 0; i < b; ++i) {
-    // Negation is exact, so this matches NllLoss' double round-trip.
-    o[i] = -logprobs.data()[static_cast<size_t>(i) * c + labels[i]];
   }
   return out;
 }

@@ -1,20 +1,21 @@
 #ifndef HAP_TENSOR_SEGMENT_OPS_H_
 #define HAP_TENSOR_SEGMENT_OPS_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "tensor/tensor.h"
 
 namespace hap {
 
-// Segment kernels: the tensor-level substrate for cross-graph batching.
-// A batch of N graphs is laid out as one concatenated node tensor whose
-// rows are partitioned into contiguous *segments*, one per graph. The ops
-// here reduce, normalise, or matmul per segment while keeping the repo's
+// Segment kernels: the tensor-level substrate for cross-graph batched
+// inference. A batch of N graphs is laid out as one concatenated node
+// tensor whose rows are partitioned into contiguous *segments*, one per
+// graph. The ops here reduce per segment while keeping the repo's
 // bit-determinism contract: every output element keeps the exact
 // accumulation order of the per-graph reference op, and threading only
-// ever partitions disjoint outputs. See docs/BATCHING.md.
+// ever partitions disjoint outputs. They are forward-only: batched
+// forwards are eval-only, so a call whose input would be taped
+// CHECK-fails. See docs/BATCHING.md.
 
 /// Row partition of a concatenated batch tensor. `offsets` is monotone
 /// non-decreasing with offsets.front() == 0; segment s owns rows
@@ -24,11 +25,6 @@ struct SegmentSpec {
 
   /// Builds offsets {0, sizes[0], sizes[0]+sizes[1], ...}.
   static SegmentSpec FromSizes(const std::vector<int>& sizes);
-
-  /// One row per segment: offsets {0, 1, ..., rows}. This is the layout of
-  /// per-graph embeddings and classifier-head activations, where each
-  /// example owns exactly one row.
-  static SegmentSpec RowPerSegment(int rows);
 
   int num_segments() const { return static_cast<int>(offsets.size()) - 1; }
   int total_rows() const { return offsets.back(); }
@@ -40,59 +36,6 @@ struct SegmentSpec {
   void Validate(int rows) const;
 };
 
-/// Routes shared-parameter gradients produced by the segment-aware ops
-/// below into per-(parameter, segment) cells instead of the parameter's
-/// own grad buffer. This is how one backward pass over a batched tape
-/// recovers the *per-example* parameter gradients the data-parallel
-/// trainer reduces in batch order (see docs/THREADING.md): each cell
-/// starts zeroed and the backward kernels accumulate into it in place,
-/// exactly as they would into param.grad on a single-example tape.
-///
-/// A sink is installed per thread with SegmentGradSinkScope around
-/// Backward(); segment-aware ops consult CurrentSegmentGradSink() inside
-/// their backward functions (which run on the thread that called
-/// Backward()). Without an active sink the same ops accumulate into the
-/// parameter's grad buffer directly, one segment at a time in ascending
-/// segment order.
-class SegmentGradSink {
- public:
-  explicit SegmentGradSink(int num_segments) : num_segments_(num_segments) {}
-
-  /// Zeroed accumulation buffer for (param, segment), sized `size`,
-  /// acquired from the current arena on first use.
-  std::vector<float>& Cell(const internal::TensorImpl* param, int segment,
-                           size_t size);
-
-  /// Moves the cell out; empty when no backward kernel ever touched it
-  /// (mirroring the empty grad buffers of unreached parameters).
-  std::vector<float> Take(const Tensor& param, int segment);
-
-  int num_segments() const { return num_segments_; }
-
- private:
-  std::unordered_map<const internal::TensorImpl*,
-                     std::vector<std::vector<float>>>
-      cells_;
-  int num_segments_;
-};
-
-/// RAII: installs `sink` as this thread's target for segment-aware
-/// backward passes. Scopes nest; null reinstates direct accumulation.
-class SegmentGradSinkScope {
- public:
-  explicit SegmentGradSinkScope(SegmentGradSink* sink);
-  ~SegmentGradSinkScope();
-
-  SegmentGradSinkScope(const SegmentGradSinkScope&) = delete;
-  SegmentGradSinkScope& operator=(const SegmentGradSinkScope&) = delete;
-
- private:
-  SegmentGradSink* previous_;
-};
-
-/// The sink installed on this thread, or nullptr.
-SegmentGradSink* CurrentSegmentGradSink();
-
 /// Per-segment column sums: out (S, n); row s replicates ReduceSumRows
 /// over segment s bit-for-bit (per-column double accumulation over rows in
 /// ascending order, cast to float once). Empty segments yield a zero row.
@@ -103,43 +46,9 @@ Tensor SegmentSum(const Tensor& a, const SegmentSpec& seg);
 /// be non-empty.
 Tensor SegmentMean(const Tensor& a, const SegmentSpec& seg);
 
-/// Per-segment column max -> (S, n); the gradient flows to the first
-/// strict maximum of each column within the segment, exactly like
-/// ReduceMaxRows on the segment alone. All segments must be non-empty.
+/// Per-segment column max -> (S, n), bit-equal to ReduceMaxRows on the
+/// segment alone. All segments must be non-empty.
 Tensor SegmentMax(const Tensor& a, const SegmentSpec& seg);
-
-/// Column-wise softmax over the rows of each segment (same shape as `a`) —
-/// the segment-masked attention primitive: scores never leak across the
-/// segment boundary, replacing an explicit cross-graph mask. Bit-equal to
-/// Transpose(SoftmaxRows(Transpose(rows of s))) per segment. Empty
-/// segments contribute nothing.
-Tensor SegmentSoftmax(const Tensor& a, const SegmentSpec& seg);
-
-/// A(total,k) * B(k,n) where every row segment of A is an independent
-/// example and B is a shared parameter. The forward pass is one fused GEMM
-/// (bit-equal to per-segment MatMul because rows are independent and the
-/// blocked kernels match the naive ones bitwise); dA is row-local; dB is
-/// computed per segment — into sink cells when a SegmentGradSink is
-/// active, else accumulated into B's grad in ascending segment order.
-Tensor SegmentMatMulSharedB(const Tensor& a, const Tensor& b,
-                            const SegmentSpec& seg);
-
-/// Single-segment variant for per-graph subgraphs inside a batched tape:
-/// forward and dA are identical to MatMul(a, b); dB is routed to the
-/// active sink's (b, segment) cell.
-Tensor MatMulSharedB(const Tensor& a, const Tensor& b, int segment);
-
-/// AddRowBroadcast against a shared (1,n) bias with per-segment bias
-/// gradients (each cell accumulates its segment's rows in ascending row
-/// order, matching the per-example reference).
-Tensor SegmentAddRowBroadcast(const Tensor& a, const Tensor& row,
-                              const SegmentSpec& seg);
-
-/// Per-row negative log-likelihood: out (b,1) with out[i] =
-/// -logprobs[i, labels[i]]. Row i matches NllLoss on row i alone
-/// (batch size 1), so a batched loss column can reproduce per-example
-/// losses bit-for-bit.
-Tensor NllLossPerRow(const Tensor& logprobs, const std::vector<int>& labels);
 
 }  // namespace hap
 

@@ -2,7 +2,6 @@
 
 #include "common/check.h"
 #include "tensor/ops.h"
-#include "tensor/segment_ops.h"
 #include "train/train_loop.h"
 
 namespace hap {
@@ -39,24 +38,20 @@ Tensor GraphClassifier::Loss(const PreparedGraph& graph) const {
   return NllLoss(LogSoftmaxRows(Logits(graph)), {graph.label});
 }
 
-Tensor GraphClassifier::LogitsBatched(
-    const BatchedGraph& batch, const std::vector<uint64_t>& noise_seeds) const {
-  std::vector<Tensor> levels =
-      embedder_->EmbedLevelsBatched(batch, noise_seeds);
+Tensor GraphClassifier::LogitsBatched(const BatchedGraph& batch) const {
+  std::vector<Tensor> levels = embedder_->EmbedLevelsBatched(batch);
   Tensor joined = levels[0];
   for (size_t level = 1; level < levels.size(); ++level) {
     joined = ConcatCols(joined, levels[level]);
   }
-  // One segment per row: the heads' weight/bias gradients then accumulate
-  // example by example, mirroring the per-graph tapes (docs/BATCHING.md).
-  const SegmentSpec seg = SegmentSpec::RowPerSegment(batch.num_graphs());
-  return head2_.ForwardBatched(Relu(head1_.ForwardBatched(joined, seg)), seg);
+  // Row g is graph g's joined embedding; the heads are row-local.
+  return head2_.Forward(Relu(head1_.Forward(joined)));
 }
 
 std::vector<int> GraphClassifier::PredictBatched(
     const BatchedGraph& batch) const {
   NoGradGuard guard;
-  Tensor logits = LogitsBatched(batch, {});
+  Tensor logits = LogitsBatched(batch);
   std::vector<int> preds(batch.num_graphs(), 0);
   for (int g = 0; g < logits.rows(); ++g) {
     for (int c = 1; c < logits.cols(); ++c) {
@@ -64,14 +59,6 @@ std::vector<int> GraphClassifier::PredictBatched(
     }
   }
   return preds;
-}
-
-Tensor GraphClassifier::LossesBatched(
-    const BatchedGraph& batch, const std::vector<uint64_t>& noise_seeds) const {
-  HAP_CHECK_EQ(static_cast<int>(batch.labels.size()), batch.num_graphs());
-  for (int label : batch.labels) HAP_CHECK_GE(label, 0);
-  return NllLossPerRow(LogSoftmaxRows(LogitsBatched(batch, noise_seeds)),
-                       batch.labels);
 }
 
 void GraphClassifier::CollectParameters(std::vector<Tensor>* out) const {
@@ -123,24 +110,6 @@ ClassificationResult TrainClassifier(
   task.loss = [&](int worker, int item) {
     return models[worker]->Loss(data[item]);
   };
-  if (model->SupportsBatched()) {
-    task.slice_losses = [&](int worker, const std::vector<int>& items,
-                            const std::vector<uint64_t>& seeds) {
-      std::vector<Tensor> features;
-      std::vector<GraphLevel> levels;
-      std::vector<int> labels;
-      features.reserve(items.size());
-      levels.reserve(items.size());
-      labels.reserve(items.size());
-      for (int item : items) {
-        features.push_back(data[item].h);
-        levels.push_back(data[item].level);
-        labels.push_back(data[item].label);
-      }
-      return models[worker]->LossesBatched(
-          BatchGraphs(features, levels, labels), seeds);
-    };
-  }
   task.evaluate = [&] { return EvaluateClassifier(*model, data, split.val); };
   task.on_best = [&](int epoch, double val) {
     result.best_epoch = epoch;

@@ -44,12 +44,6 @@ struct TrainConfig {
   /// replica factory (see TrainClassifier / TrainMatcher /
   /// TrainSimilarity overloads).
   int num_threads = 0;
-  /// Run each worker's slice of the batch as ONE batched tape (segment
-  /// ops; docs/BATCHING.md) instead of one tape per example. Requires
-  /// num_threads >= 1 and a model whose SupportsBatched() is true
-  /// (otherwise the per-example path runs). Bit-identical trajectories to
-  /// the per-example path for the same seed and any num_threads.
-  bool batched_forward = false;
 };
 
 /// Graph classifier: any GraphEmbedder followed by the paper's two
@@ -77,19 +71,14 @@ class GraphClassifier : public Module {
   /// (docs/BATCHING.md); the batched entry points below require it.
   bool SupportsBatched() const { return embedder_->SupportsBatched(); }
 
-  /// Batched logits over N concatenated graphs: (N_graphs, num_classes),
-  /// row g bit-equal to Logits on graph g alone. `noise_seeds` as in
-  /// GraphEmbedder::EmbedLevelsBatched (empty in eval mode).
-  Tensor LogitsBatched(const BatchedGraph& batch,
-                       const std::vector<uint64_t>& noise_seeds) const;
+  /// Eval-only batched logits over N concatenated graphs: (N_graphs,
+  /// num_classes), row g bit-equal to Logits on graph g alone in fp32.
+  /// Same eval-mode and NoGradGuard contract as
+  /// GraphEmbedder::EmbedLevelsBatched.
+  Tensor LogitsBatched(const BatchedGraph& batch) const;
 
   /// Arg-max predictions for every graph in the batch (no autograd).
   std::vector<int> PredictBatched(const BatchedGraph& batch) const;
-
-  /// Per-example cross-entropy losses, (N_graphs, 1); row g bit-equal to
-  /// Loss on graph g alone. `batch.labels` must be populated.
-  Tensor LossesBatched(const BatchedGraph& batch,
-                       const std::vector<uint64_t>& noise_seeds) const;
 
   void CollectParameters(std::vector<Tensor>* out) const override;
   void set_training(bool training) { embedder_->set_training(training); }

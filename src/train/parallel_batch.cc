@@ -10,7 +10,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/ops.h"
-#include "tensor/segment_ops.h"
 
 namespace hap {
 
@@ -103,129 +102,50 @@ double ParallelBatchRunner::RunBatch(
     }
   });
 
-  ReduceItemGrads(&item_grads, item_worker);
-
-  double total = 0.0;
-  for (double item_loss : item_losses) total += item_loss;
-  return total;
-}
-
-double ParallelBatchRunner::RunBatchBatched(
-    const std::vector<int>& batch, uint64_t noise_seed_base, float loss_scale,
-    const std::function<Tensor(int worker, const std::vector<int>& items,
-                               const std::vector<uint64_t>& seeds)>&
-        slice_losses) {
-  if (batch.empty()) return 0.0;
-  HAP_TRACE_SCOPE("batch.run_batched");
-  static obs::Counter* batches = obs::GetCounter(obs::names::kTrainBatches);
-  static obs::Counter* examples = obs::GetCounter(obs::names::kTrainExamples);
-  batches->Increment();
-  examples->Add(batch.size());
   {
-    HAP_TRACE_SCOPE("batch.sync");
-    SyncReplicaWeights();
-  }
-
-  const int workers = num_workers();
-  const int64_t count = static_cast<int64_t>(batch.size());
-  std::vector<std::vector<std::vector<float>>> item_grads(batch.size());
-  std::vector<int> item_worker(batch.size(), 0);
-  std::vector<double> item_losses(batch.size(), 0.0);
-
-  // Same sharding as RunBatch, but each worker runs its slice as ONE
-  // batched tape. The SegmentGradSink keeps per-example parameter
-  // gradients in separate cells (segment = position within the slice), so
-  // the reduction below still adds them in batch order, bit-identical to
-  // the per-example path.
-  GlobalThreadPool().Run(workers, [&](int64_t w) {
-    const int64_t lo = count * w / workers;
-    const int64_t hi = count * (w + 1) / workers;
-    if (lo == hi) return;
-    const int worker = static_cast<int>(w);
-    const int slice = static_cast<int>(hi - lo);
-    ArenaScope arena_scope(worker_arenas_[worker]);
-    auto& params = replica_params_[worker];
-    std::vector<int> items(batch.begin() + lo, batch.begin() + hi);
-    std::vector<uint64_t> seeds(slice);
-    for (int64_t i = lo; i < hi; ++i) {
-      item_worker[i] = worker;
-      // Same per-position derivation as RunBatch, so the noise an example
-      // sees is independent of the execution strategy.
-      seeds[i - lo] =
-          Rng(noise_seed_base + static_cast<uint64_t>(i)).NextU64();
-    }
-    Tensor losses;
+    // Deterministic reduction: for every parameter, example contributions
+    // are added in batch order. Parallel over parameters — the
+    // per-parameter accumulation order is what fixes the floating-point
+    // result, and that stays example 0, 1, 2, ... regardless of which
+    // thread reduces it.
+    //
+    // Master grad buffers are ensured up front under worker 0's arena:
+    // when replica 0 aliases the master model (the common layout), the job
+    // above moved those buffers into item_grads, and drawing the
+    // replacements from the pool they will be released back to keeps the
+    // steady-state batch allocation-free.
+    HAP_TRACE_SCOPE("batch.reduce");
     {
-      SegmentGradSink sink(slice);
-      {
-        SegmentGradSinkScope sink_scope(&sink);
-        losses = slice_losses(worker, items, seeds);
-        HAP_CHECK(losses.defined() && losses.rows() == slice &&
-                  losses.cols() == 1)
-            << "slice_losses must return one (|items|, 1) loss column";
-        // Single backward per slice: ReduceSumAll hands every per-example
-        // loss row the grad 1 * loss_scale — exactly what the per-example
-        // MulScalar(loss, loss_scale).Backward() chain produces.
-        ReduceSumAll(MulScalar(losses, loss_scale)).Backward();
-      }
-      for (int64_t i = lo; i < hi; ++i) {
-        auto& grads = item_grads[i];
-        grads.resize(params.size());
-        for (size_t p = 0; p < params.size(); ++p) {
-          grads[p] = sink.Take(params[p], static_cast<int>(i - lo));
-        }
-      }
+      ArenaScope arena_scope(worker_arenas_[0]);
+      for (auto& param : master_params_) param.impl().EnsureGrad();
     }
-    for (int64_t i = lo; i < hi; ++i) {
-      item_losses[i] = losses.At(static_cast<int>(i - lo), 0);
-    }
-  });
+    ParallelFor(0, static_cast<int64_t>(master_params_.size()), 1,
+                [&](int64_t plo, int64_t phi) {
+                  for (int64_t p = plo; p < phi; ++p) {
+                    internal::TensorImpl& impl = master_params_[p].impl();
+                    for (int64_t i = 0; i < count; ++i) {
+                      const std::vector<float>& g = item_grads[i][p];
+                      if (g.empty()) continue;
+                      for (size_t x = 0; x < g.size(); ++x) {
+                        impl.grad[x] += g[x];
+                      }
+                    }
+                  }
+                });
 
-  ReduceItemGrads(&item_grads, item_worker);
+    // Return the harvested per-example buffers to the pools they came
+    // from.
+    for (int64_t i = 0; i < count; ++i) {
+      TensorArena& arena = *worker_arenas_[item_worker[i]];
+      for (std::vector<float>& g : item_grads[i]) {
+        if (!g.empty()) arena.Release(std::move(g));
+      }
+    }
+  }
 
   double total = 0.0;
   for (double item_loss : item_losses) total += item_loss;
   return total;
-}
-
-void ParallelBatchRunner::ReduceItemGrads(
-    std::vector<std::vector<std::vector<float>>>* item_grads,
-    const std::vector<int>& item_worker) {
-  // Deterministic reduction: for every parameter, example contributions are
-  // added in batch order. Parallel over parameters — the per-parameter
-  // accumulation order is what fixes the floating-point result, and that
-  // stays example 0, 1, 2, ... regardless of which thread reduces it.
-  //
-  // Master grad buffers are ensured up front under worker 0's arena: when
-  // replica 0 aliases the master model (the common layout), the job above
-  // moved those buffers into item_grads, and drawing the replacements
-  // from the pool they will be released back to keeps the steady-state
-  // batch allocation-free.
-  HAP_TRACE_SCOPE("batch.reduce");
-  const int64_t count = static_cast<int64_t>(item_grads->size());
-  {
-    ArenaScope arena_scope(worker_arenas_[0]);
-    for (auto& param : master_params_) param.impl().EnsureGrad();
-  }
-  ParallelFor(0, static_cast<int64_t>(master_params_.size()), 1,
-              [&](int64_t plo, int64_t phi) {
-                for (int64_t p = plo; p < phi; ++p) {
-                  internal::TensorImpl& impl = master_params_[p].impl();
-                  for (int64_t i = 0; i < count; ++i) {
-                    const std::vector<float>& g = (*item_grads)[i][p];
-                    if (g.empty()) continue;
-                    for (size_t x = 0; x < g.size(); ++x) impl.grad[x] += g[x];
-                  }
-                }
-              });
-
-  // Return the harvested per-example buffers to the pools they came from.
-  for (int64_t i = 0; i < count; ++i) {
-    TensorArena& arena = *worker_arenas_[item_worker[i]];
-    for (std::vector<float>& g : (*item_grads)[i]) {
-      if (!g.empty()) arena.Release(std::move(g));
-    }
-  }
 }
 
 }  // namespace hap

@@ -51,23 +51,6 @@ class ParallelBatchRunner {
                   const std::function<void(int worker, uint64_t seed)>& reseed,
                   const std::function<Tensor(int worker, int item)>& loss);
 
-  /// Batched-forward variant (docs/BATCHING.md): each worker runs its whole
-  /// contiguous slice as ONE batched tape instead of one tape per example.
-  /// `slice_losses(worker, items, seeds)` must return the slice's
-  /// per-example losses as a (|items|, 1) tensor whose row r is bit-equal
-  /// to the per-example loss of items[r]; seeds[r] is the value the
-  /// per-graph path would pass to ReseedNoise for that example. The runner
-  /// backprops sum(losses * loss_scale) once per slice under a
-  /// SegmentGradSink, harvests the per-example parameter gradients from the
-  /// sink cells, and reduces them into the master grads in batch order —
-  /// bit-identical to RunBatch for any worker count.
-  double RunBatchBatched(
-      const std::vector<int>& batch, uint64_t noise_seed_base,
-      float loss_scale,
-      const std::function<Tensor(int worker, const std::vector<int>& items,
-                                 const std::vector<uint64_t>& seeds)>&
-          slice_losses);
-
   /// Marks an optimizer-step boundary on every worker arena (metrics
   /// bookkeeping; pooled buffers are retained for the next batch).
   /// Trainers call this once per optimizer step.
@@ -75,11 +58,6 @@ class ParallelBatchRunner {
 
  private:
   void SyncReplicaWeights();
-  /// Shared tail of RunBatch / RunBatchBatched: adds the harvested
-  /// per-example grads into the master grads in batch order, then returns
-  /// the buffers to the arenas that produced them.
-  void ReduceItemGrads(std::vector<std::vector<std::vector<float>>>* item_grads,
-                       const std::vector<int>& item_worker);
 
   std::vector<Tensor> master_params_;
   std::vector<std::vector<Tensor>> replica_params_;

@@ -34,11 +34,6 @@ std::vector<double> RunTrainLoop(const TrainConfig& config, TrainTask task) {
     runner = std::make_unique<ParallelBatchRunner>(model.Parameters(),
                                                    std::move(replica_params));
   }
-  // Batched forward (docs/BATCHING.md): each worker's slice runs as one
-  // tape over the concatenated graphs. Tasks without a batched mirror
-  // keep the per-example path.
-  const bool batched = runner != nullptr && config.batched_forward &&
-                       task.slice_losses != nullptr;
   const auto reseed = [&task](int worker, uint64_t seed) {
     task.replicas[worker]->ReseedNoise(seed);
   };
@@ -95,10 +90,7 @@ std::vector<double> RunTrainLoop(const TrainConfig& config, TrainTask task) {
         } else {
           const std::vector<int> batch(items.begin() + start,
                                        items.begin() + stop);
-          epoch_loss +=
-              batched ? runner->RunBatchBatched(batch, noise_seeds.NextU64(),
-                                                loss_scale, task.slice_losses)
-                      : runner->RunBatch(batch, noise_seeds.NextU64(),
+          epoch_loss += runner->RunBatch(batch, noise_seeds.NextU64(),
                                          loss_scale, reseed, task.loss);
         }
         grad_norm_sum += optimizer.ClipGradNorm(config.clip_norm);

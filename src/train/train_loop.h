@@ -1,7 +1,6 @@
 #ifndef HAP_TRAIN_TRAIN_LOOP_H_
 #define HAP_TRAIN_TRAIN_LOOP_H_
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -39,12 +38,6 @@ struct TrainTask {
   int draws_per_epoch = 0;
   /// Loss of one item on replica `worker`, a (1, 1) tensor.
   std::function<Tensor(int worker, int item)> loss;
-  /// Optional batched-tape objective (ParallelBatchRunner::RunBatchBatched),
-  /// used instead of `loss` when TrainConfig::batched_forward is set and
-  /// num_threads >= 1.
-  std::function<Tensor(int worker, const std::vector<int>& items,
-                       const std::vector<uint64_t>& seeds)>
-      slice_losses;
   /// End-of-epoch score of replica 0 in eval mode; higher is better.
   std::function<double()> evaluate;
   /// Called at every epoch whose score beats all earlier ones.

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -13,215 +15,170 @@ namespace hap {
 namespace {
 
 // The batching contract (docs/BATCHING.md): running N distinct graphs as
-// one batched tape is bit-identical to running them one at a time — same
-// training trajectory for every thread count, same inference logits.
+// one batched eval-mode forward is bit-identical to running them one at a
+// time, for every architecture with a batched mirror and any thread count.
 
-HapConfig SmallModelConfig(EncoderKind encoder, int feature_dim) {
-  HapConfig config;
-  config.encoder = encoder;
-  config.feature_dim = feature_dim;
-  config.hidden_dim = 12;
-  config.encoder_layers = 1;
-  config.cluster_sizes = {4, 1};
-  return config;
-}
+constexpr int kHidden = 12;
 
-TrainConfig ShortTraining(int num_threads, bool batched) {
-  TrainConfig config;
-  config.epochs = 3;
-  config.patience = 0;
-  config.lr = 0.01f;
-  config.batch_size = 4;
-  config.seed = 9;
-  config.num_threads = num_threads;
-  config.batched_forward = batched;
-  return config;
-}
+using EmbedderFactory =
+    std::function<std::unique_ptr<GraphEmbedder>(int feature_dim, Rng* rng)>;
 
-ClassificationResult TrainSmallHap(EncoderKind encoder, int num_threads,
-                                   bool batched) {
-  Rng rng(21);
-  GraphDataset ds = MakeImdbBinaryLike(24, &rng);
-  auto data = PrepareDataset(ds);
-  Split split = SplitIndices(static_cast<int>(data.size()), &rng);
-  const HapConfig config =
-      SmallModelConfig(encoder, ds.feature_spec.FeatureDim());
-  Rng model_rng(77);
-  GraphClassifier model(MakeHapModel(config, &model_rng), ds.num_classes, 12,
-                        &model_rng);
-  EXPECT_TRUE(model.SupportsBatched());
-  auto factory = [&config, &ds]() {
-    Rng replica_rng(1);
-    return std::make_unique<GraphClassifier>(MakeHapModel(config, &replica_rng),
-                                             ds.num_classes, 12, &replica_rng);
+struct Architecture {
+  std::string name;
+  EmbedderFactory make;
+};
+
+EmbedderFactory Hap(EncoderKind encoder, CoarsenMode mode) {
+  return [encoder, mode](int feature_dim, Rng* rng) {
+    HapConfig config;
+    config.encoder = encoder;
+    config.feature_dim = feature_dim;
+    config.hidden_dim = kHidden;
+    config.encoder_layers = 1;
+    config.cluster_sizes = {4, 1};
+    std::unique_ptr<GraphEmbedder> embedder = MakeHapModel(config, rng);
+    // Top-k keeps 2 of the 4 first-level clusters per node.
+    embedder->set_coarsen_mode(mode, /*topk=*/2);
+    return embedder;
   };
-  return TrainClassifier(&model, data, split,
-                         ShortTraining(num_threads, batched), factory);
 }
 
-void ExpectSameTrajectory(const ClassificationResult& want,
-                          const ClassificationResult& got) {
-  ASSERT_EQ(want.epoch_losses.size(), got.epoch_losses.size());
-  ASSERT_FALSE(want.epoch_losses.empty());
-  for (size_t e = 0; e < want.epoch_losses.size(); ++e) {
-    EXPECT_EQ(want.epoch_losses[e], got.epoch_losses[e]) << "epoch " << e;
-  }
-  EXPECT_EQ(want.val_accuracy, got.val_accuracy);
-  EXPECT_EQ(want.test_accuracy, got.test_accuracy);
-  EXPECT_EQ(want.best_epoch, got.best_epoch);
-}
-
-TEST(BatchedParityTest, HapTrainingBitIdenticalAcrossModesAndThreads) {
-  // Per-example reference (the pre-batching semantics)...
-  ClassificationResult reference =
-      TrainSmallHap(EncoderKind::kGcn, /*num_threads=*/1, /*batched=*/false);
-  // ...must match the batched tape at 1, 2 and 4 threads.
-  for (int threads : {1, 2, 4}) {
-    ClassificationResult batched =
-        TrainSmallHap(EncoderKind::kGcn, threads, /*batched=*/true);
-    ExpectSameTrajectory(reference, batched);
-  }
-}
-
-TEST(BatchedParityTest, GatEncoderTrainingBitIdentical) {
-  ClassificationResult reference =
-      TrainSmallHap(EncoderKind::kGat, 1, /*batched=*/false);
-  ClassificationResult batched =
-      TrainSmallHap(EncoderKind::kGat, 2, /*batched=*/true);
-  ExpectSameTrajectory(reference, batched);
-}
-
-TEST(BatchedParityTest, GinEncoderTrainingBitIdentical) {
-  ClassificationResult reference =
-      TrainSmallHap(EncoderKind::kGin, 1, /*batched=*/false);
-  ClassificationResult batched =
-      TrainSmallHap(EncoderKind::kGin, 2, /*batched=*/true);
-  ExpectSameTrajectory(reference, batched);
-}
-
-// Flat architecture: GNN encoder + mean readout, batched through the
-// segment reductions rather than the coarsening mirror.
-ClassificationResult TrainSmallFlat(int num_threads, bool batched) {
-  Rng rng(33);
-  GraphDataset ds = MakeImdbBinaryLike(24, &rng);
-  auto data = PrepareDataset(ds);
-  Split split = SplitIndices(static_cast<int>(data.size()), &rng);
-  const int feature_dim = ds.feature_spec.FeatureDim();
-  auto make_model = [&](uint64_t seed) {
-    Rng model_rng(seed);
-    auto encoder = std::make_unique<GnnEncoder>(
-        EncoderKind::kGcn, std::vector<int>{feature_dim, 12}, &model_rng);
-    auto embedder = std::make_unique<FlatEmbedder>(
-        std::move(encoder), std::make_unique<MeanReadout>());
-    return std::make_unique<GraphClassifier>(std::move(embedder),
-                                             ds.num_classes, 12, &model_rng);
+template <typename ReadoutType>
+EmbedderFactory Flat(EncoderKind encoder) {
+  return [encoder](int feature_dim,
+                   Rng* rng) -> std::unique_ptr<GraphEmbedder> {
+    return std::make_unique<FlatEmbedder>(
+        std::make_unique<GnnEncoder>(
+            encoder, std::vector<int>{feature_dim, kHidden, kHidden}, rng),
+        std::make_unique<ReadoutType>());
   };
-  auto model = make_model(55);
-  EXPECT_TRUE(model->SupportsBatched());
-  auto factory = [&make_model]() { return make_model(1); };
-  return TrainClassifier(model.get(), data, split,
-                         ShortTraining(num_threads, batched), factory);
 }
 
-TEST(BatchedParityTest, FlatEmbedderTrainingBitIdentical) {
-  ClassificationResult reference = TrainSmallFlat(1, /*batched=*/false);
-  for (int threads : {1, 2, 4}) {
-    ExpectSameTrajectory(reference, TrainSmallFlat(threads, /*batched=*/true));
+// Every architecture with a batched mirror.
+std::vector<Architecture> BatchedArchitectures() {
+  std::vector<Architecture> out;
+  const std::pair<const char*, EncoderKind> encoders[] = {
+      {"GCN", EncoderKind::kGcn},
+      {"GAT", EncoderKind::kGat},
+      {"GIN", EncoderKind::kGin}};
+  for (const auto& [encoder_name, encoder] : encoders) {
+    for (CoarsenMode mode : {CoarsenMode::kDense, CoarsenMode::kTopkSparse}) {
+      out.push_back({std::string("HAP-") + encoder_name + "-" +
+                         CoarsenModeName(mode),
+                     Hap(encoder, mode)});
+    }
   }
+  out.push_back({"SumPool", Flat<SumReadout>(EncoderKind::kGin)});
+  out.push_back({"MeanPool", Flat<MeanReadout>(EncoderKind::kGcn)});
+  out.push_back({"MaxPool", Flat<MaxReadout>(EncoderKind::kGat)});
+  out.push_back({"GCN-concat", [](int feature_dim, Rng* rng) {
+                   return std::unique_ptr<GraphEmbedder>(
+                       std::make_unique<GcnConcatEmbedder>(
+                           feature_dim, kHidden, /*num_layers=*/2, rng));
+                 }});
+  return out;
 }
 
-TEST(BatchedParityTest, UnsupportedCoarsenerFallsBackToPerExample) {
-  // HAP-MeanPool's ReadoutCoarsener has no batched mirror; requesting
-  // batched_forward must silently run the per-example path with identical
-  // results (this is the documented fallback, not an error).
-  Rng rng(21);
-  GraphDataset ds = MakeImdbBinaryLike(16, &rng);
-  auto data = PrepareDataset(ds);
-  Split split = SplitIndices(static_cast<int>(data.size()), &rng);
-  const HapConfig config =
-      SmallModelConfig(EncoderKind::kGcn, ds.feature_spec.FeatureDim());
-  auto make_model = [&](uint64_t seed) {
-    Rng model_rng(seed);
-    return std::make_unique<GraphClassifier>(
-        MakeHapVariant(CoarsenerKind::kMeanPool, config, &model_rng),
-        ds.num_classes, 12, &model_rng);
-  };
-  auto reference_model = make_model(77);
-  auto batched_model = make_model(77);
-  EXPECT_FALSE(batched_model->SupportsBatched());
-  auto factory = [&make_model]() { return make_model(1); };
-  ClassificationResult reference = TrainClassifier(
-      reference_model.get(), data, split, ShortTraining(1, false), factory);
-  ClassificationResult batched = TrainClassifier(
-      batched_model.get(), data, split, ShortTraining(2, true), factory);
-  ExpectSameTrajectory(reference, batched);
+std::unique_ptr<GraphClassifier> MakeEvalClassifier(
+    const Architecture& arch, const GraphDataset& ds) {
+  Rng rng(13);
+  auto model = std::make_unique<GraphClassifier>(
+      arch.make(ds.feature_spec.FeatureDim(), &rng), ds.num_classes, kHidden,
+      &rng);
+  model->set_training(false);
+  return model;
+}
+
+// A batch of DISTINCT mixed-size graphs, per the serving contract.
+BatchedGraph BatchAll(const std::vector<PreparedGraph>& data) {
+  std::vector<Tensor> features;
+  std::vector<GraphLevel> levels;
+  for (const PreparedGraph& g : data) {
+    features.push_back(g.h);
+    levels.push_back(g.level);
+  }
+  return BatchGraphs(features, levels);
+}
+
+void ExpectBitEqual(const Tensor& want, const Tensor& got,
+                    const std::string& what) {
+  ASSERT_EQ(want.rows(), got.rows()) << what;
+  ASSERT_EQ(want.cols(), got.cols()) << what;
+  for (int r = 0; r < want.rows(); ++r) {
+    for (int c = 0; c < want.cols(); ++c) {
+      ASSERT_EQ(want.At(r, c), got.At(r, c)) << what << " row " << r;
+    }
+  }
 }
 
 TEST(BatchedParityTest, InferenceLogitsBitIdenticalToPerGraph) {
   Rng rng(91);
   GraphDataset ds = MakeImdbBinaryLike(10, &rng);
-  auto data = PrepareDataset(ds);
-  const HapConfig config =
-      SmallModelConfig(EncoderKind::kGcn, ds.feature_spec.FeatureDim());
-  Rng model_rng(13);
-  GraphClassifier model(MakeHapModel(config, &model_rng), ds.num_classes, 12,
-                        &model_rng);
-  model.set_training(false);
-
-  // A batch of DISTINCT mixed-size graphs, per the serving contract.
-  std::vector<Tensor> features;
-  std::vector<GraphLevel> levels;
-  for (const PreparedGraph& g : data) {
-    features.push_back(g.h);
-    levels.push_back(g.level);
-  }
-  BatchedGraph batch = BatchGraphs(features, levels);
+  const std::vector<PreparedGraph> data = PrepareDataset(ds);
+  const BatchedGraph batch = BatchAll(data);
   ASSERT_EQ(batch.num_graphs(), static_cast<int>(data.size()));
-
-  NoGradGuard guard;
-  Tensor batched_logits = model.LogitsBatched(batch, {});
-  std::vector<int> batched_preds = model.PredictBatched(batch);
-  for (size_t g = 0; g < data.size(); ++g) {
-    Tensor single = model.Logits(data[g]);
-    for (int c = 0; c < single.cols(); ++c) {
-      ASSERT_EQ(single.At(0, c), batched_logits.At(static_cast<int>(g), c))
-          << "graph " << g;
+  const int original = NumThreads();
+  for (const Architecture& arch : BatchedArchitectures()) {
+    auto model = MakeEvalClassifier(arch, ds);
+    ASSERT_TRUE(model->SupportsBatched()) << arch.name;
+    NoGradGuard guard;
+    for (int threads : {1, 4}) {
+      SetNumThreads(threads);
+      const std::string what =
+          arch.name + " at " + std::to_string(threads) + " threads";
+      Tensor batched_logits = model->LogitsBatched(batch);
+      std::vector<int> batched_preds = model->PredictBatched(batch);
+      ASSERT_EQ(batched_logits.rows(), batch.num_graphs()) << what;
+      for (size_t g = 0; g < data.size(); ++g) {
+        Tensor single = model->Logits(data[g]);
+        for (int c = 0; c < single.cols(); ++c) {
+          ASSERT_EQ(single.At(0, c), batched_logits.At(static_cast<int>(g), c))
+              << what << ", graph " << g;
+        }
+        EXPECT_EQ(model->Predict(data[g]), batched_preds[g])
+            << what << ", graph " << g;
+      }
     }
-    EXPECT_EQ(model.Predict(data[g]), batched_preds[g]) << "graph " << g;
   }
+  SetNumThreads(original);
 }
 
 TEST(BatchedParityTest, InferenceParityAcrossThreadCounts) {
   Rng rng(91);
   GraphDataset ds = MakeImdbBinaryLike(8, &rng);
-  auto data = PrepareDataset(ds);
-  const HapConfig config =
-      SmallModelConfig(EncoderKind::kGcn, ds.feature_spec.FeatureDim());
-  Rng model_rng(13);
-  GraphClassifier model(MakeHapModel(config, &model_rng), ds.num_classes, 12,
-                        &model_rng);
-  model.set_training(false);
-
-  std::vector<Tensor> features;
-  std::vector<GraphLevel> levels;
-  for (const PreparedGraph& g : data) {
-    features.push_back(g.h);
-    levels.push_back(g.level);
-  }
-  BatchedGraph batch = BatchGraphs(features, levels);
-
+  const BatchedGraph batch = BatchAll(PrepareDataset(ds));
   const int original = NumThreads();
-  NoGradGuard guard;
-  SetNumThreads(1);
-  Tensor serial = model.LogitsBatched(batch, {});
-  SetNumThreads(4);
-  Tensor parallel = model.LogitsBatched(batch, {});
-  SetNumThreads(original);
-  for (int g = 0; g < serial.rows(); ++g) {
-    for (int c = 0; c < serial.cols(); ++c) {
-      ASSERT_EQ(serial.At(g, c), parallel.At(g, c));
-    }
+  for (const Architecture& arch : BatchedArchitectures()) {
+    auto model = MakeEvalClassifier(arch, ds);
+    NoGradGuard guard;
+    SetNumThreads(1);
+    Tensor serial = model->LogitsBatched(batch);
+    SetNumThreads(4);
+    Tensor parallel = model->LogitsBatched(batch);
+    ExpectBitEqual(serial, parallel, arch.name);
   }
+  SetNumThreads(original);
+}
+
+TEST(BatchedParityDeathTest, BatchedForwardIsEvalOnly) {
+  Rng rng(91);
+  GraphDataset ds = MakeImdbBinaryLike(4, &rng);
+  const BatchedGraph batch = BatchAll(PrepareDataset(ds));
+  const int original = NumThreads();
+  SetNumThreads(1);
+  for (const Architecture& arch : BatchedArchitectures()) {
+    auto model = MakeEvalClassifier(arch, ds);
+    // Grad enabled on the parameters: the forward refuses to tape.
+    EXPECT_DEATH(model->LogitsBatched(batch), "without a backward function")
+        << arch.name;
+  }
+  // Training-mode coarsening would draw per-graph Gumbel noise; the
+  // batched coarsener refuses it.
+  auto hap = MakeEvalClassifier(BatchedArchitectures().front(), ds);
+  hap->set_training(true);
+  NoGradGuard guard;
+  EXPECT_DEATH(hap->LogitsBatched(batch), "eval mode only");
+  SetNumThreads(original);
 }
 
 }  // namespace

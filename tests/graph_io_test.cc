@@ -54,22 +54,40 @@ TEST(GraphIoTest, RejectsMalformedInput) {
     std::stringstream buffer("graph 2 0\nnode 9 1\n");
     EXPECT_FALSE(ReadGraph(&buffer).ok());
   }
-}
-
-TEST(GraphIoTest, RejectsNonPositiveEdgeWeightWithTypedError) {
-  // Graph takes only positive weights; the parser must refuse the rest
-  // instead of handing them to Graph::AddEdge.
-  for (const char* text : {"graph 3 0\nedge 0 1 0\n", "graph 3 0\nedge 0 1 -2.5\n",
-                           "graph 3 0\nedge 0 1 1\nedge 1 2 -0\n"}) {
+  // Only a following `graph` keyword ends a block: any other token is an
+  // error, never a silent end that drops the lines after it.
+  for (const char* text : {"graph 3 0\nedgee 1 2\nedge 0 1\n",
+                           "graph 3 0\nnode 0 1 junk\nedge 0 1\n",
+                           "graph 3 0\nedge 0 1\n7\n"}) {
     std::stringstream buffer(text);
     StatusOr<Graph> g = ReadGraph(&buffer);
     ASSERT_FALSE(g.ok()) << text;
     EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument) << text;
   }
-  std::stringstream positive("graph 3 0\nedge 0 1 0.25\n");
+}
+
+TEST(GraphIoTest, RejectsNonPositiveEdgeWeightWithTypedError) {
+  // Graph takes only positive weights, and a non-blank rest of an edge
+  // line must be exactly one float: non-positive, unparsable, out-of-range
+  // and half-parsed weights are refused, never handed to Graph::AddEdge,
+  // read as 1.0 or truncated.
+  for (const char* text : {"graph 3 0\nedge 0 1 0\n", "graph 3 0\nedge 0 1 -2.5\n",
+                           "graph 3 0\nedge 0 1 1\nedge 1 2 -0\n",
+                           "graph 3 0\nedge 0 1 abc\n",
+                           "graph 3 0\nedge 0 1 inf\n",
+                           "graph 3 0\nedge 0 1 1e39\n",
+                           "graph 3 0\nedge 0 1 3.5xyz\n",
+                           "graph 3 0\nedge 0 1 2 3\n"}) {
+    std::stringstream buffer(text);
+    StatusOr<Graph> g = ReadGraph(&buffer);
+    ASSERT_FALSE(g.ok()) << text;
+    EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+  std::stringstream positive("graph 3 0\nedge 0 1 0.25 \nedge 1 2 \n");
   StatusOr<Graph> g = ReadGraph(&positive);
-  ASSERT_TRUE(g.ok());
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
   EXPECT_FLOAT_EQ(g.value().EdgeWeight(0, 1), 0.25f);
+  EXPECT_FLOAT_EQ(g.value().EdgeWeight(1, 2), 1.0f);  // blank rest: default
 }
 
 TEST(GraphIoTest, DatasetRoundTrip) {

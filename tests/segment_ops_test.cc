@@ -12,298 +12,93 @@
 namespace hap {
 namespace {
 
-// Every test here checks the segment kernels against the per-graph loop
-// they replace, bit-for-bit: forward values, input gradients, and (for
-// shared parameters) the gradient accumulated across segments in ascending
-// order — the order the data-parallel reduction fixes (docs/BATCHING.md).
+// Every test here checks a segment kernel against the per-graph reduction
+// it replaces, bit-for-bit, segment by segment (docs/BATCHING.md).
 
-Tensor RandLeaf(int rows, int cols, uint64_t seed, bool requires_grad) {
+Tensor RandLeaf(int rows, int cols, uint64_t seed) {
   Rng rng(seed);
-  return Tensor::Randn(rows, cols, &rng, 1.0f, requires_grad);
+  return Tensor::Randn(rows, cols, &rng, 1.0f, /*requires_grad=*/false);
 }
 
-// Leaf copy of rows [lo, hi) of `src` (fresh tape, same bits).
-Tensor SliceLeaf(const Tensor& src, int lo, int hi, bool requires_grad) {
+// Fresh leaf holding rows [lo, hi) of `src` (same bits).
+Tensor SliceLeaf(const Tensor& src, int lo, int hi) {
   const int n = src.cols();
   std::vector<float> rows(src.data() + static_cast<size_t>(lo) * n,
                           src.data() + static_cast<size_t>(hi) * n);
-  return Tensor::FromVector(hi - lo, n, rows, requires_grad);
+  return Tensor::FromVector(hi - lo, n, rows);
 }
 
-void ExpectAllEqual(const std::vector<float>& want,
-                    const std::vector<float>& got, const char* what) {
-  ASSERT_EQ(want.size(), got.size()) << what;
-  for (size_t i = 0; i < want.size(); ++i) {
-    ASSERT_EQ(want[i], got[i]) << what << "[" << i << "]";
+// Row s of `batched` must equal `reference` applied to segment s alone.
+template <typename Reference>
+void ExpectMatchesPerSegment(const Tensor& x, const SegmentSpec& seg,
+                             const Tensor& batched, Reference reference) {
+  ASSERT_EQ(batched.rows(), seg.num_segments());
+  ASSERT_EQ(batched.cols(), x.cols());
+  for (int s = 0; s < seg.num_segments(); ++s) {
+    if (seg.size(s) == 0) {
+      for (int j = 0; j < x.cols(); ++j) ASSERT_EQ(batched.At(s, j), 0.0f);
+      continue;
+    }
+    const Tensor want = reference(SliceLeaf(x, seg.begin(s), seg.end(s)));
+    for (int j = 0; j < x.cols(); ++j) {
+      ASSERT_EQ(want.At(0, j), batched.At(s, j)) << "segment " << s;
+    }
   }
-}
-
-// Drives `y` through a fixed elementwise weighting so every output element
-// receives a distinct gradient, then backprops.
-void WeightedBackward(const Tensor& y, const Tensor& w) {
-  ReduceSumAll(Mul(y, w)).Backward();
 }
 
 TEST(SegmentOpsTest, SegmentSumMatchesPerSegmentReference) {
-  const std::vector<int> sizes = {3, 0, 1, 5, 2};  // empty + single-row
-  const SegmentSpec seg = SegmentSpec::FromSizes(sizes);
-  const int n = 7;
-  const int num_segments = seg.num_segments();
-  Tensor x = RandLeaf(seg.total_rows(), n, 101, /*requires_grad=*/true);
-  Tensor w = RandLeaf(num_segments, n, 102, /*requires_grad=*/false);
-
-  Tensor y = SegmentSum(x, seg);
-  WeightedBackward(y, w);
-
-  for (int s = 0; s < num_segments; ++s) {
-    if (seg.size(s) == 0) {
-      for (int j = 0; j < n; ++j) ASSERT_EQ(y.At(s, j), 0.0f);
-      continue;
-    }
-    Tensor x_s = SliceLeaf(x, seg.begin(s), seg.end(s), true);
-    Tensor w_s = SliceLeaf(w, s, s + 1, false);
-    Tensor y_s = ReduceSumRows(x_s);
-    WeightedBackward(y_s, w_s);
-    for (int j = 0; j < n; ++j) ASSERT_EQ(y_s.At(0, j), y.At(s, j));
-    for (int i = 0; i < seg.size(s); ++i) {
-      for (int j = 0; j < n; ++j) {
-        ASSERT_EQ(x_s.grad()[static_cast<size_t>(i) * n + j],
-                  x.grad()[static_cast<size_t>(seg.begin(s) + i) * n + j])
-            << "segment " << s;
-      }
-    }
-  }
+  const SegmentSpec seg = SegmentSpec::FromSizes({3, 0, 1, 5, 2});
+  Tensor x = RandLeaf(seg.total_rows(), 7, 101);
+  ExpectMatchesPerSegment(x, seg, SegmentSum(x, seg),
+                          [](const Tensor& t) { return ReduceSumRows(t); });
 }
 
 TEST(SegmentOpsTest, SegmentMeanMatchesPerSegmentReference) {
   const SegmentSpec seg = SegmentSpec::FromSizes({4, 1, 3});
-  const int n = 5;
-  Tensor x = RandLeaf(seg.total_rows(), n, 201, true);
-  Tensor w = RandLeaf(seg.num_segments(), n, 202, false);
-
-  Tensor y = SegmentMean(x, seg);
-  WeightedBackward(y, w);
-
-  for (int s = 0; s < seg.num_segments(); ++s) {
-    Tensor x_s = SliceLeaf(x, seg.begin(s), seg.end(s), true);
-    Tensor w_s = SliceLeaf(w, s, s + 1, false);
-    Tensor y_s = ReduceMeanRows(x_s);
-    WeightedBackward(y_s, w_s);
-    for (int j = 0; j < n; ++j) ASSERT_EQ(y_s.At(0, j), y.At(s, j));
-    for (size_t i = 0; i < x_s.grad().size(); ++i) {
-      ASSERT_EQ(x_s.grad()[i],
-                x.grad()[static_cast<size_t>(seg.begin(s)) * n + i])
-          << "segment " << s;
-    }
-  }
+  Tensor x = RandLeaf(seg.total_rows(), 5, 201);
+  ExpectMatchesPerSegment(x, seg, SegmentMean(x, seg),
+                          [](const Tensor& t) { return ReduceMeanRows(t); });
 }
 
 TEST(SegmentOpsTest, SegmentMaxMatchesPerSegmentReference) {
   const SegmentSpec seg = SegmentSpec::FromSizes({2, 6, 1});
   const int n = 4;
-  Tensor x = RandLeaf(seg.total_rows(), n, 301, true);
-  // Duplicate a row inside segment 1 to exercise first-strict tie-breaking.
+  Tensor x = RandLeaf(seg.total_rows(), n, 301);
+  // Duplicate a row inside segment 1 to exercise tie handling.
   for (int j = 0; j < n; ++j) {
     x.mutable_data()[static_cast<size_t>(4) * n + j] = x.At(3, j);
   }
-  Tensor w = RandLeaf(seg.num_segments(), n, 302, false);
-
-  Tensor y = SegmentMax(x, seg);
-  WeightedBackward(y, w);
-
-  for (int s = 0; s < seg.num_segments(); ++s) {
-    Tensor x_s = SliceLeaf(x, seg.begin(s), seg.end(s), true);
-    Tensor w_s = SliceLeaf(w, s, s + 1, false);
-    Tensor y_s = ReduceMaxRows(x_s);
-    WeightedBackward(y_s, w_s);
-    for (int j = 0; j < n; ++j) ASSERT_EQ(y_s.At(0, j), y.At(s, j));
-    for (size_t i = 0; i < x_s.grad().size(); ++i) {
-      ASSERT_EQ(x_s.grad()[i],
-                x.grad()[static_cast<size_t>(seg.begin(s)) * n + i])
-          << "segment " << s;
-    }
-  }
+  ExpectMatchesPerSegment(x, seg, SegmentMax(x, seg),
+                          [](const Tensor& t) { return ReduceMaxRows(t); });
 }
 
-TEST(SegmentOpsTest, SegmentSoftmaxMatchesTransposedSoftmaxRows) {
-  const std::vector<int> sizes = {3, 0, 1, 6};  // empty + single-row
-  const SegmentSpec seg = SegmentSpec::FromSizes(sizes);
-  const int n = 5;
-  Tensor x = RandLeaf(seg.total_rows(), n, 401, true);
-  Tensor w = RandLeaf(seg.total_rows(), n, 402, false);
-
-  Tensor y = SegmentSoftmax(x, seg);
-  WeightedBackward(y, w);
-
-  for (int s = 0; s < seg.num_segments(); ++s) {
-    if (seg.size(s) == 0) continue;
-    Tensor x_s = SliceLeaf(x, seg.begin(s), seg.end(s), true);
-    Tensor w_s = SliceLeaf(w, seg.begin(s), seg.end(s), false);
-    // The segment-masked attention reference: softmax down each column of
-    // the segment = SoftmaxRows of the transposed block.
-    Tensor y_s = Transpose(SoftmaxRows(Transpose(x_s)));
-    WeightedBackward(y_s, w_s);
-    for (int i = 0; i < seg.size(s); ++i) {
-      for (int j = 0; j < n; ++j) {
-        ASSERT_EQ(y_s.At(i, j), y.At(seg.begin(s) + i, j)) << "segment " << s;
-      }
-    }
-    ExpectAllEqual(x_s.grad(),
-                   std::vector<float>(
-                       x.grad().begin() + static_cast<size_t>(seg.begin(s)) * n,
-                       x.grad().begin() + static_cast<size_t>(seg.end(s)) * n),
-                   "softmax dX");
-  }
+TEST(SegmentOpsTest, FromSizesAndValidate) {
+  const SegmentSpec seg = SegmentSpec::FromSizes({2, 0, 3});
+  EXPECT_EQ(seg.offsets, (std::vector<int>{0, 2, 2, 5}));
+  EXPECT_EQ(seg.num_segments(), 3);
+  EXPECT_EQ(seg.total_rows(), 5);
+  EXPECT_EQ(seg.size(1), 0);
+  EXPECT_EQ(seg.begin(2), 2);
+  seg.Validate(5);
 }
 
-TEST(SegmentOpsTest, SegmentMatMulSharedBMatchesPerSegmentAccumulation) {
-  const std::vector<int> sizes = {5, 0, 1, 26, 8};  // crosses the blocked
-  const SegmentSpec seg = SegmentSpec::FromSizes(sizes);  // GEMM threshold
-  const int k = 16, n = 16;
-  Tensor x = RandLeaf(seg.total_rows(), k, 501, true);
-  Tensor b = RandLeaf(k, n, 502, true);
-  Tensor b_ref = Tensor::FromVector(
-      k, n, std::vector<float>(b.data(), b.data() + b.size()), true);
-  Tensor w = RandLeaf(seg.total_rows(), n, 503, false);
-
-  Tensor y = SegmentMatMulSharedB(x, b, seg);
-  WeightedBackward(y, w);
-
-  // Reference: one isolated tape per segment, ascending, all writing into
-  // the SAME b_ref leaf — the per-example accumulation order the
-  // data-parallel reduction uses.
-  for (int s = 0; s < seg.num_segments(); ++s) {
-    if (seg.size(s) == 0) continue;
-    Tensor x_s = SliceLeaf(x, seg.begin(s), seg.end(s), true);
-    Tensor w_s = SliceLeaf(w, seg.begin(s), seg.end(s), false);
-    Tensor y_s = MatMul(x_s, b_ref);
-    WeightedBackward(y_s, w_s);
-    for (int i = 0; i < seg.size(s); ++i) {
-      for (int j = 0; j < n; ++j) {
-        ASSERT_EQ(y_s.At(i, j), y.At(seg.begin(s) + i, j)) << "segment " << s;
-      }
-    }
-    ExpectAllEqual(x_s.grad(),
-                   std::vector<float>(
-                       x.grad().begin() + static_cast<size_t>(seg.begin(s)) * k,
-                       x.grad().begin() + static_cast<size_t>(seg.end(s)) * k),
-                   "matmul dA");
-  }
-  ExpectAllEqual(b_ref.grad(), b.grad(), "matmul dB");
+TEST(SegmentOpsDeathTest, RefusesTapedInputs) {
+  // Forward-only kernels: an input that would put the result on a tape
+  // is refused, not silently detached.
+  const SegmentSpec seg = SegmentSpec::FromSizes({2, 1});
+  Rng rng(401);
+  Tensor x = Tensor::Randn(3, 2, &rng, 1.0f, /*requires_grad=*/true);
+  EXPECT_DEATH(SegmentSum(x, seg), "without a backward function");
+  EXPECT_DEATH(SegmentMean(x, seg), "without a backward function");
+  EXPECT_DEATH(SegmentMax(x, seg), "without a backward function");
+  // Under NoGradGuard the same input runs untaped.
+  NoGradGuard guard;
+  EXPECT_FALSE(SegmentSum(x, seg).requires_grad());
 }
 
-TEST(SegmentOpsTest, SinkRoutesSharedGradsToPerSegmentCells) {
-  const SegmentSpec seg = SegmentSpec::FromSizes({3, 4, 2});
-  const int k = 6, n = 5;
-  Tensor x = RandLeaf(seg.total_rows(), k, 601, true);
-  Tensor b = RandLeaf(k, n, 602, true);
-  Tensor w = RandLeaf(seg.total_rows(), n, 603, false);
-
-  SegmentGradSink sink(seg.num_segments());
-  {
-    SegmentGradSinkScope scope(&sink);
-    Tensor y = SegmentMatMulSharedB(x, b, seg);
-    WeightedBackward(y, w);
-  }
-  // With a sink installed, b's own grad must stay untouched (all zeros).
-  for (float g : b.grad()) ASSERT_EQ(g, 0.0f);
-
-  for (int s = 0; s < seg.num_segments(); ++s) {
-    Tensor x_s = SliceLeaf(x, seg.begin(s), seg.end(s), true);
-    Tensor w_s = SliceLeaf(w, seg.begin(s), seg.end(s), false);
-    Tensor b_s = Tensor::FromVector(
-        k, n, std::vector<float>(b.data(), b.data() + b.size()), true);
-    WeightedBackward(MatMul(x_s, b_s), w_s);
-    ExpectAllEqual(b_s.grad(), sink.Take(b, s), "sink cell");
-  }
-}
-
-TEST(SegmentOpsTest, MatMulSharedBTargetsTheNamedSegment) {
-  const int m = 4, k = 3, n = 2;
-  Tensor a = RandLeaf(m, k, 701, true);
-  Tensor b = RandLeaf(k, n, 702, true);
-  Tensor w = RandLeaf(m, n, 703, false);
-
-  SegmentGradSink sink(3);
-  {
-    SegmentGradSinkScope scope(&sink);
-    WeightedBackward(MatMulSharedB(a, b, 1), w);
-  }
-  ASSERT_TRUE(sink.Take(b, 0).empty());
-  ASSERT_TRUE(sink.Take(b, 2).empty());
-  Tensor b_ref = Tensor::FromVector(
-      k, n, std::vector<float>(b.data(), b.data() + b.size()), true);
-  Tensor a_ref = SliceLeaf(a, 0, m, true);
-  WeightedBackward(MatMul(a_ref, b_ref), w);
-  ExpectAllEqual(b_ref.grad(), sink.Take(b, 1), "named segment cell");
-}
-
-TEST(SegmentOpsTest, SegmentAddRowBroadcastMatchesPerSegmentAccumulation) {
-  const std::vector<int> sizes = {2, 0, 5, 1};
-  const SegmentSpec seg = SegmentSpec::FromSizes(sizes);
-  const int n = 6;
-  Tensor x = RandLeaf(seg.total_rows(), n, 801, true);
-  Tensor bias = RandLeaf(1, n, 802, true);
-  Tensor bias_ref = Tensor::FromVector(
-      1, n, std::vector<float>(bias.data(), bias.data() + bias.size()), true);
-  Tensor w = RandLeaf(seg.total_rows(), n, 803, false);
-
-  Tensor y = SegmentAddRowBroadcast(x, bias, seg);
-  WeightedBackward(y, w);
-
-  for (int s = 0; s < seg.num_segments(); ++s) {
-    if (seg.size(s) == 0) continue;
-    Tensor x_s = SliceLeaf(x, seg.begin(s), seg.end(s), true);
-    Tensor w_s = SliceLeaf(w, seg.begin(s), seg.end(s), false);
-    Tensor y_s = AddRowBroadcast(x_s, bias_ref);
-    WeightedBackward(y_s, w_s);
-    for (int i = 0; i < seg.size(s); ++i) {
-      for (int j = 0; j < n; ++j) {
-        ASSERT_EQ(y_s.At(i, j), y.At(seg.begin(s) + i, j)) << "segment " << s;
-      }
-    }
-    ExpectAllEqual(x_s.grad(),
-                   std::vector<float>(
-                       x.grad().begin() + static_cast<size_t>(seg.begin(s)) * n,
-                       x.grad().begin() + static_cast<size_t>(seg.end(s)) * n),
-                   "broadcast dX");
-  }
-  ExpectAllEqual(bias_ref.grad(), bias.grad(), "broadcast dBias");
-}
-
-TEST(SegmentOpsTest, NllLossPerRowMatchesPerExampleNllLoss) {
-  const int rows = 6, classes = 4;
-  Tensor logits = RandLeaf(rows, classes, 901, true);
-  std::vector<int> labels = {0, 3, 1, 1, 2, 0};
-  Tensor w = RandLeaf(rows, 1, 902, false);
-
-  Tensor logprobs = LogSoftmaxRows(logits);
-  Tensor losses = NllLossPerRow(logprobs, labels);
-  WeightedBackward(losses, w);
-
-  for (int i = 0; i < rows; ++i) {
-    Tensor logits_i = SliceLeaf(logits, i, i + 1, true);
-    Tensor w_i = SliceLeaf(w, i, i + 1, false);
-    Tensor loss_i = NllLoss(LogSoftmaxRows(logits_i), {labels[i]});
-    WeightedBackward(loss_i, w_i);
-    ASSERT_EQ(loss_i.Item(), losses.At(i, 0)) << "row " << i;
-    for (int c = 0; c < classes; ++c) {
-      ASSERT_EQ(logits_i.grad()[c],
-                logits.grad()[static_cast<size_t>(i) * classes + c])
-          << "row " << i;
-    }
-  }
-}
-
-TEST(SegmentOpsTest, RowPerSegmentAndValidate) {
-  const SegmentSpec seg = SegmentSpec::RowPerSegment(4);
-  EXPECT_EQ(seg.num_segments(), 4);
-  EXPECT_EQ(seg.total_rows(), 4);
-  for (int s = 0; s < 4; ++s) {
-    EXPECT_EQ(seg.begin(s), s);
-    EXPECT_EQ(seg.size(s), 1);
-  }
-  seg.Validate(4);
+TEST(SegmentOpsDeathTest, ValidateRejectsMismatchedRows) {
+  const SegmentSpec seg = SegmentSpec::FromSizes({2, 3});
+  EXPECT_DEATH(seg.Validate(4), "do not cover");
 }
 
 }  // namespace

@@ -47,11 +47,12 @@ struct ServeFixture {
   std::shared_ptr<const ServedModel> model;
   std::vector<int> direct;  // model's own single-graph predictions
 
-  explicit ServeFixture(int lanes = 4, uint64_t weight_seed = 21) {
+  explicit ServeFixture(int lanes = 4, uint64_t weight_seed = 21,
+                        const std::string& method = "HAP") {
     Rng rng(3);
     dataset = MakeMutagLike(24, &rng);
     prepared = PrepareDataset(dataset);
-    config.method = "HAP";
+    config.method = method;
     config.feature_dim = dataset.feature_spec.FeatureDim();
     config.hidden = 8;
     config.num_classes = dataset.num_classes;
@@ -98,10 +99,8 @@ TEST(ServeEngineTest, PredictionsMatchDirectForwardAtAnyThreadCount) {
 }
 
 // The engine runs each batch at the precision its model was loaded at;
-// nothing on EngineConfig selects it. batch_distinct is off so the
-// per-graph GEMMs run: at hidden 32 on PROTEINS-sized graphs they are
-// int8-eligible, while the fused segment GEMMs of the batched path
-// ignore the precision scope.
+// nothing on EngineConfig selects it. Every batch takes the batched path,
+// whose GEMMs at hidden 32 on PROTEINS-sized graphs are int8-eligible.
 TEST(ServeEngineTest, RunsAtTheLoadedModelsPrecision) {
   Rng rng(5);
   GraphDataset dataset = MakeProteinsLike(8, &rng);
@@ -121,9 +120,7 @@ TEST(ServeEngineTest, RunsAtTheLoadedModelsPrecision) {
     if (precision == Precision::kInt8) loaded.calibration_graphs = prepared;
     std::shared_ptr<const ServedModel> model =
         ServedModel::Load(loaded, checkpoint).value();
-    EngineConfig engine_config;
-    engine_config.batch_distinct = false;
-    InferenceEngine engine(model, engine_config);
+    InferenceEngine engine(model, EngineConfig{});
     const uint64_t before =
         obs::CounterValue(obs::names::kMatMulDispatchInt8);
     for (const PreparedGraph& g : prepared) {
@@ -204,30 +201,53 @@ TEST(ServeEngineTest, CoalescesDuplicateGraphsWithinBatch) {
 
 TEST(ServeEngineTest, BatchedDistinctGraphsMatchPerGraphForwards) {
   // The serving half of the batching contract (docs/BATCHING.md): a
-  // micro-batch of DISTINCT graphs run as segment-batched lane chunks
-  // must predict exactly what per-graph forwards predict.
+  // micro-batch of DISTINCT graphs run as batched lane chunks must
+  // predict exactly what per-graph forwards predict.
   ServeFixture fx(/*lanes=*/2);
-  ASSERT_TRUE(fx.model->SupportsBatchedInference());
   const uint64_t batched_before =
       obs::CounterValue(obs::names::kServeBatchedForwards);
-  for (bool batch_distinct : {true, false}) {
+  EngineConfig config;
+  config.max_batch = 16;
+  InferenceEngine engine(fx.model, config);
+  std::vector<std::future<int>> futures;
+  for (const PreparedGraph& g : fx.prepared) {
+    StatusOr<std::future<int>> result = engine.Submit(g);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    futures.push_back(std::move(result.value()));
+  }
+  for (size_t i = 0; i < futures.size(); ++i) {
+    EXPECT_EQ(futures[i].get(), fx.direct[i]) << "graph " << i;
+  }
+  EXPECT_GT(obs::CounterValue(obs::names::kServeBatchedForwards),
+            batched_before);
+}
+
+TEST(ServeEngineTest, ArchitecturesWithoutBatchedMirrorServePerGraph) {
+  // MeanAttPool's attention readout and SAGPool's coarsener have no
+  // batched mirror: PredictBatched runs each lane chunk graph by graph,
+  // and no batched forward is counted.
+  for (const char* method : {"MeanAttPool", "SAGPool"}) {
+    ServeFixture fx(/*lanes=*/2, /*weight_seed=*/21, method);
+    const uint64_t batched_before =
+        obs::CounterValue(obs::names::kServeBatchedForwards);
     EngineConfig config;
-    config.batch_distinct = batch_distinct;
     config.max_batch = 16;
     InferenceEngine engine(fx.model, config);
     std::vector<std::future<int>> futures;
     for (const PreparedGraph& g : fx.prepared) {
       StatusOr<std::future<int>> result = engine.Submit(g);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      ASSERT_TRUE(result.ok()) << method << ": " << result.status().ToString();
       futures.push_back(std::move(result.value()));
     }
     for (size_t i = 0; i < futures.size(); ++i) {
       EXPECT_EQ(futures[i].get(), fx.direct[i])
-          << "graph " << i << " batch_distinct=" << batch_distinct;
+          << method << ", graph " << i;
     }
+    engine.Shutdown();
+    EXPECT_EQ(obs::CounterValue(obs::names::kServeBatchedForwards),
+              batched_before)
+        << method;
   }
-  EXPECT_GT(obs::CounterValue(obs::names::kServeBatchedForwards),
-            batched_before);
 }
 
 TEST(ServedModelTest, PredictBatchedMatchesPredict) {

@@ -220,6 +220,36 @@ TEST(ServerTest, BinaryHostileGraphFieldsGetTypedErrors) {
   CloseFd(fd);
 }
 
+TEST(ServerTest, BinaryGraphWithTrailingJunkGetsTypedError) {
+  // Everything in the payload must belong to its one graph block: a
+  // misspelled keyword, junk after a line, or a second block is refused
+  // instead of answering for the part that parsed.
+  ServerFixture fx;
+  const int fd = fx.Connect();
+  const char* const junk[] = {
+      "graph 3 0\nedge 0 1\nedgee 1 2\n",
+      "graph 3 0\nnode 0 1 junk\nedge 0 1\n",
+      "graph 3 0\nedge 0 1 3.5xyz\n",
+      "graph 3 0\nedge 0 1\ngraph 2 0\nedge 0 1\n",
+  };
+  uint64_t ticket = 40;
+  std::string payload;
+  for (const char* text : junk) {
+    ASSERT_TRUE(SendPredict(fd, ticket, 0, text).ok());
+    StatusOr<WireHeader> header = RecvFrame(fd, &payload);
+    ASSERT_TRUE(header.ok()) << text;
+    EXPECT_EQ(header.value().type, FrameType::kError) << text;
+    EXPECT_EQ(header.value().status, StatusCode::kInvalidArgument) << text;
+    EXPECT_EQ(header.value().ticket, ticket) << text;
+    ++ticket;
+  }
+  ASSERT_TRUE(SendPredict(fd, ticket, 0, fx.GraphText(0)).ok());
+  StatusOr<WireHeader> header = RecvFrame(fd, &payload);
+  ASSERT_TRUE(header.ok());
+  EXPECT_EQ(header.value().type, FrameType::kPredictOk);
+  CloseFd(fd);
+}
+
 TEST(ServerTest, HttpHostileGraphFieldsGetTypedErrors) {
   ServerFixture fx;
   const int fd = fx.Connect();

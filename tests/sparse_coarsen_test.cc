@@ -582,7 +582,7 @@ TEST(CoarsenModeTest, BatchedTopkBitEqualToPerGraph) {
   const BatchedGraph batch = BatchGraphs(features, levels);
   NoGradGuard no_grad;
   const BatchedCoarsenResult batched =
-      module.ForwardBatched(batch.h, batch.level, nullptr);
+      module.ForwardBatched(batch.h, batch.level);
   const int clusters = config.num_clusters;
   for (size_t g = 0; g < levels.size(); ++g) {
     const CoarsenResult single = module.Forward(features[g], levels[g]);
