@@ -401,13 +401,21 @@ batching_pass
 # and the committed sparse-coarsening bench JSON must exist and clear
 # its gates: >= 5x hierarchical-forward speedup at 10k nodes, a
 # completed 100k sparse-only forward, and >= 99% prediction agreement
-# with dense mode from a non-constant classifier.
+# with dense mode from a non-constant classifier. The untaped in-place
+# GCont/MOA path must stay memcmp-equal to the taped ops under every
+# override at 1 and 4 threads (its CᵀC sum is row-ordered; a
+# row-parallel accumulation would show at 4).
 sparse_coarsen_pass() {
   echo "=== build: sparse coarsening parity + bench gate ==="
   for kernel in naive blocked auto; do
     HAP_MATMUL_KERNEL=$kernel ./build/tests/sparse_coarsen_test > /dev/null
+    for threads in 1 4; do
+      HAP_MATMUL_KERNEL=$kernel HAP_NUM_THREADS=$threads \
+        ./build/tests/coarsening_test > /dev/null
+    done
   done
   echo "sparse coarsening parity holds under naive/blocked/auto dispatch"
+  echo "untaped GCont/MOA memcmp-equal to the taped ops at 1 and 4 threads"
   python3 - <<'EOF'
 import json
 doc = json.load(open("BENCH_sparse_coarsening.json"))

@@ -1,13 +1,16 @@
 #include "core/coarsening.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "core/gumbel.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "tensor/matmul_kernels.h"
 #include "tensor/ops.h"
 #include "tensor/quant.h"
 #include "tensor/sparse.h"
@@ -31,6 +34,96 @@ CoarseningModule::CoarseningModule(const CoarseningConfig& config, Rng* rng)
   }
 }
 
+namespace {
+
+// Untaped NormalizeGCont in place: two double-accumulated reductions and
+// one scale pass. Bit-identical to the composed ops below: the same sums
+// in the same order, a float rounding wherever they round, the same
+// HAP_CHECK on a NaN variance, and the broadcasts through MatMul, which
+// skips a zero multiplicand and so turns a -0 mean into +0.
+void StandardizeInPlace(Tensor* c) {
+  const int64_t size = c->size();
+  HAP_CHECK_GT(size, 0);
+  float* x = c->mutable_data();
+  const float inv_size = 1.0f / static_cast<float>(size);
+  double sum = 0.0;
+  for (int64_t i = 0; i < size; ++i) sum += x[i];
+  float mean = static_cast<float>(sum) * inv_size;
+  if (mean == 0.0f) mean = 0.0f;
+  double squares = 0.0;
+  for (int64_t i = 0; i < size; ++i) {
+    const float d = x[i] - mean;
+    const float d2 = d * d;
+    squares += d2;
+  }
+  const float variance = static_cast<float>(squares) * inv_size + 1e-6f;
+  HAP_CHECK_GE(variance, 0.0f);
+  const float stddev = std::sqrt(variance);
+  for (int64_t i = 0; i < size; ++i) x[i] = (x[i] - mean) / stddev;
+}
+
+// The one ascending-row pass of untaped MOA over C (N×N′): the row scores
+// r = C·a₁, the column-score sums s (Cᵀ(C·a₂), or for the paper-literal
+// relaxation the truncated Cᵀa₂; the caller scales) and, when `gram` is
+// non-null, G = CᵀC. Every sum adds the terms of the MatMul it replaces in
+// that product's order: rows ascending, terms whose left-hand C entry is
+// zero skipped (tensor/matmul_kernels.h).
+void ScanGContRows(const float* c, int n, int k, const float* a1,
+                   const float* a2, bool literal, float* r, float* s,
+                   float* gram) {
+  const int literal_rows = std::min(n, k);
+  for (int i = 0; i < n; ++i) {
+    const float* row = c + static_cast<size_t>(i) * k;
+    float row_score = 0.0f, projected = 0.0f;
+    for (int p = 0; p < k; ++p) {
+      const float v = row[p];
+      if (v == 0.0f) continue;
+      row_score += v * a1[p];
+      projected += v * a2[p];
+    }
+    r[i] = row_score;
+    if (!literal || i < literal_rows) {
+      const float w = literal ? a2[i] : projected;
+      for (int p = 0; p < k; ++p) {
+        if (row[p] != 0.0f) s[p] += row[p] * w;
+      }
+    }
+    if (gram != nullptr) kernels::AddRowGram(row, k, gram);
+  }
+}
+
+// Turns each row of `m` (N×N′) in place into its MOA attention (Eq. 14-15):
+//   m_ij ← softmax_j(LeakyReLU(logit(r_i + s_j, m_ij))),
+// with the element operations, roundings and order of the composed
+// OuterSum, Add, LeakyRelu and SoftmaxRows.
+template <typename Logit>
+Tensor AttentionRows(Tensor m, const float* r, const float* s, float slope,
+                     Logit logit) {
+  const int k = m.cols();
+  float* out = m.mutable_data();
+  ParallelFor(0, m.rows(), (1 << 15) / k + 1, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      float* row = out + i * k;
+      for (int j = 0; j < k; ++j) {
+        const float z = logit(r[i] + s[j], row[j]);
+        row[j] = z >= 0.0f ? z : slope * z;
+      }
+      float mx = row[0];
+      for (int j = 1; j < k; ++j) mx = std::max(mx, row[j]);
+      double sum = 0.0;
+      for (int j = 0; j < k; ++j) {
+        row[j] = std::exp(row[j] - mx);
+        sum += row[j];
+      }
+      const float inv = static_cast<float>(1.0 / sum);
+      for (int j = 0; j < k; ++j) row[j] *= inv;
+    }
+  });
+  return m;
+}
+
+}  // namespace
+
 Tensor CoarseningModule::ComputeGCont(const Tensor& h) const {
   HAP_CHECK(config_.use_gcont);
   HAP_CHECK_EQ(h.cols(), config_.in_features);
@@ -39,6 +132,10 @@ Tensor CoarseningModule::ComputeGCont(const Tensor& h) const {
 
 Tensor CoarseningModule::NormalizeGCont(Tensor c) const {
   if (!config_.normalize_gcont) return c;
+  if (!GradEnabled()) {
+    StandardizeInPlace(&c);
+    return c;
+  }
   // Differentiable whole-matrix standardisation; see the config comment.
   const int n = c.rows(), k = c.cols();
   Tensor mean = ReduceMeanAll(c);  // (1,1)
@@ -52,7 +149,53 @@ Tensor CoarseningModule::NormalizeGCont(Tensor c) const {
   return Div(centered, stddev_full);
 }
 
+Tensor CoarseningModule::UntapedAttention(const Tensor& c_or_h) const {
+  const int n = c_or_h.rows(), k = config_.num_clusters;
+  const float slope = config_.leaky_slope;
+  Tensor r, s;
+  if (config_.use_gcont) {
+    HAP_CHECK_EQ(c_or_h.cols(), k);
+    r = Tensor(n, 1);
+    s = Tensor(k, 1);
+    Tensor gram = config_.bilinear_moa ? Tensor(k, k) : Tensor();
+    ScanGContRows(c_or_h.data(), n, k, attn_row_.data(), attn_col_.data(),
+                  config_.paper_literal_relaxation, r.mutable_data(),
+                  s.mutable_data(),
+                  gram.defined() ? gram.mutable_data() : nullptr);
+    const float inv_n = 1.0f / static_cast<float>(n);
+    if (!config_.paper_literal_relaxation) {
+      for (int j = 0; j < k; ++j) s.mutable_data()[j] *= inv_n;
+    }
+    if (gram.defined()) {
+      return AttentionRows(MatMul(c_or_h, gram), r.data(), s.data(), slope,
+                           [inv_n](float base, float e) {
+                             return base + e * inv_n;
+                           });
+    }
+  } else {
+    HAP_CHECK_EQ(c_or_h.cols(), config_.in_features);
+    r = MatMul(c_or_h, attn_row_);
+    s = MatMul(cluster_seeds_, attn_col_);
+    if (config_.bilinear_moa) {
+      return AttentionRows(MatMul(c_or_h, Transpose(cluster_seeds_)),
+                           r.data(), s.data(), slope,
+                           [](float base, float e) { return base + e; });
+    }
+  }
+  return AttentionRows(Tensor(n, k), r.data(), s.data(), slope,
+                       [](float base, float) { return base; });
+}
+
 Tensor CoarseningModule::ComputeAttention(const Tensor& c_or_h) const {
+  // Untaped calls (evaluation, serving, batched inference) run in place.
+  // Calibration forwards keep the composed ops, whose MatMuls record the
+  // activation ranges int8 serving needs, and reduced-precision bilinear
+  // MOA keeps its fused GEMM below.
+  if (!GradEnabled() && CalibrationObserver::Current() == nullptr &&
+      !(config_.use_gcont && config_.bilinear_moa &&
+        PrecisionScope::Current() != Precision::kFp32)) {
+    return UntapedAttention(c_or_h);
+  }
   const int n = c_or_h.rows();
   Tensor logits;
   if (config_.use_gcont) {
@@ -81,8 +224,10 @@ Tensor CoarseningModule::ComputeAttention(const Tensor& c_or_h) const {
       // fused GEMM:  s₁_i + s₂_j + (C CᵀC/N)_{ij} = (C·W)_{ij} + s₂_j
       // with W = a₁𝟙ᵀ + CᵀC/N (since (C·a₁𝟙ᵀ)_{ij} = s₁_i), so the
       // dominant N·N'² product runs quantized with the bias+LeakyReLU
-      // epilogue fused into its dequant pass. fp32 keeps the composed
-      // ops below bit-for-bit — this path never changes fp32 results.
+      // epilogue fused into its dequant pass. Only reduced-precision
+      // scopes reach this branch: untaped fp32 calls run in place
+      // (UntapedAttention), taped ones the composed ops below, and both
+      // give the same fp32 bits.
       Tensor w = Add(
           MulScalar(MatMul(Transpose(c), c), 1.0f / static_cast<float>(n)),
           MatMul(attn_row_, Tensor::Ones(1, config_.num_clusters)));
@@ -157,16 +302,16 @@ CoarseningModule::CoarsenProducts CoarseningModule::ComputeProducts(
   if (csr != nullptr) {
     out.sparse = true;
     mode_topk->Increment();
-    const int64_t rows = m.rows(), cols = m.cols();
-    const int64_t kept =
-        rows * std::min<int64_t>(config_.topk, cols);
-    topk_kept->Add(static_cast<uint64_t>(kept));
-    topk_dropped->Add(static_cast<uint64_t>(rows * cols - kept));
     // One select-and-renormalise pass emits Mₖ as CSR; Eq. 17 and Eq. 18
     // then run on it directly, with no dense N×N' intermediate. Both
     // products are fp32 under every precision scope, and bit-identical to
     // the dense products over the masked Mₖ (docs/SPARSE.md).
     const SparseAssignment m_k = TopKAssignment(m, config_.topk);
+    // Counts what Mₖ stores: kept entries that are exactly 0 are dropped.
+    const int64_t kept = m_k.nnz();
+    topk_kept->Add(static_cast<uint64_t>(kept));
+    topk_dropped->Add(static_cast<uint64_t>(
+        static_cast<int64_t>(m.rows()) * m.cols() - kept));
     out.h = AssignmentTransposeMatMul(m_k, h);
     if (config_.normalize_cluster_mass) {
       out.h = DivideByClusterMass(out.h, AssignmentColumnSums(m_k));

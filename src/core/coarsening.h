@@ -72,18 +72,23 @@ struct CoarseningConfig {
 /// HAP's graph coarsening module: GCont + MOA + cluster formation + soft
 /// sampling (Algorithm 1).
 ///
-/// Pipeline for an (N, F) level:
-///   C = H T                      GCont, (N, N')            [Eq. 13]
-///   M_ij = LeakyReLU(aᵀ[C_i,: ‖ C_:,j])  MOA logits        [Eq. 14]
+/// Pipeline for an (N, F) level, with the default configuration:
+///   C = standardise(H T)         GCont, (N, N')            [Eq. 13]
+///   ĉ_j = CᵀC_{:,j} / N          column operand, ∈ ℝ^{N'}
+///   M_ij = LeakyReLU(a₁·C_i,: + a₂·ĉ_j + C_i,:·ĉ_j)  MOA   [Eq. 14]
 ///   M = row-softmax(M)                                     [Eq. 15]
 ///   H' = Mᵀ H,  A' = Mᵀ A M                                [Eq. 17-18]
 ///   Ã' = GumbelSoftSample(A')                              [Eq. 19]
 ///
-/// The attention parameter a ∈ ℝ^{2N'} is stored split as a₁, a₂ ∈ ℝ^{N'};
-/// the column operand C_:,j ∈ ℝᴺ is relaxed to its first N' entries
-/// (zero-padded when N < N'), which Claim 3 shows leaves the logits
-/// unchanged. Both "paddings" are realised by the truncated inner product
-/// in ComputeAttention().
+/// The attention parameter a ∈ ℝ^{2N'} is stored split as a₁, a₂ ∈ ℝ^{N'}.
+/// The column C_:,j ∈ ℝᴺ is compared through its content in the cluster
+/// basis, ĉ_j, which keeps Claim 2's permutation invariance; the
+/// bilinear term C_i,:·ĉ_j makes the attention node-dependent
+/// (bilinear_moa). paper_literal_relaxation instead truncates C_:,j to its
+/// first N' entries (zero-padded when N < N'), Claim 3's relaxation, and
+/// standardisation is normalize_gcont. Untaped calls compute C and M in
+/// place, memcmp-equal to the composed ops the taped calls record
+/// (docs/PERFORMANCE.md).
 class CoarseningModule : public Coarsener {
  public:
   CoarseningModule(const CoarseningConfig& config, Rng* rng);
@@ -156,8 +161,15 @@ class CoarseningModule : public Coarsener {
                                   const GraphLevel& level) const;
 
   /// Applies config().normalize_gcont to a GCont matrix C (identity when
-  /// the option is off).
+  /// the option is off). Untaped calls standardise `c` in place, so the
+  /// caller must hand over its only handle.
   Tensor NormalizeGCont(Tensor c) const;
+
+  /// ComputeAttention() for untaped calls: one ascending-row pass over C
+  /// for the row and column scores and CᵀC, the one remaining GEMM into
+  /// M's buffer, and LeakyReLU plus softmax in place, memcmp-equal to the
+  /// composed ops.
+  Tensor UntapedAttention(const Tensor& c_or_h) const;
 
   /// Cluster formation and soft sampling for assignment `m` (Eq. 17-19).
   CoarsenResult FormClusters(const Tensor& m, const Tensor& h,

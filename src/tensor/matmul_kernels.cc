@@ -210,6 +210,23 @@ __attribute__((target("avx2"))) void GradARowsAvx2(
   }
 }
 
+__attribute__((target("avx2"))) void AddRowGramAvx2(const float* row,
+                                                    int64_t k, float* gram) {
+  const int64_t k8 = k - k % 8;
+  for (int64_t p = 0; p < k; ++p) {
+    const float v = row[p];
+    if (v == 0.0f) continue;
+    float* gp = gram + p * k;
+    const __m256 vv = _mm256_set1_ps(v);
+    int64_t q = 0;
+    for (; q < k8; q += 8) {
+      const __m256 prod = _mm256_mul_ps(vv, _mm256_loadu_ps(row + q));
+      _mm256_storeu_ps(gp + q, _mm256_add_ps(_mm256_loadu_ps(gp + q), prod));
+    }
+    for (; q < k; ++q) gp[q] += v * row[q];
+  }
+}
+
 // dB is the one kernel where the g == 0 skip sits on the vector lanes, so
 // the branch becomes a compare-and-mask: lanes with g == 0 contribute a
 // +0.0f add, which is bit-identical to skipping because the accumulator
@@ -748,6 +765,21 @@ void BlockedForwardRows(const float* a, const float* packed_b, const float* b,
       float* orow = out + i * n;
       for (int64_t j = n16; j < n; ++j) orow[j] += av * brow[j];
     }
+  }
+}
+
+void AddRowGram(const float* row, int64_t k, float* gram) {
+#if HAP_KERNELS_X86
+  if (CpuHasAvx2()) {
+    AddRowGramAvx2(row, k, gram);
+    return;
+  }
+#endif
+  for (int64_t p = 0; p < k; ++p) {
+    const float v = row[p];
+    if (v == 0.0f) continue;
+    float* gp = gram + p * k;
+    for (int64_t q = 0; q < k; ++q) gp[q] += v * row[q];
   }
 }
 

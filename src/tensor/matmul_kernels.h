@@ -93,6 +93,13 @@ void BlockedForwardRows(const float* a, const float* packed_b, const float* b,
                         float* out, int64_t k, int64_t n, int64_t i0,
                         int64_t i1);
 
+// --- Gram step: gram(k,k) += rowᵀ·row for one row of C(·,k) ---
+// Called for C's rows in ascending order, this is the forward of
+// MatMul(Cᵀ, C) without materialising Cᵀ: per element (p,q) it adds the
+// same terms c[i,p]·c[i,q] in the same order (rows ascending, rows with
+// c[i,p] == 0 skipped), so the sum is bit-identical to that product.
+void AddRowGram(const float* row, int64_t k, float* gram);
+
 // --- dA(m,k) += G(m,n)·Bᵀ, output rows [i0, i1) ---
 void NaiveGradARows(const float* g, const float* b, float* ga, int64_t k,
                     int64_t n, int64_t i0, int64_t i1);

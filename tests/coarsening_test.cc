@@ -2,11 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
+#include "graph/graph_level.h"
 #include "tensor/ops.h"
+#include "tensor/quant.h"
+#include "tensor/sparse.h"
 
 namespace hap {
 namespace {
@@ -244,6 +251,150 @@ TEST(ComplexityTest, AttentionCostQuadraticInNodes) {
     EXPECT_EQ(m.rows(), n);
     EXPECT_EQ(m.cols(), 4);
   }
+}
+
+bool BitEqual(const Tensor& a, const Tensor& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+// A matrix with exact zeros where the MatMul kernels skip terms: rows
+// 1, 4, 7, ... all zero (alternating +0 and -0) and a scattered -0.
+Tensor WithZeros(int rows, int cols, Rng* rng) {
+  std::vector<float> v = Tensor::Randn(rows, cols, rng).values();
+  for (int i = 0; i < rows; ++i) {
+    for (int j = 0; j < cols; ++j) {
+      float& x = v[static_cast<size_t>(i) * cols + j];
+      if (i % 3 == 1) x = j % 2 == 0 ? 0.0f : -0.0f;
+      if ((i + j) % 5 == 0) x = -0.0f;
+    }
+  }
+  return Tensor::FromVector(rows, cols, std::move(v));
+}
+
+// Bit-equal element by element, except that a NaN only has to meet a
+// NaN: NaN payloads are outside the kernels' bit contract
+// (tensor/matmul_kernels.h).
+bool SameBitsOrBothNan(const Tensor& a, const Tensor& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  for (int64_t i = 0; i < a.size(); ++i) {
+    const float x = a.data()[i], y = b.data()[i];
+    if (std::isnan(x) || std::isnan(y)) {
+      if (std::isnan(x) != std::isnan(y)) return false;
+    } else if (std::memcmp(&x, &y, sizeof(float)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Untaped GCont and MOA run in place; every result must be memcmp-equal
+// to the taped composed ops, for each way r, s and the interaction term
+// are formed. With finite operands a skipped zero term is invisible (the
+// sums start at +0), so one input also puts an infinity into a row of
+// zeros, where a zero left-hand term not skipped would add 0·inf = NaN.
+TEST(UntapedCoarseningTest, MemcmpEqualToTapedOps) {
+  constexpr int kFeatures = 6;
+  for (const char* variant : {"default", "bilinear_off", "paper_literal",
+                              "gcont_off", "normalize_off"}) {
+    for (int n : {1, 3, 40, 500}) {
+      for (int clusters : {1, 8, 32}) {
+        SCOPED_TRACE(std::string(variant) + " N=" + std::to_string(n) +
+                     " N'=" + std::to_string(clusters));
+        CoarseningConfig config = Config(kFeatures, clusters);
+        const std::string v = variant;
+        config.bilinear_moa = v != "bilinear_off";
+        config.paper_literal_relaxation = v == "paper_literal";
+        config.use_gcont = v != "gcont_off";
+        config.normalize_gcont = v != "normalize_off";
+        Rng rng(n * 97 + clusters);
+        CoarseningModule module(config, &rng);
+        module.set_training(false);
+        const Tensor h = WithZeros(n, kFeatures, &rng);
+        const int width = config.use_gcont ? clusters : kFeatures;
+        const Tensor raw = WithZeros(n, width, &rng);
+        std::vector<float> inf_values = raw.values();
+        inf_values[static_cast<size_t>(std::min(1, n - 1)) * width +
+                   width - 1] = std::numeric_limits<float>::infinity();
+        const Tensor with_inf =
+            Tensor::FromVector(n, width, std::move(inf_values));
+        const CsrMatrix csr =
+            SparseErdosRenyiCsr(n, std::min(0.5, 6.0 / n), &rng);
+
+        Tensor inf_attention[2];
+        auto run = [&](bool taped) {
+          std::vector<Tensor> out;
+          auto forward = [&](const GraphLevel& level) {
+            const CoarsenResult r = module.Forward(h, level);
+            out.push_back(r.h);
+            out.push_back(r.adjacency);
+            out.push_back(module.last_attention());
+          };
+          auto body = [&] {
+            const Tensor c = config.use_gcont ? module.ComputeGCont(h) : h;
+            if (config.use_gcont) out.push_back(c);
+            out.push_back(module.ComputeAttention(c));
+            out.push_back(module.ComputeAttention(raw));
+            inf_attention[taped] = module.ComputeAttention(with_inf);
+            module.set_coarsen_mode(CoarsenMode::kDense);
+            forward(GraphLevel(csr.ToDense()));
+            module.set_coarsen_mode(CoarsenMode::kTopkSparse, 4);
+            forward(GraphLevel(csr));
+          };
+          if (taped) {
+            body();
+            EXPECT_TRUE(out[0].requires_grad());
+          } else {
+            NoGradGuard no_grad;
+            body();
+            EXPECT_FALSE(out[0].requires_grad());
+          }
+          return out;
+        };
+        const std::vector<Tensor> taped = run(true);
+        const std::vector<Tensor> untaped = run(false);
+        ASSERT_EQ(taped.size(), untaped.size());
+        for (size_t i = 0; i < taped.size(); ++i) {
+          EXPECT_TRUE(BitEqual(taped[i], untaped[i])) << "result " << i;
+        }
+        EXPECT_TRUE(SameBitsOrBothNan(inf_attention[1], inf_attention[0]));
+      }
+    }
+  }
+}
+
+// Calibration forwards keep the composed ops, whose MatMuls record the
+// activation range of every weight site (T, a₁, a₂) that int8 serving
+// stores with the checkpoint.
+TEST(UntapedCoarseningTest, CalibrationForwardRecordsEveryMatMulSite) {
+  Rng rng(23);
+  CoarseningModule module(Config(6, 4), &rng);
+  const Tensor h = Tensor::Randn(10, 6, &rng);
+  NoGradGuard no_grad;
+  CalibrationObserver observer;
+  module.ComputeAttention(module.ComputeGCont(h));
+  std::vector<Tensor> params;
+  module.CollectParameters(&params);
+  EXPECT_EQ(observer.Entries(params).size(), 3u);
+}
+
+// A non-finite feature makes the GCont variance NaN; the taped Sqrt and
+// the in-place standardisation fail the same check.
+TEST(UntapedCoarseningDeathTest, NonFiniteFeaturesFailTheVarianceCheck) {
+  Rng rng(21);
+  CoarseningModule module(Config(4, 3), &rng);
+  std::vector<float> v = Tensor::Randn(5, 4, &rng).values();
+  v[6] = std::numeric_limits<float>::infinity();
+  const Tensor h = Tensor::FromVector(5, 4, std::move(v));
+  const char* message = "HAP_CHECK failed.*>= \\(0.0f\\) \\(-?nan vs 0\\)";
+  EXPECT_DEATH(module.ComputeGCont(h), message);
+  EXPECT_DEATH(
+      {
+        NoGradGuard no_grad;
+        module.ComputeGCont(h);
+      },
+      message);
 }
 
 }  // namespace

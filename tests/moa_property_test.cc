@@ -1,9 +1,10 @@
 // Property sweeps (TEST_P) over the MOA attention and coarsening module:
 // Eq. 15 row-normalisation, Claim 2 permutation invariance, gradient
 // correctness of the full coarsening pipeline, and behaviour across a grid
-// of (N, N') shapes including N < N'.
+// of (N, N') shapes including N < N', taped and untaped.
 
 #include <cmath>
+#include <optional>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -16,11 +17,15 @@
 namespace hap {
 namespace {
 
+// (N, N', paper-literal relaxation, taped). Untaped calls run the in-place
+// GCont and MOA path.
 class MoaShapeSweep
-    : public ::testing::TestWithParam<std::tuple<int, int, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<int, int, bool, bool>> {};
 
 TEST_P(MoaShapeSweep, RowsNormalisedAndPositive) {
-  const auto [n, clusters, literal] = GetParam();
+  const auto [n, clusters, literal, taped] = GetParam();
+  std::optional<NoGradGuard> no_grad;
+  if (!taped) no_grad.emplace();
   Rng rng(n * 31 + clusters);
   CoarseningConfig config;
   config.in_features = 5;
@@ -42,7 +47,9 @@ TEST_P(MoaShapeSweep, RowsNormalisedAndPositive) {
 }
 
 TEST_P(MoaShapeSweep, CoarsenedShapesMatch) {
-  const auto [n, clusters, literal] = GetParam();
+  const auto [n, clusters, literal, taped] = GetParam();
+  std::optional<NoGradGuard> no_grad;
+  if (!taped) no_grad.emplace();
   Rng rng(n * 17 + clusters);
   CoarseningConfig config;
   config.in_features = 5;
@@ -66,11 +73,12 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, MoaShapeSweep,
     ::testing::Combine(::testing::Values(2, 3, 6, 12, 25),
                        ::testing::Values(1, 3, 8),
-                       ::testing::Bool()),
+                       ::testing::Bool(), ::testing::Bool()),
     [](const auto& info) {
       return "N" + std::to_string(std::get<0>(info.param)) + "_K" +
              std::to_string(std::get<1>(info.param)) +
-             (std::get<2>(info.param) ? "_literal" : "_invariant");
+             (std::get<2>(info.param) ? "_literal" : "_invariant") +
+             (std::get<3>(info.param) ? "_taped" : "_untaped");
     });
 
 class InvarianceSweep : public ::testing::TestWithParam<int> {};

@@ -638,6 +638,34 @@ TEST(CoarsenModeTest, TopkBudgetAtLeastClustersMatchesDenseToTolerance) {
   }
 }
 
+TEST(CoarsenModeTest, TopkCountersCountStoredEntries) {
+  // With normalize_gcont off and large features the softmax underflows to
+  // exact zeros among each row's k largest entries. Mₖ does not store
+  // them, and the counters report what it stores.
+  CoarseningConfig config = SmallConfig();
+  config.num_clusters = 8;
+  config.normalize_gcont = false;
+  Rng rng(24);
+  CoarseningModule module(config, &rng);
+  module.set_training(false);
+  module.set_coarsen_mode(CoarsenMode::kTopkSparse, 4);
+  Rng data_rng(25);
+  const int n = 60;
+  GraphLevel level(SparseErdosRenyiCsr(n, 0.1, &data_rng));
+  const Tensor h = MulScalar(Tensor::Randn(n, 6, &data_rng), 1000.0f);
+  obs::Counter* kept = obs::GetCounter(obs::names::kCoarsenTopkKept);
+  obs::Counter* dropped = obs::GetCounter(obs::names::kCoarsenTopkDropped);
+  const uint64_t kept_before = kept->Value();
+  const uint64_t dropped_before = dropped->Value();
+  NoGradGuard no_grad;
+  module.Forward(h, level);
+  const int64_t stored = TopKAssignment(module.last_attention(), 4).nnz();
+  ASSERT_LT(stored, n * 4) << "no kept entry underflowed to zero";
+  EXPECT_EQ(kept->Value() - kept_before, static_cast<uint64_t>(stored));
+  EXPECT_EQ(dropped->Value() - dropped_before,
+            static_cast<uint64_t>(n * 8 - stored));
+}
+
 TEST(CoarsenModeTest, AutoDispatchesSparseOnSparseNativeLevel) {
   obs::Counter* topk_mode = obs::GetCounter(obs::names::kCoarsenModeTopk);
   const uint64_t before = topk_mode->Value();
