@@ -41,7 +41,7 @@
 #include <vector>
 
 #include "common/flags.h"
-#include "graph/generators.h"
+#include "graph/datasets.h"
 #include "graph/io.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -67,18 +67,6 @@ T FlagValueOrDie(const StatusOr<T>& result) {
     std::exit(2);
   }
   return result.value();
-}
-
-GraphDataset MakeDatasetByName(const std::string& name, int graphs,
-                               Rng* rng) {
-  if (name == "imdb-b") return MakeImdbBinaryLike(graphs, rng);
-  if (name == "imdb-m") return MakeImdbMultiLike(graphs, rng);
-  if (name == "collab") return MakeCollabLike(graphs, rng);
-  if (name == "mutag") return MakeMutagLike(graphs, rng);
-  if (name == "proteins") return MakeProteinsLike(graphs, rng);
-  if (name == "ptc") return MakePtcLike(graphs, rng);
-  std::fprintf(stderr, "unknown dataset '%s'\n%s", name.c_str(), kUsage);
-  std::exit(2);
 }
 
 std::vector<Graph> ReadGraphsFromStream(std::istream* stream) {
@@ -123,7 +111,8 @@ int main(int argc, char** argv) {
   // --input the graphs are replaced but the spec (and thus the model
   // architecture) still comes from --dataset.
   Rng rng(seed);
-  GraphDataset dataset = MakeDatasetByName(dataset_name, pool_graphs, &rng);
+  GraphDataset dataset =
+      FlagValueOrDie(MakeDatasetByName(dataset_name, pool_graphs, &rng));
   if (input == "-") {
     dataset.graphs = ReadGraphsFromStream(&std::cin);
   } else if (!input.empty()) {

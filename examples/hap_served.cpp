@@ -40,7 +40,7 @@
 #include <thread>
 
 #include "common/flags.h"
-#include "graph/generators.h"
+#include "graph/datasets.h"
 #include "obs/metrics.h"
 #include "serve/engine.h"
 #include "serve/registry.h"
@@ -71,18 +71,6 @@ T FlagValueOrDie(const StatusOr<T>& result) {
   return result.value();
 }
 
-GraphDataset MakeDatasetByName(const std::string& name, int graphs,
-                               Rng* rng) {
-  if (name == "imdb-b") return MakeImdbBinaryLike(graphs, rng);
-  if (name == "imdb-m") return MakeImdbMultiLike(graphs, rng);
-  if (name == "collab") return MakeCollabLike(graphs, rng);
-  if (name == "mutag") return MakeMutagLike(graphs, rng);
-  if (name == "proteins") return MakeProteinsLike(graphs, rng);
-  if (name == "ptc") return MakePtcLike(graphs, rng);
-  std::fprintf(stderr, "unknown dataset '%s'\n%s", name.c_str(), kUsage);
-  std::exit(2);
-}
-
 std::atomic<bool> g_stop{false};
 
 void HandleSignal(int) { g_stop.store(true, std::memory_order_relaxed); }
@@ -107,8 +95,9 @@ int main(int argc, char** argv) {
   // The dataset generator only supplies the feature spec and class
   // count the architecture was trained with; no graphs are generated.
   Rng rng(7);
+  const std::string dataset_name = flags.GetString("dataset", "mutag");
   GraphDataset dataset =
-      MakeDatasetByName(flags.GetString("dataset", "mutag"), 1, &rng);
+      FlagValueOrDie(MakeDatasetByName(dataset_name, 1, &rng));
 
   serve::ServedModelConfig model_config;
   model_config.method = flags.GetString("method", "HAP");
@@ -164,7 +153,7 @@ int main(int argc, char** argv) {
     // The checkpoint may carry its own scales (v2); otherwise calibrate
     // on a generated sample from the architecture's dataset family.
     GraphDataset sample =
-        MakeDatasetByName(flags.GetString("dataset", "mutag"), 8, &rng);
+        FlagValueOrDie(MakeDatasetByName(dataset_name, 8, &rng));
     model_config.calibration_graphs = PrepareDataset(sample);
   }
 

@@ -24,6 +24,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "common/flags.h"
 #include "common/json.h"
@@ -70,18 +71,6 @@ Flags ParseFlagsOrDie(int argc, char** argv, int first,
   return FlagValueOrDie(flags);
 }
 
-GraphDataset MakeDatasetByName(const std::string& name, int graphs,
-                               Rng* rng) {
-  if (name == "imdb-b") return MakeImdbBinaryLike(graphs, rng);
-  if (name == "imdb-m") return MakeImdbMultiLike(graphs, rng);
-  if (name == "collab") return MakeCollabLike(graphs, rng);
-  if (name == "mutag") return MakeMutagLike(graphs, rng);
-  if (name == "proteins") return MakeProteinsLike(graphs, rng);
-  if (name == "ptc") return MakePtcLike(graphs, rng);
-  std::fprintf(stderr, "unknown dataset '%s'\n", name.c_str());
-  std::exit(2);
-}
-
 int RunClassify(int argc, char** argv) {
   Flags flags = ParseFlagsOrDie(
       argc, argv, 2,
@@ -108,7 +97,12 @@ int RunClassify(int argc, char** argv) {
   const int topk = FlagValueOrDie(flags.GetInt("topk", 0, 1));
 
   Rng rng(seed);
-  GraphDataset dataset = MakeDatasetByName(dataset_name, graphs, &rng);
+  StatusOr<GraphDataset> made = MakeDatasetByName(dataset_name, graphs, &rng);
+  if (!made.ok()) {
+    std::fprintf(stderr, "%s\n", made.status().message().c_str());
+    return 2;
+  }
+  GraphDataset dataset = std::move(made).value();
   std::printf("%s\n", DatasetStatistics({dataset}).c_str());
   const std::string save_path = flags.GetString("save-dataset", "");
   if (!save_path.empty()) {

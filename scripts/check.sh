@@ -62,10 +62,11 @@ obs_pass
 # --- Serving pass (docs/SERVING.md) -------------------------------------
 # Train a tiny checkpoint, replay it through the serving stack at two
 # thread-pool widths (predictions must be identical — serving is
-# deterministic), and validate the serve-throughput bench JSON including
-# its own bit-identity gate against direct forwards. The serving
-# concurrency tests (hot-swap under load) also run in the sanitized ctest
-# pass below.
+# deterministic), and run the serve-throughput bench, which exits non-zero
+# unless served predictions are bit-identical to direct forwards and int8
+# parity holds; its JSON is then checked for what the bench does not gate
+# itself. The serving concurrency tests (hot-swap under load) also run in
+# the sanitized ctest pass below.
 serve_pass() {
   echo "=== build: serving smoke ==="
   rm -f build/serve_ckpt.bin build/serve_preds_t1.txt \
@@ -86,14 +87,11 @@ serve_pass() {
   python3 - <<'EOF'
 import json
 doc = json.load(open("build/BENCH_serve_throughput.json"))
-assert doc["all_bit_identical"], "served predictions diverged from direct forwards"
 runs = doc["runs"]
 assert len(runs) == 4 and all("throughput_qps" in r for r in runs)
 assert doc["speedup_batch16_vs_batch1"] > 0
 parity = {p["precision"]: p for p in doc["precision_parity"]}
 assert set(parity) == {"fp32", "int8"}, parity
-assert doc["parity_pass"] and doc["parity_min_agreement"] >= 0.99, (
-    f"precision parity below 99%: {parity}")
 print(f"serve bench OK: batched speedup "
       f"{doc['speedup_batch16_vs_batch1']:.2f}x, "
       f"coalesce {runs[1]['coalesce_factor']:.1f} req/forward")
@@ -365,8 +363,9 @@ kernel_pass
 # Cross-graph batched execution must stay bit-identical to per-graph
 # execution under every MatMul dispatch override (segment kernels + parity
 # suites; both also run plain and sanitized in the ctest passes), a live
-# fast bench run must report bit-identity, and the committed batching
-# bench JSON must exist and clear its serve-throughput gate.
+# fast bench run must exit 0 (it exits 1 unless bit-identical), and the
+# committed batching bench JSON must exist and clear its serve-throughput
+# gate.
 batching_pass() {
   echo "=== build: cross-graph batching parity + bench gate ==="
   for kernel in naive blocked auto; do
@@ -379,8 +378,6 @@ batching_pass() {
   python3 - <<'EOF'
 import json
 live = json.load(open("build/BENCH_cross_graph_batching.json"))
-assert live["all_bit_identical"], (
-    "live batching bench: batched results diverged from per-graph")
 assert all(s["speedup_batch16_vs_1"] > 0 for s in live["serve_speedups"])
 doc = json.load(open("BENCH_cross_graph_batching.json"))
 assert doc["all_bit_identical"], (
@@ -459,9 +456,6 @@ quant_pass() {
     build/BENCH_quantized_gemm.json > /dev/null
   python3 - <<'EOF'
 import json
-live = json.load(open("build/BENCH_quantized_gemm.json"))
-assert live["accuracy_gates_pass"], (
-    "live quantized bench failed its agreement/Kendall-tau gates")
 doc = json.load(open("BENCH_quantized_gemm.json"))
 assert doc["accuracy_gates_pass"], (
     "committed quantized bench recorded failed accuracy gates")

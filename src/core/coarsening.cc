@@ -187,15 +187,9 @@ Tensor CoarseningModule::UntapedAttention(const Tensor& c_or_h) const {
 }
 
 Tensor CoarseningModule::ComputeAttention(const Tensor& c_or_h) const {
-  // Untaped calls (evaluation, serving, batched inference) run in place.
-  // Calibration forwards keep the composed ops, whose MatMuls record the
-  // activation ranges int8 serving needs, and reduced-precision bilinear
-  // MOA keeps its fused GEMM below.
-  if (!GradEnabled() && CalibrationObserver::Current() == nullptr &&
-      !(config_.use_gcont && config_.bilinear_moa &&
-        PrecisionScope::Current() != Precision::kFp32)) {
-    return UntapedAttention(c_or_h);
-  }
+  // Untaped calls (evaluation, serving, batched inference, calibration)
+  // run in place at every precision; taped calls record the composed ops.
+  if (!GradEnabled()) return UntapedAttention(c_or_h);
   const int n = c_or_h.rows();
   Tensor logits;
   if (config_.use_gcont) {
@@ -217,22 +211,6 @@ Tensor CoarseningModule::ComputeAttention(const Tensor& c_or_h) const {
       Tensor projected = MatMul(c, attn_col_);  // (N, 1)
       col_scores = MulScalar(MatMul(Transpose(c), projected),
                              1.0f / static_cast<float>(n));
-    }
-    if (config_.bilinear_moa && !GradEnabled() &&
-        PrecisionScope::Current() != Precision::kFp32) {
-      // Reduced-precision eval folds the whole MOA scoring into one
-      // fused GEMM:  s₁_i + s₂_j + (C CᵀC/N)_{ij} = (C·W)_{ij} + s₂_j
-      // with W = a₁𝟙ᵀ + CᵀC/N (since (C·a₁𝟙ᵀ)_{ij} = s₁_i), so the
-      // dominant N·N'² product runs quantized with the bias+LeakyReLU
-      // epilogue fused into its dequant pass. Only reduced-precision
-      // scopes reach this branch: untaped fp32 calls run in place
-      // (UntapedAttention), taped ones the composed ops below, and both
-      // give the same fp32 bits.
-      Tensor w = Add(
-          MulScalar(MatMul(Transpose(c), c), 1.0f / static_cast<float>(n)),
-          MatMul(attn_row_, Tensor::Ones(1, config_.num_clusters)));
-      return SoftmaxRows(MatMulBiasLeakyRelu(
-          c, w, Transpose(col_scores), config_.leaky_slope));  // Eq. 14-15
     }
     // Row operand: s₁_i = a₁ · C_{i,:}.
     Tensor row_scores = MatMul(c, attn_row_);              // (N, 1)

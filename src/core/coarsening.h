@@ -87,8 +87,10 @@ struct CoarseningConfig {
 /// (bilinear_moa). paper_literal_relaxation instead truncates C_:,j to its
 /// first N' entries (zero-padded when N < N'), Claim 3's relaxation, and
 /// standardisation is normalize_gcont. Untaped calls compute C and M in
-/// place, memcmp-equal to the composed ops the taped calls record
-/// (docs/PERFORMANCE.md).
+/// place at every precision. In fp32 they are memcmp-equal to the
+/// composed ops the taped calls record (docs/PERFORMANCE.md); under an
+/// int8 scope the H·T and C·G GEMMs may run quantized, as MatMul's shape
+/// dispatch decides.
 class CoarseningModule : public Coarsener {
  public:
   CoarseningModule(const CoarseningConfig& config, Rng* rng);
@@ -168,7 +170,8 @@ class CoarseningModule : public Coarsener {
   /// ComputeAttention() for untaped calls: one ascending-row pass over C
   /// for the row and column scores and CᵀC, the one remaining GEMM into
   /// M's buffer, and LeakyReLU plus softmax in place, memcmp-equal to the
-  /// composed ops.
+  /// composed ops in fp32. That GEMM is the only step an int8 scope
+  /// reaches.
   Tensor UntapedAttention(const Tensor& c_or_h) const;
 
   /// Cluster formation and soft sampling for assignment `m` (Eq. 17-19).

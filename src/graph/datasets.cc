@@ -308,6 +308,17 @@ GraphDataset MakePtcLike(int num_graphs, Rng* rng) {
   return ds;
 }
 
+StatusOr<GraphDataset> MakeDatasetByName(const std::string& name,
+                                         int num_graphs, Rng* rng) {
+  if (name == "imdb-b") return MakeImdbBinaryLike(num_graphs, rng);
+  if (name == "imdb-m") return MakeImdbMultiLike(num_graphs, rng);
+  if (name == "collab") return MakeCollabLike(num_graphs, rng);
+  if (name == "mutag") return MakeMutagLike(num_graphs, rng);
+  if (name == "proteins") return MakeProteinsLike(num_graphs, rng);
+  if (name == "ptc") return MakePtcLike(num_graphs, rng);
+  return Status::InvalidArgument("unknown dataset '" + name + "'");
+}
+
 std::vector<Graph> MakeAidsLikePool(int num_graphs, Rng* rng) {
   std::vector<Graph> pool;
   pool.reserve(num_graphs);

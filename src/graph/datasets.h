@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "graph/featurize.h"
 #include "graph/graph.h"
 
@@ -69,6 +70,11 @@ GraphDataset MakeProteinsLike(int num_graphs, Rng* rng);
 /// ring-amine pattern, plus 15% label noise (PTC is notoriously hard —
 /// paper accuracies top out below 70%).
 GraphDataset MakePtcLike(int num_graphs, Rng* rng);
+
+/// The six generators above by their command-line names: imdb-b, imdb-m,
+/// collab, mutag, proteins, ptc. Any other name is InvalidArgument.
+StatusOr<GraphDataset> MakeDatasetByName(const std::string& name,
+                                         int num_graphs, Rng* rng);
 
 // ---------------------------------------------------------------------------
 // Small-graph pools with <= 10 nodes for GED-supervised similarity learning

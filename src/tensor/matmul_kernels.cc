@@ -318,20 +318,11 @@ __attribute__((target("avx2"))) void GradBRowsAvx2(
 // the deep propagation shapes.
 // ---------------------------------------------------------------------------
 
-// scale * acc (+ bias, leaky) for one 8-column C vector. The fused branch
-// mirrors the scalar epilogue bit for bit: cvtepi32->float rounds RNE like
-// static_cast<float>, and blendv picks alpha*v exactly when v >= 0 fails
-// (NaN included).
+// scale * acc for one 8-column C vector, bit for bit the scalar
+// epilogue: cvtepi32->float rounds RNE like static_cast<float>.
 __attribute__((target("avx2"))) inline __m256 DequantVecAvx2(
-    __m256i acc, __m256 vscale, const float* bias_j, __m256 valpha) {
-  __m256 v = _mm256_mul_ps(_mm256_cvtepi32_ps(acc), vscale);
-  if (bias_j != nullptr) {
-    v = _mm256_add_ps(v, _mm256_loadu_ps(bias_j));
-    const __m256 keep =
-        _mm256_cmp_ps(v, _mm256_setzero_ps(), _CMP_GE_OQ);
-    v = _mm256_blendv_ps(_mm256_mul_ps(v, valpha), v, keep);
-  }
-  return v;
+    __m256i acc, __m256 vscale) {
+  return _mm256_mul_ps(_mm256_cvtepi32_ps(acc), vscale);
 }
 
 __attribute__((target("avx2"))) inline __m256i BroadcastPairAvx2(
@@ -343,13 +334,11 @@ __attribute__((target("avx2"))) inline __m256i BroadcastPairAvx2(
 
 __attribute__((target("avx2"))) void Int8GemmRowsAvx2(
     const int16_t* aq, const int16_t* bq, float* out, int64_t k_pad,
-    int64_t n, float scale, const float* bias, float leaky_alpha, int64_t i0,
-    int64_t i1) {
+    int64_t n, float scale, int64_t i0, int64_t i1) {
   const int64_t pairs = k_pad / 2;
   const int64_t group_stride = 8 * k_pad;  // i16 elements per column group
   const int64_t full_groups = n / 8;
   const __m256 vscale = _mm256_set1_ps(scale);
-  const __m256 valpha = _mm256_set1_ps(leaky_alpha);
 
   int64_t i = i0;
   for (; i + 2 <= i1; i += 2) {  // two C rows per pass
@@ -378,14 +367,10 @@ __attribute__((target("avx2"))) void Int8GemmRowsAvx2(
         c11 = _mm256_add_epi32(c11, _mm256_madd_epi16(w1, b1));
       }
       const int64_t j = g * 8;
-      const float* bias0 = bias == nullptr ? nullptr : bias + j;
-      const float* bias1 = bias == nullptr ? nullptr : bias + j + 8;
-      _mm256_storeu_ps(o0 + j, DequantVecAvx2(c00, vscale, bias0, valpha));
-      _mm256_storeu_ps(o0 + j + 8,
-                       DequantVecAvx2(c01, vscale, bias1, valpha));
-      _mm256_storeu_ps(o1 + j, DequantVecAvx2(c10, vscale, bias0, valpha));
-      _mm256_storeu_ps(o1 + j + 8,
-                       DequantVecAvx2(c11, vscale, bias1, valpha));
+      _mm256_storeu_ps(o0 + j, DequantVecAvx2(c00, vscale));
+      _mm256_storeu_ps(o0 + j + 8, DequantVecAvx2(c01, vscale));
+      _mm256_storeu_ps(o1 + j, DequantVecAvx2(c10, vscale));
+      _mm256_storeu_ps(o1 + j + 8, DequantVecAvx2(c11, vscale));
     }
     for (; g < full_groups; ++g) {  // one 8-column group
       const int16_t* bg = bq + g * group_stride;
@@ -400,9 +385,8 @@ __attribute__((target("avx2"))) void Int8GemmRowsAvx2(
             c1, _mm256_madd_epi16(BroadcastPairAvx2(a1 + 2 * p), b0));
       }
       const int64_t j = g * 8;
-      const float* bias_j = bias == nullptr ? nullptr : bias + j;
-      _mm256_storeu_ps(o0 + j, DequantVecAvx2(c0, vscale, bias_j, valpha));
-      _mm256_storeu_ps(o1 + j, DequantVecAvx2(c1, vscale, bias_j, valpha));
+      _mm256_storeu_ps(o0 + j, DequantVecAvx2(c0, vscale));
+      _mm256_storeu_ps(o1 + j, DequantVecAvx2(c1, vscale));
     }
   }
   for (; i < i1; ++i) {  // row tail
@@ -418,9 +402,7 @@ __attribute__((target("avx2"))) void Int8GemmRowsAvx2(
                     _mm256_loadu_si256(
                         reinterpret_cast<const __m256i*>(bg + p * 16))));
       }
-      const int64_t j = g * 8;
-      const float* bias_j = bias == nullptr ? nullptr : bias + j;
-      _mm256_storeu_ps(o0 + j, DequantVecAvx2(c0, vscale, bias_j, valpha));
+      _mm256_storeu_ps(o0 + g * 8, DequantVecAvx2(c0, vscale));
     }
   }
   if (n % 8 != 0) {  // partial last group: scalar, same pair order
@@ -437,12 +419,7 @@ __attribute__((target("avx2"))) void Int8GemmRowsAvx2(
                  static_cast<int32_t>(arow[2 * p + 1]) *
                      static_cast<int32_t>(bcol[p * 16 + 1]);
         }
-        float v = scale * static_cast<float>(acc);
-        if (bias != nullptr) {
-          v += bias[j];
-          v = v >= 0.0f ? v : leaky_alpha * v;
-        }
-        orow[j] = v;
+        orow[j] = scale * static_cast<float>(acc);
       }
     }
   }
@@ -521,8 +498,7 @@ __attribute__((target("avx2"))) void QuantizeSymmetricAvx2(
 #endif  // HAP_KERNELS_X86
 
 void Int8GemmRowsScalar(const int16_t* aq, const int16_t* bq, float* out,
-                        int64_t k_pad, int64_t n, float scale,
-                        const float* bias, float leaky_alpha, int64_t i0,
+                        int64_t k_pad, int64_t n, float scale, int64_t i0,
                         int64_t i1) {
   const int64_t pairs = k_pad / 2;
   const int64_t group_stride = 8 * k_pad;
@@ -538,12 +514,7 @@ void Int8GemmRowsScalar(const int16_t* aq, const int16_t* bq, float* out,
                static_cast<int32_t>(arow[2 * p + 1]) *
                    static_cast<int32_t>(bcol[p * 16 + 1]);
       }
-      float v = scale * static_cast<float>(acc);
-      if (bias != nullptr) {
-        v += bias[j];
-        v = v >= 0.0f ? v : leaky_alpha * v;
-      }
-      orow[j] = v;
+      orow[j] = scale * static_cast<float>(acc);
     }
   }
 }
@@ -894,22 +865,27 @@ void PackBInt8Panels(const float* b, int64_t k, int64_t n, float inv_scale,
 }
 
 void Int8GemmRows(const int16_t* aq, const int16_t* bq, float* out,
-                  int64_t k_pad, int64_t n, float scale, const float* bias,
-                  float leaky_alpha, int64_t i0, int64_t i1) {
+                  int64_t k_pad, int64_t n, float scale, int64_t i0,
+                  int64_t i1) {
 #if HAP_KERNELS_X86
   if (CpuHasAvx2()) {
-    Int8GemmRowsAvx2(aq, bq, out, k_pad, n, scale, bias, leaky_alpha, i0, i1);
+    Int8GemmRowsAvx2(aq, bq, out, k_pad, n, scale, i0, i1);
     return;
   }
 #endif
-  Int8GemmRowsScalar(aq, bq, out, k_pad, n, scale, bias, leaky_alpha, i0, i1);
+  Int8GemmRowsScalar(aq, bq, out, k_pad, n, scale, i0, i1);
+}
+
+bool WeightShapeAdmitsInt8(int64_t k, int64_t n) {
+  return n >= 8 && k >= 16;
 }
 
 bool ShapeWantsInt8(int64_t m, int64_t k, int64_t n) {
   // Quantize+pack costs O(m·k + k·n) and the fp32 blocked kernels are
   // already strong at small shapes; int8 needs enough depth per dot and
   // enough total work to win (BENCH_quantized_gemm.json sweeps this).
-  return m >= 8 && n >= 8 && k >= 16 && 2 * m * k * n >= 2 * kMinWork;
+  return m >= 8 && WeightShapeAdmitsInt8(k, n) &&
+         2 * m * k * n >= 2 * kMinWork;
 }
 
 int16_t* Int8ScratchA(size_t count) {

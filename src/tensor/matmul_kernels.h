@@ -178,13 +178,16 @@ void PackBInt8Panels(const float* b, int64_t k, int64_t n, float inv_scale,
 
 // out(m,n) rows [i0, i1) = scale · (A·B) with exact i32 accumulation,
 // where aq is the m×k_pad packed A and bq a packed B panel (layouts
-// above) and scale = a_scale · b_scale. When bias is non-null a fused
-// epilogue runs instead: out = leaky_relu(scale·acc + bias[j],
-// leaky_alpha) — the MOA attention-scoring hot path. Safe against i32
-// overflow to k ≈ 2^17.
+// above) and scale = a_scale · b_scale. Safe against i32 overflow to
+// k ≈ 2^17.
 void Int8GemmRows(const int16_t* aq, const int16_t* bq, float* out,
-                  int64_t k_pad, int64_t n, float scale, const float* bias,
-                  float leaky_alpha, int64_t i0, int64_t i1);
+                  int64_t k_pad, int64_t n, float scale, int64_t i0,
+                  int64_t i1);
+
+// The part of ShapeWantsInt8 a k×n B operand decides alone: false means
+// no product with this B ever runs int8, whatever m is. Calibration
+// records only weights that pass it (ops.cc).
+bool WeightShapeAdmitsInt8(int64_t k, int64_t n);
 
 // Shape heuristic for the int8 path: quantizing/packing costs O(m·k + k·n)
 // and only amortises over enough dot-product work; small shapes stay on

@@ -39,23 +39,23 @@ int64_t RowGrain(int64_t row_work) {
 
 // While a CalibrationObserver is installed on this thread, an
 // activation·parameter product records the activation's absmax keyed by
-// the parameter. The requires_grad asymmetry identifies the site shape:
-// parameters keep requires_grad in eval, activations never have it under
-// the NoGradGuard the calibration forwards run in.
+// the parameter, if the parameter's shape can ever dispatch int8. The
+// requires_grad asymmetry identifies the site shape: parameters keep
+// requires_grad in eval, activations never have it under the NoGradGuard
+// the calibration forwards run in.
 inline void MaybeRecordCalibration(const Tensor& a, const Tensor& b) {
   CalibrationObserver* cal = CalibrationObserver::Current();
   if (cal == nullptr) return;
-  if (b.requires_grad() && !a.requires_grad()) {
+  if (b.requires_grad() && !a.requires_grad() &&
+      kernels::WeightShapeAdmitsInt8(b.rows(), b.cols())) {
     cal->Record(b.impl_ptr().get(), kernels::AbsMax(a.data(), a.size()));
   }
 }
 
-// int8 product with optional fused bias+LeakyReLU epilogue. The weight
-// operand reuses pre-quantized panels (and the calibrated activation
-// scale) when the active QuantScales knows it; everything else is
-// quantized dynamically per call.
-Tensor Int8MatMul(const Tensor& a, const Tensor& b, const float* bias,
-                  float leaky_alpha) {
+// int8 product. The weight operand reuses pre-quantized panels (and the
+// calibrated activation scale) when the active QuantScales knows it;
+// everything else is quantized dynamically per call.
+Tensor Int8MatMul(const Tensor& a, const Tensor& b) {
   const int m = a.rows(), k = a.cols(), n = b.cols();
   static obs::Histogram* op_ns = obs::GetHistogram(obs::names::kMatMulNs);
   if (obs::HotCountersEnabled()) {
@@ -101,8 +101,7 @@ Tensor Int8MatMul(const Tensor& a, const Tensor& b, const float* bias,
   });
   float* o = out.mutable_data();
   ParallelFor(0, m, RowGrain(k_pad * n), [&](int64_t lo, int64_t hi) {
-    kernels::Int8GemmRows(aq, bq, o, k_pad, n, scale, bias, leaky_alpha, lo,
-                          hi);
+    kernels::Int8GemmRows(aq, bq, o, k_pad, n, scale, lo, hi);
   });
   return out;
 }
@@ -121,7 +120,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
         << "reduced-precision MatMul (" << PrecisionName(prec)
         << ") refuses taped tensors; wrap eval-only code in NoGradGuard";
     if (prec == Precision::kInt8 && kernels::ShapeWantsInt8(m, k, n)) {
-      return Int8MatMul(a, b, /*bias=*/nullptr, /*leaky_alpha=*/0.0f);
+      return Int8MatMul(a, b);
     }
     // Small-shape int8 falls through: quantize+pack costs more than the
     // fp32 blocked kernels save there (docs/PERFORMANCE.md).
@@ -217,39 +216,6 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
                   kernels::NaiveForwardRows(pa, pb, o, k, n, lo, hi);
                 });
   }
-  return out;
-}
-
-Tensor MatMulBiasLeakyRelu(const Tensor& a, const Tensor& b,
-                           const Tensor& bias, float alpha) {
-  HAP_CHECK_EQ(a.cols(), b.rows());
-  HAP_CHECK_EQ(bias.rows(), 1);
-  HAP_CHECK_EQ(bias.cols(), b.cols());
-  if (GradEnabled() && (a.requires_grad() || b.requires_grad() ||
-                        bias.requires_grad())) {
-    // Taped: compose the existing ops so gradients flow through the
-    // standard backward closures. Forward bits are identical to the
-    // fused pass below, which applies the same epilogue element order.
-    return LeakyRelu(AddRowBroadcast(MatMul(a, b), bias), alpha);
-  }
-  const int m = a.rows(), n = b.cols();
-  const Precision prec = PrecisionScope::Current();
-  if (prec == Precision::kInt8 &&
-      kernels::ShapeWantsInt8(m, a.cols(), n)) {
-    return Int8MatMul(a, b, bias.data(), alpha);
-  }
-  Tensor out = MatMul(a, b);  // untaped
-  float* o = out.mutable_data();
-  const float* bi = bias.data();
-  ParallelFor(0, m, RowGrain(n), [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      float* orow = o + i * n;
-      for (int64_t j = 0; j < n; ++j) {
-        const float v = orow[j] + bi[j];
-        orow[j] = v >= 0.0f ? v : alpha * v;
-      }
-    }
-  });
   return out;
 }
 

@@ -19,16 +19,10 @@ namespace hap {
 /// instead (shape permitting) and HAP_CHECK-fails if the result
 /// would be taped — training always runs the bit-deterministic fp32
 /// kernels. While a CalibrationObserver is installed, activation·weight
-/// sites record the activation's absmax for later quantization.
+/// sites whose weight shape can dispatch int8
+/// (kernels::WeightShapeAdmitsInt8) record the activation's absmax for
+/// later quantization.
 Tensor MatMul(const Tensor& a, const Tensor& b);
-
-/// Fused leaky_relu(A·B + bias, alpha) with bias a 1xN row. The taped
-/// path composes MatMul/AddRowBroadcast/LeakyRelu (bit-identical,
-/// gradients flow); the untaped eval path runs one fused pass, and under
-/// an int8 PrecisionScope the bias+LeakyReLU epilogue fuses into the
-/// quantized GEMM — the MOA attention-scoring hot path (Eq. 14).
-Tensor MatMulBiasLeakyRelu(const Tensor& a, const Tensor& b,
-                           const Tensor& bias, float alpha = 0.2f);
 
 /// Elementwise sum of equally shaped tensors.
 Tensor Add(const Tensor& a, const Tensor& b);

@@ -16,7 +16,10 @@
 //  * Calibration keys observations by the *weight* operand's TensorImpl
 //    and serializes them as index entries against the module's
 //    deterministic Parameters() order, so scales survive checkpointing
-//    and can be re-bound to any replica's distinct weight tensors.
+//    and can be re-bound to any replica's distinct weight tensors. Only
+//    weights whose shape can dispatch int8 are observed
+//    (kernels::WeightShapeAdmitsInt8); an entry for any other weight is
+//    packed but never looked up.
 //
 // Quantized kernels refuse taped tensors: MatMul HAP_CHECK-fails when a
 // non-fp32 scope is active while grad is enabled and an operand requires
@@ -123,9 +126,9 @@ class PrecisionScope {
 
 /// Thread-local RAII activation-range recorder. While alive on a thread,
 /// every MatMul whose B operand is a parameter (requires_grad, with a
-/// non-parameter A) records absmax(A) keyed by B's TensorImpl. Run the
-/// held-out calibration forwards under one of these, then convert to
-/// serializable index entries with Entries().
+/// non-parameter A) of a shape int8 can run records absmax(A) keyed by
+/// B's TensorImpl. Run the held-out calibration forwards under one of
+/// these, then convert to serializable index entries with Entries().
 class CalibrationObserver {
  public:
   CalibrationObserver();

@@ -1,5 +1,6 @@
 #include "tensor/serialize.h"
 
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -63,9 +64,32 @@ Status ReadFileHeader(std::istream* stream, uint64_t* count,
   return Status::Ok();
 }
 
+/// Rejects a scale entry that names no tensor or whose absmax is NaN,
+/// infinite or negative: an infinite weight scale turns every dequantized
+/// output into 0·inf = NaN. Zero stays valid ("not observed" for the
+/// activation, an all-zero weight).
+Status ValidateScaleEntry(const QuantScaleEntry& entry,
+                          uint64_t tensor_count) {
+  if (entry.param_index >= tensor_count) {
+    return Status::InvalidArgument(
+        "quantization scale references tensor " +
+        std::to_string(entry.param_index) + " of " +
+        std::to_string(tensor_count));
+  }
+  for (const float absmax : {entry.act_absmax, entry.weight_absmax}) {
+    if (!std::isfinite(absmax) || absmax < 0.0f) {
+      return Status::InvalidArgument(
+          "quantization scale for tensor " +
+          std::to_string(entry.param_index) + " holds absmax " +
+          std::to_string(absmax) + "; must be finite and non-negative");
+    }
+  }
+  return Status::Ok();
+}
+
 /// Reads (or, for v1, no-ops) the quantization-scale section that follows
 /// the last tensor. Validates the claimed entry count against the stream
-/// and every param_index against `tensor_count`. `out` may be null (the
+/// and every entry with ValidateScaleEntry. `out` may be null (the
 /// section is still consumed and validated).
 Status ReadScaleSection(std::istream* stream, uint32_t version,
                         uint64_t tensor_count,
@@ -92,11 +116,8 @@ Status ReadScaleSection(std::istream* stream, uint32_t version,
         !ReadPod(stream, &entry.weight_absmax)) {
       return Status::InvalidArgument("truncated quantization-scale entry");
     }
-    if (entry.param_index >= tensor_count) {
-      return Status::InvalidArgument(
-          "quantization scale references tensor " +
-          std::to_string(entry.param_index) + " of " +
-          std::to_string(tensor_count));
+    if (Status s = ValidateScaleEntry(entry, tensor_count); !s.ok()) {
+      return s;
     }
     if (out != nullptr) out->push_back(entry);
   }
@@ -150,11 +171,8 @@ Status SaveParameters(const std::vector<Tensor>& params, std::ostream* stream,
   const bool with_scales = scales != nullptr && !scales->empty();
   if (with_scales) {
     for (const QuantScaleEntry& entry : *scales) {
-      if (entry.param_index >= params.size()) {
-        return Status::InvalidArgument(
-            "quantization scale references tensor " +
-            std::to_string(entry.param_index) + " of " +
-            std::to_string(params.size()));
+      if (Status s = ValidateScaleEntry(entry, params.size()); !s.ok()) {
+        return s;
       }
     }
   }

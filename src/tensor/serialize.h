@@ -20,21 +20,24 @@ namespace hap {
 /// u32 rows, u32 cols, rows*cols little-endian f32. Version 2 appends a
 /// quantization-scale section after the last tensor: u64 entry count,
 /// then per entry u32 param_index + f32 act_absmax + f32 weight_absmax
-/// (tensor/quant.h QuantScaleEntry, indices into the tensor list above).
-/// Version 1 files (no scale section) load everywhere; writers emit v1
-/// unless scales are supplied. Checkpoints are structural: loading
-/// requires the exact same parameter shapes in the same order (i.e. the
-/// same model configuration), which is verified.
+/// (tensor/quant.h QuantScaleEntry, indices into the tensor list above,
+/// each absmax finite and non-negative). Version 1 files (no scale
+/// section) load everywhere; writers emit v1 unless scales are supplied.
+/// Checkpoints are structural: loading requires the exact same parameter
+/// shapes in the same order (i.e. the same model configuration), which is
+/// verified.
 ///
 /// Every loader treats the checkpoint as hostile input (a server reloads
 /// checkpoints from disk while live): sizes claimed by the header are
 /// validated against the stream length before anything is allocated,
 /// truncation anywhere mid-stream fails cleanly, trailing garbage after
-/// the last section is rejected, and a failed load never leaves the
-/// destination half-written.
+/// the last section is rejected, a scale entry naming no tensor or
+/// holding a NaN, infinite or negative absmax is rejected, and a failed
+/// load never leaves the destination half-written.
 
 /// Writes `params` to `stream`. With non-empty `scales`, writes a v2
-/// checkpoint carrying the quantization-scale section.
+/// checkpoint carrying the quantization-scale section; refuses scale
+/// entries a loader would reject.
 Status SaveParameters(const std::vector<Tensor>& params, std::ostream* stream,
                       const std::vector<QuantScaleEntry>* scales = nullptr);
 

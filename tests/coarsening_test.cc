@@ -5,12 +5,15 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
 #include "graph/graph_level.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "tensor/ops.h"
 #include "tensor/quant.h"
 #include "tensor/sparse.h"
@@ -364,19 +367,71 @@ TEST(UntapedCoarseningTest, MemcmpEqualToTapedOps) {
   }
 }
 
-// Calibration forwards keep the composed ops, whose MatMuls record the
-// activation range of every weight site (T, a₁, a₂) that int8 serving
-// stores with the checkpoint.
-TEST(UntapedCoarseningTest, CalibrationForwardRecordsEveryMatMulSite) {
-  Rng rng(23);
-  CoarseningModule module(Config(6, 4), &rng);
-  const Tensor h = Tensor::Randn(10, 6, &rng);
-  NoGradGuard no_grad;
-  CalibrationObserver observer;
-  module.ComputeAttention(module.ComputeGCont(h));
-  std::vector<Tensor> params;
-  module.CollectParameters(&params);
-  EXPECT_EQ(observer.Entries(params).size(), 3u);
+// A calibration forward runs the same in-place MOA as any untaped call,
+// so the only MatMul site with a weight operand is GCont's H·T, and it is
+// recorded only when T's shape can dispatch int8 (F ≥ 16 rows, N′ ≥ 8
+// columns).
+TEST(UntapedCoarseningTest, CalibrationRecordsOnlyInt8EligibleSites) {
+  for (const auto& [features, clusters, sites] :
+       {std::tuple{32, 8, 1u}, std::tuple{6, 4, 0u}}) {
+    SCOPED_TRACE(std::to_string(features) + "x" + std::to_string(clusters));
+    Rng rng(23);
+    CoarseningModule module(Config(features, clusters), &rng);
+    const Tensor h = Tensor::Randn(10, features, &rng);
+    NoGradGuard no_grad;
+    CalibrationObserver observer;
+    module.ComputeAttention(module.ComputeGCont(h));
+    std::vector<Tensor> params;
+    module.CollectParameters(&params);
+    const std::vector<QuantScaleEntry> entries = observer.Entries(params);
+    ASSERT_EQ(entries.size(), sites);
+    if (sites == 1u) {
+      EXPECT_EQ(entries[0].param_index, 0u);  // T
+    }
+  }
+}
+
+// Under int8, untaped MOA takes the same in-place path as fp32, and only
+// its C·G GEMM can quantize: at N′ = 8 that GEMM is too shallow for int8,
+// so the result is the fp32 one bit for bit; at N′ = 32 it is the one
+// int8 dispatch, and M stays a row-stochastic matrix.
+TEST(UntapedCoarseningTest, Int8ScopeTakesTheInPlacePath) {
+  obs::HotCountersHold hot_counters;
+  constexpr int kFeatures = 6;
+  for (int n : {40, 256, 2000}) {
+    for (int clusters : {8, 32}) {
+      SCOPED_TRACE("N=" + std::to_string(n) +
+                   " N'=" + std::to_string(clusters));
+      Rng rng(n + clusters);
+      CoarseningModule module(Config(kFeatures, clusters), &rng);
+      NoGradGuard no_grad;
+      const Tensor c = module.ComputeGCont(Tensor::Randn(n, kFeatures, &rng));
+      const Tensor fp32 = module.ComputeAttention(c);
+      const uint64_t before =
+          obs::CounterValue(obs::names::kMatMulDispatchInt8);
+      Tensor int8;
+      {
+        PrecisionScope scope(Precision::kInt8);
+        int8 = module.ComputeAttention(c);
+      }
+      const uint64_t dispatched =
+          obs::CounterValue(obs::names::kMatMulDispatchInt8) - before;
+      if (clusters == 8) {
+        EXPECT_EQ(dispatched, 0u);
+        EXPECT_TRUE(BitEqual(int8, fp32));
+        continue;
+      }
+      EXPECT_EQ(dispatched, 1u);
+      for (int i = 0; i < n; ++i) {
+        double sum = 0.0;
+        for (int j = 0; j < clusters; ++j) {
+          ASSERT_TRUE(std::isfinite(int8.At(i, j))) << "row " << i;
+          sum += int8.At(i, j);
+        }
+        ASSERT_NEAR(sum, 1.0, 1e-5) << "row " << i;
+      }
+    }
+  }
 }
 
 // A non-finite feature makes the GCont variance NaN; the taped Sqrt and

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -136,6 +138,24 @@ TEST(DatasetsTest, StatisticsTableRenders) {
   EXPECT_NE(stats.find("IMDB-B*"), std::string::npos);
   EXPECT_NE(stats.find("MUTAG*"), std::string::npos);
   EXPECT_NE(stats.find("#Classes"), std::string::npos);
+}
+
+TEST(DatasetsTest, MakeDatasetByNameCoversTheSixGenerators) {
+  const std::pair<const char*, const char*> names[] = {
+      {"imdb-b", "IMDB-B*"}, {"imdb-m", "IMDB-M*"},     {"collab", "COLLAB*"},
+      {"mutag", "MUTAG*"},   {"proteins", "PROTEINS*"}, {"ptc", "PTC*"}};
+  for (const auto& [flag, dataset_name] : names) {
+    Rng rng(17);
+    StatusOr<GraphDataset> made = MakeDatasetByName(flag, 3, &rng);
+    ASSERT_TRUE(made.ok()) << flag;
+    EXPECT_EQ(made.value().name, dataset_name);
+    EXPECT_EQ(made.value().graphs.size(), 3u);
+  }
+  Rng rng(17);
+  StatusOr<GraphDataset> unknown = MakeDatasetByName("nope", 3, &rng);
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(unknown.status().message().find("nope"), std::string::npos);
 }
 
 }  // namespace

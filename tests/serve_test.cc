@@ -20,6 +20,7 @@
 #include "serve/registry.h"
 #include "serve/request_queue.h"
 #include "serve/served_model.h"
+#include "tensor/matmul_kernels.h"
 #include "tensor/serialize.h"
 #include "train/model_zoo.h"
 
@@ -96,6 +97,54 @@ TEST(ServeEngineTest, PredictionsMatchDirectForwardAtAnyThreadCount) {
     }
   }
   SetNumThreads(1);
+}
+
+// int8 calibration records a weight only if some product with it can
+// dispatch int8 (kernels::WeightShapeAdmitsInt8: at least 16 rows and 8
+// columns). At hidden 32 that leaves five weights per HAP model: the first
+// encoder weight (F < 16 rows), the level-2 T (one column), the classifier
+// output (num_classes columns), MOA's a₁/a₂ and GAT's attention vectors
+// are never recorded.
+TEST(ServedModelTest, Int8CalibrationRecordsOnlyEligibleWeights) {
+  for (const char* method : {"HAP", "HAP-GAT"}) {
+    for (const bool proteins : {false, true}) {
+      SCOPED_TRACE(std::string(method) + (proteins ? " proteins" : " mutag"));
+      Rng rng(5);
+      GraphDataset dataset =
+          proteins ? MakeProteinsLike(8, &rng) : MakeMutagLike(8, &rng);
+      ServedModelConfig config;
+      config.method = method;
+      config.feature_dim = dataset.feature_spec.FeatureDim();
+      config.hidden = 32;
+      config.num_classes = dataset.num_classes;
+      config.lanes = 1;
+      const std::string checkpoint =
+          WriteCheckpoint(config, "serve_calibration.bin", 9);
+      config.precision = Precision::kInt8;
+      config.calibration_graphs = PrepareDataset(dataset);
+      std::shared_ptr<const ServedModel> model =
+          ServedModel::Load(config, checkpoint).value();
+
+      Rng init(9);
+      const std::vector<Tensor> params =
+          GraphClassifier(MakeEmbedderByName(method, config.feature_dim,
+                                             config.hidden, &init),
+                          config.num_classes, config.hidden, &init)
+              .Parameters();
+      std::vector<uint32_t> eligible, recorded;
+      for (size_t i = 0; i < params.size(); ++i) {
+        if (kernels::WeightShapeAdmitsInt8(params[i].rows(),
+                                           params[i].cols())) {
+          eligible.push_back(static_cast<uint32_t>(i));
+        }
+      }
+      for (const QuantScaleEntry& entry : model->scale_entries()) {
+        recorded.push_back(entry.param_index);
+      }
+      EXPECT_EQ(eligible.size(), 5u);
+      EXPECT_EQ(recorded, eligible);
+    }
+  }
 }
 
 // The engine runs each batch at the precision its model was loaded at;
