@@ -1,14 +1,21 @@
-// Microbench for the blocked MatMul micro-kernels (forward, dA, dB)
-// against the naive reference, plus the arena's effect on a training-step
-// loop and the cost of the hot-path instrumentation.
+// Microbench for the blocked GEMM micro-kernels (forward, dA, dB) that
+// MatMul runs at every shape, against the naive reference kernels, plus the
+// arena's effect on a training-step loop and the cost of the hot-path
+// instrumentation.
 //
-// Acceptance target (docs/PERFORMANCE.md): >= 3x on the forward GEMM at
-// N=256, F=64 with bit-identical results. Emits BENCH_matmul_kernels.json
-// (path overridable as argv[1]) so the perf trajectory is tracked across
-// PRs. Set HAP_BENCH_FAST=1 for a quick smoke run.
+// Both kernel families are called directly on one thread; the blocked
+// side's time includes packing B (or Bᵀ), as in MatMul. Acceptance target
+// (docs/PERFORMANCE.md): >= 3x on the forward GEMM at N=256, F=64 with
+// bit-identical results. Rows flagged `old_rule_naive` are small shapes
+// that MatMul's former shape rule (m >= 8, n >= 8, k >= 4,
+// 2mkn >= 16384) sent to the naive loops; their ratios are reported, not
+// gated. Emits BENCH_matmul_kernels.json (path overridable as argv[1]) so
+// the perf trajectory is tracked across PRs. Set HAP_BENCH_FAST=1 for a
+// quick smoke run.
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -25,26 +32,33 @@
 namespace hap::bench {
 namespace {
 
+// Median over `repeats` of the wall time of `iters` back-to-back calls,
+// divided by `iters`: per-call milliseconds.
 template <typename Fn>
-double TimeMs(int repeats, Fn&& fn) {
+double TimeMs(int repeats, int64_t iters, Fn&& fn) {
   std::vector<double> times;
   times.reserve(repeats);
   for (int r = 0; r < repeats; ++r) {
     const auto start = std::chrono::steady_clock::now();
-    fn();
+    for (int64_t i = 0; i < iters; ++i) fn();
     times.push_back(
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count() *
-        1000.0);
+        1000.0 / static_cast<double>(iters));
   }
   std::sort(times.begin(), times.end());
   return times[times.size() / 2];
 }
 
-Tensor RandomTensor(int rows, int cols, Rng* rng, bool requires_grad = false) {
-  std::vector<float> v(static_cast<size_t>(rows) * cols);
+std::vector<float> RandomValues(int64_t count, Rng* rng) {
+  std::vector<float> v(static_cast<size_t>(count));
   for (auto& x : v) x = static_cast<float>(rng->Normal());
-  return Tensor::FromVector(rows, cols, std::move(v), requires_grad);
+  return v;
+}
+
+Tensor RandomTensor(int rows, int cols, Rng* rng) {
+  return Tensor::FromVector(rows, cols,
+                            RandomValues(int64_t{rows} * cols, rng));
 }
 
 bool BitIdentical(const std::vector<float>& x, const std::vector<float>& y) {
@@ -54,45 +68,71 @@ bool BitIdentical(const std::vector<float>& x, const std::vector<float>& y) {
 
 struct GemmRow {
   int m = 0, k = 0, n = 0;
+  bool old_rule_naive = false;
   double naive_fwd_ms = 0.0, blocked_fwd_ms = 0.0;
   double naive_bwd_ms = 0.0, blocked_bwd_ms = 0.0;
   double fwd_speedup = 0.0, bwd_speedup = 0.0;
   bool bit_identical = false;
 };
 
+// Forward out = A·B and backward dA = G·Bᵀ, dB = Aᵀ·G for a random
+// upstream gradient G, each kernel family on zeroed outputs (as MatMul
+// hands them over).
 GemmRow MeasureGemm(int m, int k, int n, int repeats) {
   Rng rng(0x9E3779B9u ^ (static_cast<uint64_t>(m) * k * n));
-  Tensor a = RandomTensor(m, k, &rng, /*requires_grad=*/true);
-  Tensor b = RandomTensor(k, n, &rng, /*requires_grad=*/true);
+  const std::vector<float> a = RandomValues(int64_t{m} * k, &rng);
+  const std::vector<float> b = RandomValues(int64_t{k} * n, &rng);
+  const std::vector<float> g = RandomValues(int64_t{m} * n, &rng);
+  std::vector<float> out(static_cast<size_t>(m) * n);
+  std::vector<float> da(a.size()), db(b.size());
+
+  auto naive_fwd = [&] {
+    std::fill(out.begin(), out.end(), 0.0f);
+    kernels::NaiveForwardRows(a.data(), b.data(), out.data(), k, n, 0, m);
+  };
+  auto blocked_fwd = [&] {
+    std::fill(out.begin(), out.end(), 0.0f);
+    const float* packed_b = kernels::PackBPanels(b.data(), k, n);
+    kernels::BlockedForwardRows(a.data(), packed_b, b.data(), out.data(), k,
+                                n, 0, m);
+  };
+  auto naive_bwd = [&] {
+    std::fill(da.begin(), da.end(), 0.0f);
+    std::fill(db.begin(), db.end(), 0.0f);
+    kernels::NaiveGradARows(g.data(), b.data(), da.data(), k, n, 0, m);
+    kernels::NaiveGradBRows(a.data(), g.data(), db.data(), m, k, n, 0, k);
+  };
+  auto blocked_bwd = [&] {
+    std::fill(da.begin(), da.end(), 0.0f);
+    std::fill(db.begin(), db.end(), 0.0f);
+    const float* packed_bt = kernels::PackBTransposed(b.data(), k, n);
+    kernels::BlockedGradARows(g.data(), packed_bt, b.data(), da.data(), k, n,
+                              0, m);
+    kernels::BlockedGradBRows(a.data(), g.data(), db.data(), m, k, n, 0, k);
+  };
 
   GemmRow row;
   row.m = m;
   row.k = k;
   row.n = n;
+  row.old_rule_naive = m < 8 || n < 8 || k < 4 || 2 * m * k * n < 16384;
 
-  auto forward = [&] { MatMul(a, b); };
-  auto backward = [&] {
-    a.ZeroGrad();
-    b.ZeroGrad();
-    ReduceSumAll(MatMul(a, b)).Backward();
-  };
+  naive_fwd();
+  naive_bwd();
+  const std::vector<float> naive_out = out, naive_da = da, naive_db = db;
+  blocked_fwd();
+  blocked_bwd();
+  row.bit_identical = BitIdentical(out, naive_out) &&
+                      BitIdentical(da, naive_da) && BitIdentical(db, naive_db);
 
-  kernels::SetMatMulKernel(kernels::MatMulKernel::kNaive);
-  Tensor naive_out = MatMul(a, b);
-  row.naive_fwd_ms = TimeMs(repeats, forward);
-  row.naive_bwd_ms = TimeMs(repeats, backward);
-  std::vector<float> naive_da = a.grad();
-  std::vector<float> naive_db = b.grad();
-
-  kernels::SetMatMulKernel(kernels::MatMulKernel::kBlocked);
-  Tensor blocked_out = MatMul(a, b);
-  row.blocked_fwd_ms = TimeMs(repeats, forward);
-  row.blocked_bwd_ms = TimeMs(repeats, backward);
-  row.bit_identical = BitIdentical(blocked_out.values(), naive_out.values()) &&
-                      BitIdentical(a.grad(), naive_da) &&
-                      BitIdentical(b.grad(), naive_db);
-
-  kernels::SetMatMulKernel(kernels::MatMulKernel::kAuto);
+  // Small shapes take well under a microsecond per call; repeat each
+  // timed call up to ~2 MFLOP so a sample is not clock granularity.
+  const int64_t iters =
+      std::max<int64_t>(1, (int64_t{1} << 21) / (int64_t{2} * m * k * n));
+  row.naive_fwd_ms = TimeMs(repeats, iters, naive_fwd);
+  row.blocked_fwd_ms = TimeMs(repeats, iters, blocked_fwd);
+  row.naive_bwd_ms = TimeMs(repeats, iters, naive_bwd);
+  row.blocked_bwd_ms = TimeMs(repeats, iters, blocked_bwd);
   row.fwd_speedup = row.naive_fwd_ms / row.blocked_fwd_ms;
   row.bwd_speedup = row.naive_bwd_ms / row.blocked_bwd_ms;
   return row;
@@ -121,7 +161,7 @@ struct StepLoop {
 double MeasureStepsMs(int steps, bool use_arena, int repeats) {
   StepLoop loop;
   auto arena = std::make_shared<TensorArena>();
-  return TimeMs(repeats, [&] {
+  return TimeMs(repeats, 1, [&] {
     if (use_arena) {
       ArenaScope scope(arena);
       for (int i = 0; i < steps; ++i) {
@@ -132,46 +172,6 @@ double MeasureStepsMs(int steps, bool use_arena, int repeats) {
       for (int i = 0; i < steps; ++i) loop.Step();
     }
   });
-}
-
-// End-to-end: the same seeded training loop under forced-naive vs auto
-// dispatch. Times differ; the learned weights must not.
-struct EndToEnd {
-  double naive_ms = 0.0;
-  double auto_ms = 0.0;
-  bool identical_weights = false;
-};
-
-EndToEnd MeasureEndToEnd(int steps) {
-  EndToEnd result;
-  std::vector<float> naive_weights;
-  for (int pass = 0; pass < 2; ++pass) {
-    kernels::SetMatMulKernel(pass == 0 ? kernels::MatMulKernel::kNaive
-                                       : kernels::MatMulKernel::kAuto);
-    StepLoop loop;
-    auto arena = std::make_shared<TensorArena>();
-    const auto start = std::chrono::steady_clock::now();
-    {
-      ArenaScope scope(arena);
-      for (int i = 0; i < steps; ++i) {
-        loop.Step();
-        arena->ResetStep();
-      }
-    }
-    const double ms =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count() *
-        1000.0;
-    if (pass == 0) {
-      result.naive_ms = ms;
-      naive_weights = loop.w1.values();
-    } else {
-      result.auto_ms = ms;
-      result.identical_weights = BitIdentical(loop.w1.values(), naive_weights);
-    }
-  }
-  kernels::SetMatMulKernel(kernels::MatMulKernel::kAuto);
-  return result;
 }
 
 int Main(int argc, char** argv) {
@@ -185,10 +185,15 @@ int Main(int argc, char** argv) {
               "block bwd", "speedup", "bits");
 
   // N=256, F=64 is the acceptance shape (a pooled graph level's feature
-  // transform); the rest sweep embedding-sized shapes up and down.
+  // transform); the next five sweep embedding-sized shapes up and down.
+  // The rest are small products of per-graph HAP forwards (a readout
+  // vector, a few-node level, narrow or shallow operands, a score
+  // column) that the former shape rule kept on the naive loops.
   const int shapes[][3] = {
-      {256, 64, 64}, {256, 256, 64}, {128, 64, 64},
-      {64, 64, 64},  {512, 64, 128}, {32, 64, 16},
+      {256, 64, 64}, {256, 256, 64}, {128, 64, 64}, {64, 64, 64},
+      {512, 64, 128}, {32, 64, 16},  {1, 32, 32},   {4, 32, 32},
+      {7, 64, 64},   {32, 8, 8},     {16, 3, 33},   {1, 64, 2},
+      {24, 32, 1},
   };
 
   JsonWriter json;
@@ -205,14 +210,17 @@ int Main(int argc, char** argv) {
       accept_speedup = row.fwd_speedup;
     }
     std::printf(
-        "%6d %6d %6d | %8.3fms %8.3fms %7.2fx | %8.3fms %8.3fms %7.2fx | %s\n",
+        "%6d %6d %6d | %8.5fms %8.5fms %7.2fx | %8.5fms %8.5fms %7.2fx | "
+        "%s%s\n",
         row.m, row.k, row.n, row.naive_fwd_ms, row.blocked_fwd_ms,
         row.fwd_speedup, row.naive_bwd_ms, row.blocked_bwd_ms, row.bwd_speedup,
-        row.bit_identical ? "identical" : "DIFFER");
+        row.bit_identical ? "identical" : "DIFFER",
+        row.old_rule_naive ? " (old rule: naive)" : "");
     json.BeginObject();
     json.Field("m", row.m);
     json.Field("k", row.k);
     json.Field("n", row.n);
+    json.Field("old_rule_naive", row.old_rule_naive);
     json.Field("naive_fwd_ms", row.naive_fwd_ms);
     json.Field("blocked_fwd_ms", row.blocked_fwd_ms);
     json.Field("fwd_speedup", row.fwd_speedup);
@@ -251,20 +259,6 @@ int Main(int argc, char** argv) {
   json.Field("hot_counters_off_ms", obs_off_ms);
   json.Field("hot_counters_on_ms", obs_on_ms);
   json.Field("overhead_pct", 100.0 * (obs_on_ms - obs_off_ms) / obs_off_ms);
-  json.EndObject();
-  const int e2e_steps = FastOr(20, 100);
-  const EndToEnd e2e = MeasureEndToEnd(e2e_steps);
-  all_bits = all_bits && e2e.identical_weights;
-  std::printf("end-to-end x%d steps: naive %.3fms auto %.3fms (%.2fx), "
-              "weights %s\n",
-              e2e_steps, e2e.naive_ms, e2e.auto_ms, e2e.naive_ms / e2e.auto_ms,
-              e2e.identical_weights ? "identical" : "DIFFER");
-  json.BeginObject("end_to_end");
-  json.Field("steps", e2e_steps);
-  json.Field("naive_ms", e2e.naive_ms);
-  json.Field("auto_ms", e2e.auto_ms);
-  json.Field("speedup", e2e.naive_ms / e2e.auto_ms);
-  json.Field("identical_weights", e2e.identical_weights);
   json.EndObject();
   json.Field("accept_shape_fwd_speedup", accept_speedup);
   json.Field("all_bit_identical", all_bits);

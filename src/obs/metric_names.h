@@ -22,8 +22,10 @@ inline constexpr char kSpMatMulNs[] = "tensor.spmatmul.ns";
 inline constexpr char kCsrCoarsenCalls[] = "tensor.csrcoarsen.calls";
 inline constexpr char kCsrCoarsenFlops[] = "tensor.csrcoarsen.flops";
 inline constexpr char kCsrCoarsenNs[] = "tensor.csrcoarsen.ns";
-// Kernel-dispatch decisions (docs/PERFORMANCE.md): which MatMul forward
-// kernel the dispatcher picked.
+// fp32 MatMul forwards (docs/PERFORMANCE.md): every one runs the blocked
+// kernels. Nothing increments the naive counter any more; the name stays
+// because the benchmark's tensor.matmul_naive_share still reads it (and so
+// always reports 0).
 inline constexpr char kMatMulDispatchBlocked[] =
     "tensor.matmul.dispatch.blocked";
 inline constexpr char kMatMulDispatchNaive[] = "tensor.matmul.dispatch.naive";

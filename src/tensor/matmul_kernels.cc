@@ -1,10 +1,7 @@
 #include "tensor/matmul_kernels.h"
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <string>
 #include <vector>
 
 #include "obs/metric_names.h"
@@ -18,49 +15,6 @@
 namespace hap::kernels {
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Kernel selection
-// ---------------------------------------------------------------------------
-
-MatMulKernel ParseKernelEnv() {
-  const char* env = std::getenv("HAP_MATMUL_KERNEL");
-  if (env == nullptr || env[0] == '\0') return MatMulKernel::kAuto;
-  const std::string value(env);
-  if (value == "naive") return MatMulKernel::kNaive;
-  if (value == "blocked") return MatMulKernel::kBlocked;
-  return MatMulKernel::kAuto;
-}
-
-std::atomic<MatMulKernel>& KernelFlag() {
-  static std::atomic<MatMulKernel>* flag =
-      new std::atomic<MatMulKernel>(ParseKernelEnv());
-  return *flag;
-}
-
-// The packing cost is O(k·n) and each packed panel is reused once per
-// output row, so blocking only pays off with enough rows to amortise it
-// (m == 1 head/readout vectors stay naive) and enough columns/depth for
-// the register tile to fill. The thresholds are deterministic functions
-// of shape only — every thread and process dispatches identically.
-constexpr int64_t kMinRows = 8;
-constexpr int64_t kMinWork = 16 * 1024;  // ~2·m·k·n floor for blocking
-
-bool ShapeWantsBlocked(int64_t m, int64_t k, int64_t n) {
-  return m >= kMinRows && n >= 8 && k >= 4 && 2 * m * k * n >= kMinWork;
-}
-
-bool Dispatch(int64_t m, int64_t k, int64_t n) {
-  switch (GetMatMulKernel()) {
-    case MatMulKernel::kNaive:
-      return false;
-    case MatMulKernel::kBlocked:
-      return true;
-    case MatMulKernel::kAuto:
-      break;
-  }
-  return ShapeWantsBlocked(m, k, n);
-}
 
 // ---------------------------------------------------------------------------
 // Thread-local pack scratch: a bump buffer that grows geometrically and
@@ -612,14 +566,6 @@ void GradBRowsScalarTile(const float* a, const float* g, float* gb, int64_t m,
 
 }  // namespace
 
-MatMulKernel GetMatMulKernel() {
-  return KernelFlag().load(std::memory_order_relaxed);
-}
-
-void SetMatMulKernel(MatMulKernel kernel) {
-  KernelFlag().store(kernel, std::memory_order_relaxed);
-}
-
 bool CpuHasAvx2() {
 #if HAP_KERNELS_X86
   static const bool has = __builtin_cpu_supports("avx2");
@@ -627,16 +573,6 @@ bool CpuHasAvx2() {
 #else
   return false;
 #endif
-}
-
-bool UseBlockedForward(int64_t m, int64_t k, int64_t n) {
-  return Dispatch(m, k, n);
-}
-bool UseBlockedGradA(int64_t m, int64_t k, int64_t n) {
-  return Dispatch(m, k, n);
-}
-bool UseBlockedGradB(int64_t m, int64_t k, int64_t n) {
-  return Dispatch(m, k, n);
 }
 
 const float* PackBPanels(const float* b, int64_t k, int64_t n) {
@@ -669,6 +605,8 @@ const float* PackBTransposed(const float* b, int64_t k, int64_t n) {
 }
 
 // --- Naive reference kernels: the original ops.cc loops, verbatim ---
+// MatMul never calls them; tests and bench_matmul_kernels check the
+// blocked kernels against them.
 
 void NaiveForwardRows(const float* a, const float* b, float* out, int64_t k,
                       int64_t n, int64_t i0, int64_t i1) {
@@ -884,8 +822,8 @@ bool ShapeWantsInt8(int64_t m, int64_t k, int64_t n) {
   // Quantize+pack costs O(m·k + k·n) and the fp32 blocked kernels are
   // already strong at small shapes; int8 needs enough depth per dot and
   // enough total work to win (BENCH_quantized_gemm.json sweeps this).
-  return m >= 8 && WeightShapeAdmitsInt8(k, n) &&
-         2 * m * k * n >= 2 * kMinWork;
+  constexpr int64_t kMinWork = 32 * 1024;  // ~2·m·k·n floor for int8
+  return m >= 8 && WeightShapeAdmitsInt8(k, n) && 2 * m * k * n >= kMinWork;
 }
 
 int16_t* Int8ScratchA(size_t count) {

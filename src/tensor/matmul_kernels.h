@@ -1,16 +1,16 @@
 // Dense GEMM micro-kernel family for MatMul's forward and backward
-// passes, plus the dispatch layer that picks between them.
+// passes.
 //
 // Two implementations per pass:
+//  * Blocked*Rows — what MatMul runs, at every shape: cache-blocked,
+//    register-tiled kernels. B is packed into contiguous column panels,
+//    the i-k-j loop order keeps a 4x16 output tile in registers across
+//    the whole k extent, and the 16-wide j-inner loop is unrolled (AVX2
+//    mul+add when the CPU has it, an auto-vectorizable scalar tile
+//    otherwise). Column and depth tails run the reference loops.
 //  * Naive*Rows — the original triple loops from ops.cc, kept verbatim as
-//    the bit-exactness reference and as the small-shape fast path (the
-//    blocked kernels pay an O(k·n) packing cost that only amortises over
-//    enough output rows).
-//  * Blocked*Rows — cache-blocked, register-tiled kernels: B is packed
-//    into contiguous column panels, the i-k-j loop order keeps a 4x16
-//    output tile in registers across the whole k extent, and the 16-wide
-//    j-inner loop is unrolled (AVX2 mul+add when the CPU has it, an
-//    auto-vectorizable scalar tile otherwise).
+//    the bit-exactness reference. Only tests and bench_matmul_kernels
+//    call them.
 //
 // Bit-determinism contract (docs/PERFORMANCE.md): every kernel produces
 // results bit-identical to its naive reference because, per output
@@ -50,28 +50,9 @@ inline constexpr int64_t kRowTile = 4;    // MR: output rows per tile
 inline constexpr int64_t kColPanel = 16;  // NR: packed B panel width
 inline constexpr int64_t kGradAChunk = 32;  // packed-Bᵀ chunk width for dA
 
-enum class MatMulKernel {
-  kAuto,     // shape-based choice (default)
-  kNaive,    // force the reference kernels
-  kBlocked,  // force the blocked kernels (any shape; tails handled)
-};
-
-// Process-wide kernel selection. Defaults to kAuto, overridable by the
-// HAP_MATMUL_KERNEL environment variable ("naive" / "blocked" / "auto")
-// or programmatically (tests, benchmarks).
-MatMulKernel GetMatMulKernel();
-void SetMatMulKernel(MatMulKernel kernel);
-
 // True when the blocked kernels use AVX2 intrinsics on this machine
 // (otherwise they fall back to the scalar register tile).
 bool CpuHasAvx2();
-
-// Shape-based dispatch decisions under the current kernel selection.
-// Deterministic functions of shape only, so every rank/thread/process
-// makes the same choice.
-bool UseBlockedForward(int64_t m, int64_t k, int64_t n);
-bool UseBlockedGradA(int64_t m, int64_t k, int64_t n);
-bool UseBlockedGradB(int64_t m, int64_t k, int64_t n);
 
 // --- Packing (thread-local scratch; see header comment) ---
 

@@ -129,18 +129,14 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   // switch (one relaxed load when off); the timing histogram only records
   // when detailed metrics are on. Neither touches the math.
   static obs::Histogram* op_ns = obs::GetHistogram(obs::names::kMatMulNs);
-  const bool blocked_fwd =
-      kernels::UseBlockedForward(m, k, n);
   if (obs::HotCountersEnabled()) {
     static obs::Counter* calls = obs::GetCounter(obs::names::kMatMulCalls);
     static obs::Counter* flops = obs::GetCounter(obs::names::kMatMulFlops);
     static obs::Counter* disp_blocked =
         obs::GetCounter(obs::names::kMatMulDispatchBlocked);
-    static obs::Counter* disp_naive =
-        obs::GetCounter(obs::names::kMatMulDispatchNaive);
     calls->Increment();
     flops->Add(2ull * m * k * n);
-    (blocked_fwd ? disp_blocked : disp_naive)->Increment();
+    disp_blocked->Increment();
   }
   obs::ScopedTimerNs timer(op_ns);
   Tensor out = MakeOpResult(m, n, {a, b}, [m, k, n](internal::TensorImpl& node) {
@@ -151,29 +147,22 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     // which both avoids the wasted O(mkn) work and keeps tensors shared
     // across data-parallel workers free of concurrent grad writes.
     //
-    // Both backward paths dispatch between the reference and blocked
-    // kernels (tensor/matmul_kernels.h); every kernel preserves the
-    // per-element accumulation order, so the gradient bits match the
-    // original loops regardless of dispatch or thread count.
+    // Both backward passes run the blocked kernels
+    // (tensor/matmul_kernels.h), which keep the naive reference's
+    // per-element accumulation order, so the gradient bits do not depend
+    // on the thread count.
     if (pa.requires_grad) {
       pa.EnsureGrad();
       // dA += dOut * B^T, row-blocked over A's rows: block-private outputs.
       const float* g = node.grad.data();
       const float* bdat = pb.data.data();
       float* ga = pa.grad.data();
-      if (kernels::UseBlockedGradA(m, k, n)) {
-        const float* packed_bt = kernels::PackBTransposed(bdat, k, n);
-        ParallelFor(0, m, RowGrain(static_cast<int64_t>(k) * n),
-                    [&](int64_t lo, int64_t hi) {
-                      kernels::BlockedGradARows(g, packed_bt, bdat, ga, k, n,
-                                                lo, hi);
-                    });
-      } else {
-        ParallelFor(0, m, RowGrain(static_cast<int64_t>(k) * n),
-                    [&](int64_t lo, int64_t hi) {
-                      kernels::NaiveGradARows(g, bdat, ga, k, n, lo, hi);
-                    });
-      }
+      const float* packed_bt = kernels::PackBTransposed(bdat, k, n);
+      ParallelFor(0, m, RowGrain(static_cast<int64_t>(k) * n),
+                  [&](int64_t lo, int64_t hi) {
+                    kernels::BlockedGradARows(g, packed_bt, bdat, ga, k, n,
+                                              lo, hi);
+                  });
     }
     if (pb.requires_grad) {
       pb.EnsureGrad();
@@ -183,39 +172,23 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
       const float* g = node.grad.data();
       const float* adat = pa.data.data();
       float* gb = pb.grad.data();
-      if (kernels::UseBlockedGradB(m, k, n)) {
-        ParallelFor(0, k, RowGrain(static_cast<int64_t>(m) * n),
-                    [&](int64_t lo, int64_t hi) {
-                      kernels::BlockedGradBRows(adat, g, gb, m, k, n, lo, hi);
-                    });
-      } else {
-        ParallelFor(0, k, RowGrain(static_cast<int64_t>(m) * n),
-                    [&](int64_t lo, int64_t hi) {
-                      kernels::NaiveGradBRows(adat, g, gb, m, k, n, lo, hi);
-                    });
-      }
+      ParallelFor(0, k, RowGrain(static_cast<int64_t>(m) * n),
+                  [&](int64_t lo, int64_t hi) {
+                    kernels::BlockedGradBRows(adat, g, gb, m, k, n, lo, hi);
+                  });
     }
   });
   // Forward, row-blocked over the output rows (each block writes a
-  // disjoint row range). The blocked kernel packs B into column panels
-  // once and keeps a 4x16 output tile in registers; the naive kernel is
-  // the original i-p-j loop. Identical bits either way.
+  // disjoint row range). The kernel packs B into column panels once and
+  // keeps a 4x16 output tile in registers.
   float* o = out.mutable_data();
   const float* pa = a.data();
   const float* pb = b.data();
-  if (blocked_fwd) {
-    const float* packed_b = kernels::PackBPanels(pb, k, n);
-    ParallelFor(0, m, RowGrain(static_cast<int64_t>(k) * n),
-                [&](int64_t lo, int64_t hi) {
-                  kernels::BlockedForwardRows(pa, packed_b, pb, o, k, n, lo,
-                                              hi);
-                });
-  } else {
-    ParallelFor(0, m, RowGrain(static_cast<int64_t>(k) * n),
-                [&](int64_t lo, int64_t hi) {
-                  kernels::NaiveForwardRows(pa, pb, o, k, n, lo, hi);
-                });
-  }
+  const float* packed_b = kernels::PackBPanels(pb, k, n);
+  ParallelFor(0, m, RowGrain(static_cast<int64_t>(k) * n),
+              [&](int64_t lo, int64_t hi) {
+                kernels::BlockedForwardRows(pa, packed_b, pb, o, k, n, lo, hi);
+              });
   return out;
 }
 

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "tensor/matmul_kernels.h"
 
 namespace hap {
@@ -187,21 +189,12 @@ TEST(OpsDeathTest, ShapeMismatchesCheck) {
 
 
 // ---------------------------------------------------------------------------
-// Kernel parity: the blocked MatMul micro-kernels must be bit-identical to
-// the naive reference for every shape, including tile-boundary and tail
-// cases, and for inputs with zeros (skip paths), infinities, and NaNs.
-// See docs/PERFORMANCE.md for the determinism contract under test.
+// Kernel parity: MatMul runs the blocked micro-kernels at every shape, and
+// they must be bit-identical to the naive reference kernels, including
+// tile-boundary and tail cases, and for inputs with zeros (skip paths),
+// infinities, and NaNs. See docs/PERFORMANCE.md for the determinism
+// contract under test.
 // ---------------------------------------------------------------------------
-
-// Forces a kernel selection for the duration of a test.
-struct KernelGuard {
-  explicit KernelGuard(kernels::MatMulKernel k)
-      : previous(kernels::GetMatMulKernel()) {
-    kernels::SetMatMulKernel(k);
-  }
-  ~KernelGuard() { kernels::SetMatMulKernel(previous); }
-  kernels::MatMulKernel previous;
-};
 
 void ExpectBitIdentical(const std::vector<float>& got,
                         const std::vector<float>& want, const char* what) {
@@ -215,22 +208,35 @@ void ExpectBitIdentical(const std::vector<float>& got,
   }
 }
 
-// Runs forward + backward of W ⊙ (A·B) summed, under the given kernel, and
-// returns {out, dA, dB} as raw float buffers.
+// {out, dA, dB} of one product as raw float buffers.
 struct MatMulRun {
   std::vector<float> out, da, db;
 };
 
-MatMulRun RunMatMul(kernels::MatMulKernel kernel, int m, int k, int n,
-                    const std::vector<float>& av, const std::vector<float>& bv,
-                    const std::vector<float>& wv) {
-  KernelGuard guard(kernel);
+// MatMul's forward and backward of W ⊙ (A·B) summed, and the naive
+// reference kernels run on the same operands with the same upstream
+// gradient (the grad MatMul's backward received).
+struct MatMulParity {
+  MatMulRun matmul, reference;
+};
+
+MatMulParity RunMatMul(int m, int k, int n, const std::vector<float>& av,
+                       const std::vector<float>& bv,
+                       const std::vector<float>& wv) {
   Tensor a = Tensor::FromVector(m, k, av, /*requires_grad=*/true);
   Tensor b = Tensor::FromVector(k, n, bv, /*requires_grad=*/true);
   Tensor w = Tensor::FromVector(m, n, wv);
   Tensor out = MatMul(a, b);
   ReduceSumAll(Mul(out, w)).Backward();
-  return {out.values(), a.grad(), b.grad()};
+  const float* g = out.grad().data();
+  MatMulRun reference{std::vector<float>(static_cast<size_t>(m) * n, 0.0f),
+                      std::vector<float>(static_cast<size_t>(m) * k, 0.0f),
+                      std::vector<float>(static_cast<size_t>(k) * n, 0.0f)};
+  kernels::NaiveForwardRows(av.data(), bv.data(), reference.out.data(), k, n,
+                            0, m);
+  kernels::NaiveGradARows(g, bv.data(), reference.da.data(), k, n, 0, m);
+  kernels::NaiveGradBRows(av.data(), g, reference.db.data(), m, k, n, 0, k);
+  return {{out.values(), a.grad(), b.grad()}, std::move(reference)};
 }
 
 // Random values with a configurable fraction of exact zeros so the
@@ -265,15 +271,12 @@ TEST(MatMulKernelParityTest, RandomShapesBitIdentical) {
           RandomWithZeros(&rng, int64_t{k} * n, zero_fraction);
       const std::vector<float> wv =
           RandomWithZeros(&rng, int64_t{m} * n, zero_fraction);
-      MatMulRun naive = RunMatMul(kernels::MatMulKernel::kNaive, m, k, n, av,
-                                  bv, wv);
-      MatMulRun blocked = RunMatMul(kernels::MatMulKernel::kBlocked, m, k, n,
-                                    av, bv, wv);
+      const MatMulParity run = RunMatMul(m, k, n, av, bv, wv);
       SCOPED_TRACE(::testing::Message() << "shape " << m << "x" << k << "x"
                                         << n << " zeros " << zero_fraction);
-      ExpectBitIdentical(blocked.out, naive.out, "forward");
-      ExpectBitIdentical(blocked.da, naive.da, "dA");
-      ExpectBitIdentical(blocked.db, naive.db, "dB");
+      ExpectBitIdentical(run.matmul.out, run.reference.out, "forward");
+      ExpectBitIdentical(run.matmul.da, run.reference.da, "dA");
+      ExpectBitIdentical(run.matmul.db, run.reference.db, "dB");
     }
   }
 }
@@ -312,13 +315,10 @@ TEST(MatMulKernelParityTest, NonFiniteValuesMatch) {
   bv[5] = inf;
   bv[n + 4] = nan;
   wv[7] = -inf;
-  MatMulRun naive =
-      RunMatMul(kernels::MatMulKernel::kNaive, m, k, n, av, bv, wv);
-  MatMulRun blocked =
-      RunMatMul(kernels::MatMulKernel::kBlocked, m, k, n, av, bv, wv);
-  ExpectSameUpToNanPayload(blocked.out, naive.out, "forward");
-  ExpectSameUpToNanPayload(blocked.da, naive.da, "dA");
-  ExpectSameUpToNanPayload(blocked.db, naive.db, "dB");
+  const MatMulParity run = RunMatMul(m, k, n, av, bv, wv);
+  ExpectSameUpToNanPayload(run.matmul.out, run.reference.out, "forward");
+  ExpectSameUpToNanPayload(run.matmul.da, run.reference.da, "dA");
+  ExpectSameUpToNanPayload(run.matmul.db, run.reference.db, "dB");
 }
 
 TEST(MatMulKernelParityTest, RowPartitionsBitIdentical) {
@@ -344,6 +344,35 @@ TEST(MatMulKernelParityTest, RowPartitionsBitIdentical) {
     SCOPED_TRACE(::testing::Message() << "split at row " << split);
     ExpectBitIdentical(parts, whole, "partitioned forward");
   }
+}
+
+// MatMul has one fp32 path: the blocked kernels, at every shape, including
+// a single row, fewer than 8 rows or columns, depth below 4 and under 16k
+// flops.
+TEST(MatMulDispatchTest, EveryShapeRunsBlocked) {
+  const int shapes[][3] = {
+      {1, 32, 32}, {4, 64, 64}, {32, 8, 8}, {16, 3, 33}, {7, 40, 130},
+  };
+  const bool metrics_were_enabled = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  const uint64_t blocked_before =
+      obs::CounterValue(obs::names::kMatMulDispatchBlocked);
+  const uint64_t naive_before =
+      obs::CounterValue(obs::names::kMatMulDispatchNaive);
+  Rng rng(0xD15Au);
+  uint64_t calls = 0;
+  for (const auto& shape : shapes) {
+    const int m = shape[0], k = shape[1], n = shape[2];
+    MatMul(Tensor::FromVector(m, k, RandomWithZeros(&rng, int64_t{m} * k, 0)),
+           Tensor::FromVector(k, n, RandomWithZeros(&rng, int64_t{k} * n, 0)));
+    ++calls;
+    EXPECT_EQ(obs::CounterValue(obs::names::kMatMulDispatchBlocked) -
+                  blocked_before,
+              calls)
+        << "shape " << m << "x" << k << "x" << n;
+  }
+  EXPECT_EQ(obs::CounterValue(obs::names::kMatMulDispatchNaive), naive_before);
+  obs::SetMetricsEnabled(metrics_were_enabled);
 }
 
 }  // namespace
