@@ -344,11 +344,10 @@ network_pass
 # The committed kernel bench JSON must exist and clear its acceptance
 # speedup with bit-identical kernels. The parity suite that pins the
 # blocked kernels to the naive reference (ops_test MatMulKernelParity*)
-# runs plain and under address,undefined in the ctest passes.
+# and the arena's allocation-free steady state (arena_test) run plain
+# and under address,undefined in the ctest passes.
 kernel_pass() {
   echo "=== build: kernel bench gate ==="
-  ./build/tests/arena_test > /dev/null
-  echo "arena steady state allocation-free"
   python3 - <<'EOF'
 import json
 doc = json.load(open("BENCH_matmul_kernels.json"))
@@ -489,14 +488,9 @@ docs_pass
 
 # halt_on_error keeps ctest failures attributable to one test; the
 # suppression-free defaults are intentional — the tree should stay clean.
+# The quant suite, whose kernels poke raw packed buffers with intrinsics,
+# runs here as one of the ctest cases.
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   run_pass build-sanitize -DHAP_SANITIZE=address,undefined
 
-# Quantized kernels poke raw packed buffers with intrinsics — run the
-# quant suite once more, explicitly, from the sanitized build (it is in
-# the ctest pass above; this line keeps the guarantee legible).
-ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
-  ./build-sanitize/tests/quant_test > /dev/null
-echo "quant suite clean under address,undefined"
-
-echo "All checks passed (plain + observability + batching + sparse coarsening + quantization + docs + address,undefined)."
+echo "All checks passed (plain + observability + serving + telemetry + network + kernel + batching + sparse coarsening + quantization + docs + address,undefined)."

@@ -1,8 +1,9 @@
 #include "graph/graph_level.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -18,8 +19,8 @@ namespace {
 
 std::atomic<SparseDispatch> g_sparse_dispatch{SparseDispatch::kAuto};
 
-// Process-wide mirrors of the per-level CacheStats: filled-cache serves,
-// cache-filling computes, and recomputes on non-cacheable (taped) levels.
+// Cache reads: served from a filled cache, filling it, or recomputed on a
+// non-cacheable (taped) level.
 obs::Counter* CacheHitCounter() {
   static obs::Counter* c = obs::GetCounter(obs::names::kGraphCacheHit);
   return c;
@@ -41,12 +42,15 @@ obs::Counter* DispatchSparseCounter() {
   return c;
 }
 
-// CSR-native analogues of propagation.h's dense normalisers, for
-// sparse-native levels where the dense Ã = A + I detour is off limits.
-// Numerics deliberately mirror the dense code: degrees are the per-row
-// sums of Ã in ascending column order (dense ReduceSumCols adds exact
-// zeros, which is a no-op in float, so the two orders agree bit-for-bit),
-// clamped at the same eps, and each value is scaled row-factor-first.
+// CSR analogues of propagation.h's dense normalisers, the one path by
+// which every level builds its normalized CSR operators, so no dense
+// Ã = A + I detour is needed. The numerics mirror the dense code, and the
+// result equals CsrMatrix::FromDense of the dense operator byte for byte:
+// degrees are the row sums of Ã accumulated in double in ascending column
+// order (dense ReduceSumCols also adds the exact zeros, a no-op), rounded
+// to float and floored at eps as ClampMin floors them; each value is
+// scaled row-factor-first; and entries that normalise to zero are
+// dropped, as FromDense drops them.
 
 CsrMatrix CsrAddIdentity(const CsrMatrix& a) {
   const int n = a.rows();
@@ -86,30 +90,73 @@ CsrMatrix CsrAddIdentity(const CsrMatrix& a) {
 enum class CsrNorm { kSym, kRow };
 
 CsrMatrix CsrNormalize(const CsrMatrix& a, CsrNorm norm, float eps = 1e-9f) {
-  CsrMatrix a_tilde = CsrAddIdentity(a);
+  const CsrMatrix a_tilde = CsrAddIdentity(a);
   const int n = a_tilde.rows();
+  const std::vector<int>& tilde_ptr = a_tilde.row_ptr();
+  const std::vector<int>& tilde_col = a_tilde.col_idx();
+  const std::vector<float>& tilde_val = a_tilde.values();
   std::vector<float> factor(n);  // 1/deg (row) or 1/sqrt(deg) (sym)
   for (int r = 0; r < n; ++r) {
-    float degree = 0.0f;
-    for (int i = a_tilde.row_ptr()[r]; i < a_tilde.row_ptr()[r + 1]; ++i) {
-      degree += a_tilde.values()[i];
-    }
-    degree = std::max(degree, eps);
+    double sum = 0.0;
+    for (int i = tilde_ptr[r]; i < tilde_ptr[r + 1]; ++i) sum += tilde_val[i];
+    const float row_sum = static_cast<float>(sum);
+    const float degree = row_sum > eps ? row_sum : eps;
     factor[r] = norm == CsrNorm::kSym ? 1.0f / std::sqrt(degree)
                                       : 1.0f / degree;
   }
-  std::vector<int> row_ptr = a_tilde.row_ptr();
-  std::vector<int> col_idx = a_tilde.col_idx();
-  std::vector<float> values = a_tilde.values();
+  std::vector<int> row_ptr(n + 1, 0);
+  std::vector<int> col_idx;
+  std::vector<float> values;
+  col_idx.reserve(tilde_col.size());
+  values.reserve(tilde_val.size());
   for (int r = 0; r < n; ++r) {
-    for (int i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
-      values[i] = norm == CsrNorm::kSym
-                      ? (values[i] * factor[r]) * factor[col_idx[i]]
-                      : values[i] * factor[r];
+    for (int i = tilde_ptr[r]; i < tilde_ptr[r + 1]; ++i) {
+      const int c = tilde_col[i];
+      const float v = norm == CsrNorm::kSym
+                          ? (tilde_val[i] * factor[r]) * factor[c]
+                          : tilde_val[i] * factor[r];
+      if (std::abs(v) > kSparsityThreshold) {
+        col_idx.push_back(c);
+        values.push_back(v);
+      }
     }
+    row_ptr[r + 1] = static_cast<int>(col_idx.size());
   }
   return CsrMatrix::FromParts(n, n, std::move(row_ptr), std::move(col_idx),
                               std::move(values));
+}
+
+// One cached operator: built once under `once`, immutable afterwards, so
+// reads after the build need no lock.
+template <typename T>
+struct Slot {
+  std::once_flag once;
+  std::optional<T> value;
+};
+
+// The one fill path: returns `slot`'s value, building it with `build` on
+// the first read. Every read ticks exactly one cache hit or miss.
+template <typename T, typename Build>
+const T& Fill(Slot<T>& slot, Build build) {
+  bool built = false;
+  std::call_once(slot.once, [&] {
+    slot.value.emplace(build());
+    built = true;
+  });
+  (built ? CacheMissCounter() : CacheHitCounter())->Increment();
+  return *slot.value;
+}
+
+// A dense operator `compute(adjacency)`: cached in `slot` when the level is
+// cacheable, else recomputed (taped) on every read.
+template <typename Compute>
+Tensor DenseOperator(bool cacheable, const Tensor& adjacency,
+                     Slot<Tensor>& slot, Compute compute) {
+  if (!cacheable) {
+    UncachedCounter()->Increment();
+    return compute(adjacency);
+  }
+  return Fill(slot, [&] { return compute(adjacency); });
 }
 
 }  // namespace
@@ -124,36 +171,22 @@ SparseDispatch GetSparseDispatch() {
 
 struct GraphLevel::State {
   Tensor adjacency;  // undefined for sparse-native levels
-  bool cacheable = false;
-  // Sparse-native storage (docs/SPARSE.md): when sparse_native is true the
-  // adjacency lives only here and num_nodes carries the size the dense
-  // tensor would otherwise report.
-  bool sparse_native = false;
-  CsrMatrix native_csr;
   int num_nodes = 0;
+  bool cacheable = false;
 
-  std::mutex mu;
-  // All fields below are lazily filled under mu. Tensors cached here are
-  // untaped constants (cacheable implies the adjacency is a grad-free
-  // leaf), so handing out aliasing copies is safe across threads: backward
-  // passes never touch them (see the needs-grad guards in ops.cc).
-  bool has_density = false;
+  std::once_flag density_once;
   double density = 0.0;
-  Tensor sym_normalized;
-  Tensor row_normalized;
-  Tensor log_mask;
-  std::unique_ptr<CsrMatrix> adjacency_csr;
-  std::unique_ptr<CsrMatrix> sym_csr;
-  std::unique_ptr<CsrMatrix> row_csr;
-  CacheStats stats;
-
-  // Bumps the per-level stat (under mu) and the process-wide counter for
-  // a recompute on a non-cacheable level.
-  void NoteUncached(uint64_t CacheStats::*miss_field) {
-    UncachedCounter()->Increment();
-    std::lock_guard<std::mutex> lock(mu);
-    stats.*miss_field += 1;
-  }
+  // Cached tensors are untaped constants (cacheable implies the adjacency
+  // is a grad-free leaf), so handing out aliasing copies is safe across
+  // threads: backward passes never touch them (see the needs-grad guards
+  // in ops.cc). A sparse-native level's adjacency lives in adjacency_csr,
+  // filled at construction.
+  Slot<CsrMatrix> adjacency_csr;
+  Slot<CsrMatrix> sym_csr;
+  Slot<CsrMatrix> row_csr;
+  Slot<Tensor> sym;
+  Slot<Tensor> row;
+  Slot<Tensor> log_mask;
 };
 
 GraphLevel::GraphLevel(Tensor adjacency) : state_(std::make_shared<State>()) {
@@ -168,19 +201,20 @@ GraphLevel::GraphLevel(Tensor adjacency) : state_(std::make_shared<State>()) {
 GraphLevel::GraphLevel(CsrMatrix adjacency)
     : state_(std::make_shared<State>()) {
   HAP_CHECK_EQ(adjacency.rows(), adjacency.cols());
-  state_->sparse_native = true;
   state_->num_nodes = adjacency.rows();
-  state_->native_csr = std::move(adjacency);
   state_->cacheable = true;  // CSR values are input data, never taped
+  // The native CSR fills the adjacency-CSR slot: every read of it is a hit.
+  Slot<CsrMatrix>& slot = state_->adjacency_csr;
+  std::call_once(slot.once, [&] { slot.value.emplace(std::move(adjacency)); });
 }
 
 bool GraphLevel::has_dense_adjacency() const {
-  return defined() && !state_->sparse_native;
+  return defined() && state_->adjacency.defined();
 }
 
 const Tensor& GraphLevel::adjacency() const {
   HAP_CHECK(defined()) << "use of undefined GraphLevel";
-  HAP_CHECK(!state_->sparse_native)
+  HAP_CHECK(state_->adjacency.defined())
       << "dense adjacency requested from a sparse-native GraphLevel; "
          "check has_dense_adjacency() (docs/SPARSE.md)";
   return state_->adjacency;
@@ -195,12 +229,10 @@ bool GraphLevel::cacheable() const { return defined() && state_->cacheable; }
 
 double GraphLevel::Density() const {
   State& s = *state_;
-  std::lock_guard<std::mutex> lock(s.mu);
-  if (!s.has_density) {
-    s.density = s.sparse_native ? s.native_csr.Density()
-                                : EdgeDensity(s.adjacency);
-    s.has_density = true;
-  }
+  std::call_once(s.density_once, [&s] {
+    s.density = s.adjacency.defined() ? EdgeDensity(s.adjacency)
+                                      : s.adjacency_csr.value->Density();
+  });
   return s.density;
 }
 
@@ -208,7 +240,7 @@ bool GraphLevel::UseSparse() const {
   if (!cacheable()) return false;
   // A sparse-native level has no dense operators to dispatch to: the
   // force-dense override cannot be honoured and is ignored.
-  if (state_->sparse_native) return true;
+  if (!has_dense_adjacency()) return true;
   switch (GetSparseDispatch()) {
     case SparseDispatch::kForceDense:
       return false;
@@ -220,161 +252,49 @@ bool GraphLevel::UseSparse() const {
   return false;
 }
 
+// Each dense operator reads adjacency() first, which CHECKs that the
+// level is defined and dense-backed.
 Tensor GraphLevel::SymNormalized() const {
-  HAP_CHECK(has_dense_adjacency())
-      << "SymNormalized() on a sparse-native GraphLevel; propagation goes "
-         "through Propagate() which uses the native CSR (docs/SPARSE.md)";
-  if (!cacheable()) {
-    Tensor fresh = SymNormalize(adjacency());
-    state_->NoteUncached(&CacheStats::sym_misses);
-    return fresh;
-  }
-  State& s = *state_;
-  std::lock_guard<std::mutex> lock(s.mu);
-  if (!s.sym_normalized.defined()) {
-    s.sym_normalized = SymNormalize(s.adjacency);
-    ++s.stats.sym_misses;
-    CacheMissCounter()->Increment();
-  } else {
-    ++s.stats.sym_hits;
-    CacheHitCounter()->Increment();
-  }
-  return s.sym_normalized;
+  const Tensor& a = adjacency();
+  return DenseOperator(state_->cacheable, a, state_->sym,
+                       [](const Tensor& t) { return SymNormalize(t); });
 }
 
 Tensor GraphLevel::RowNormalized() const {
-  HAP_CHECK(has_dense_adjacency())
-      << "RowNormalized() on a sparse-native GraphLevel; use "
-         "PropagateRowNormalized() (docs/SPARSE.md)";
-  if (!cacheable()) {
-    Tensor fresh = RowNormalize(adjacency());
-    state_->NoteUncached(&CacheStats::row_misses);
-    return fresh;
-  }
-  State& s = *state_;
-  std::lock_guard<std::mutex> lock(s.mu);
-  if (!s.row_normalized.defined()) {
-    s.row_normalized = RowNormalize(s.adjacency);
-    ++s.stats.row_misses;
-    CacheMissCounter()->Increment();
-  } else {
-    ++s.stats.row_hits;
-    CacheHitCounter()->Increment();
-  }
-  return s.row_normalized;
+  const Tensor& a = adjacency();
+  return DenseOperator(state_->cacheable, a, state_->row,
+                       [](const Tensor& t) { return RowNormalize(t); });
 }
 
 Tensor GraphLevel::LogMask() const {
-  HAP_CHECK(has_dense_adjacency())
-      << "LogMask() on a sparse-native GraphLevel; attention readouts "
-         "require a dense-backed level (docs/SPARSE.md)";
-  if (!cacheable()) {
-    Tensor fresh = NeighborhoodLogMask(adjacency());
-    state_->NoteUncached(&CacheStats::mask_misses);
-    return fresh;
-  }
-  State& s = *state_;
-  std::lock_guard<std::mutex> lock(s.mu);
-  if (!s.log_mask.defined()) {
-    s.log_mask = NeighborhoodLogMask(s.adjacency);
-    ++s.stats.mask_misses;
-    CacheMissCounter()->Increment();
-  } else {
-    ++s.stats.mask_hits;
-    CacheHitCounter()->Increment();
-  }
-  return s.log_mask;
-}
-
-const CsrMatrix* GraphLevel::AdjacencyCsr() const {
-  if (!cacheable()) return nullptr;
-  State& s = *state_;
-  if (s.sparse_native) {
-    CacheHitCounter()->Increment();
-    std::lock_guard<std::mutex> lock(s.mu);
-    ++s.stats.adj_csr_hits;
-    return &s.native_csr;
-  }
-  std::lock_guard<std::mutex> lock(s.mu);
-  if (!s.adjacency_csr) {
-    s.adjacency_csr =
-        std::make_unique<CsrMatrix>(CsrMatrix::FromDense(s.adjacency));
-    ++s.stats.adj_csr_misses;
-    CacheMissCounter()->Increment();
-  } else {
-    ++s.stats.adj_csr_hits;
-    CacheHitCounter()->Increment();
-  }
-  return s.adjacency_csr.get();
-}
-
-const CsrMatrix* GraphLevel::SymCsr() const {
-  if (!cacheable()) return nullptr;
-  State& s = *state_;
-  if (!s.sparse_native) {
-    Tensor dense = SymNormalized();  // fills the dense cache first
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (!s.sym_csr) {
-      s.sym_csr = std::make_unique<CsrMatrix>(CsrMatrix::FromDense(dense));
-      ++s.stats.sym_csr_misses;
-      CacheMissCounter()->Increment();
-    } else {
-      ++s.stats.sym_csr_hits;
-      CacheHitCounter()->Increment();
-    }
-    return s.sym_csr.get();
-  }
-  std::lock_guard<std::mutex> lock(s.mu);
-  if (!s.sym_csr) {
-    s.sym_csr =
-        std::make_unique<CsrMatrix>(CsrNormalize(s.native_csr, CsrNorm::kSym));
-    ++s.stats.sym_csr_misses;
-    CacheMissCounter()->Increment();
-  } else {
-    ++s.stats.sym_csr_hits;
-    CacheHitCounter()->Increment();
-  }
-  return s.sym_csr.get();
-}
-
-const CsrMatrix* GraphLevel::RowCsr() const {
-  if (!cacheable()) return nullptr;
-  State& s = *state_;
-  if (!s.sparse_native) {
-    Tensor dense = RowNormalized();
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (!s.row_csr) {
-      s.row_csr = std::make_unique<CsrMatrix>(CsrMatrix::FromDense(dense));
-      ++s.stats.row_csr_misses;
-      CacheMissCounter()->Increment();
-    } else {
-      ++s.stats.row_csr_hits;
-      CacheHitCounter()->Increment();
-    }
-    return s.row_csr.get();
-  }
-  std::lock_guard<std::mutex> lock(s.mu);
-  if (!s.row_csr) {
-    s.row_csr =
-        std::make_unique<CsrMatrix>(CsrNormalize(s.native_csr, CsrNorm::kRow));
-    ++s.stats.row_csr_misses;
-    CacheMissCounter()->Increment();
-  } else {
-    ++s.stats.row_csr_hits;
-    CacheHitCounter()->Increment();
-  }
-  return s.row_csr.get();
+  const Tensor& a = adjacency();
+  return DenseOperator(state_->cacheable, a, state_->log_mask,
+                       NeighborhoodLogMask);
 }
 
 const CsrMatrix* GraphLevel::AdjacencyCsrOrNull() const {
-  if (!defined()) return nullptr;
-  return AdjacencyCsr();
+  if (!cacheable()) return nullptr;
+  State& s = *state_;
+  return &Fill(s.adjacency_csr,
+               [&s] { return CsrMatrix::FromDense(s.adjacency); });
+}
+
+const CsrMatrix& GraphLevel::SymCsr() const {
+  return Fill(state_->sym_csr, [this] {
+    return CsrNormalize(*AdjacencyCsrOrNull(), CsrNorm::kSym);
+  });
+}
+
+const CsrMatrix& GraphLevel::RowCsr() const {
+  return Fill(state_->row_csr, [this] {
+    return CsrNormalize(*AdjacencyCsrOrNull(), CsrNorm::kRow);
+  });
 }
 
 Tensor GraphLevel::Propagate(const Tensor& x) const {
   if (UseSparse()) {
     DispatchSparseCounter()->Increment();
-    return SpMatMul(*SymCsr(), x);
+    return SpMatMul(SymCsr(), x);
   }
   DispatchDenseCounter()->Increment();
   return MatMul(SymNormalized(), x);
@@ -383,7 +303,7 @@ Tensor GraphLevel::Propagate(const Tensor& x) const {
 Tensor GraphLevel::PropagateRowNormalized(const Tensor& x) const {
   if (UseSparse()) {
     DispatchSparseCounter()->Increment();
-    return SpMatMul(*RowCsr(), x);
+    return SpMatMul(RowCsr(), x);
   }
   DispatchDenseCounter()->Increment();
   return MatMul(RowNormalized(), x);
@@ -392,7 +312,7 @@ Tensor GraphLevel::PropagateRowNormalized(const Tensor& x) const {
 Tensor GraphLevel::Aggregate(const Tensor& x) const {
   if (UseSparse()) {
     DispatchSparseCounter()->Increment();
-    return SpMatMul(*AdjacencyCsr(), x);
+    return SpMatMul(*AdjacencyCsrOrNull(), x);
   }
   DispatchDenseCounter()->Increment();
   return MatMul(adjacency(), x);
@@ -401,23 +321,11 @@ Tensor GraphLevel::Aggregate(const Tensor& x) const {
 void GraphLevel::WarmCaches() const {
   if (!cacheable()) return;
   Density();
-  if (has_dense_adjacency()) {
-    SymNormalized();
-    RowNormalized();
-    LogMask();
-  }
   if (UseSparse()) {
-    AdjacencyCsr();
-    SymCsr();
-    RowCsr();
+    SymCsr();  // builds from, and so also fills, the adjacency CSR
+  } else {
+    SymNormalized();
   }
-}
-
-GraphLevel::CacheStats GraphLevel::cache_stats() const {
-  if (!defined()) return {};
-  State& s = *state_;
-  std::lock_guard<std::mutex> lock(s.mu);
-  return s.stats;
 }
 
 }  // namespace hap

@@ -2,7 +2,6 @@
 #define HAP_GRAPH_GRAPH_LEVEL_H_
 
 #include <memory>
-#include <mutex>
 
 #include "tensor/sparse.h"
 #include "tensor/tensor.h"
@@ -34,52 +33,31 @@ inline constexpr double kSparseDispatchDensity = 0.25;
 
 /// One level of a graph hierarchy, viewed through its adjacency matrix.
 ///
-/// GraphLevel owns the dense adjacency tensor and lazily computes + caches
-/// the derived operators every consumer used to re-derive per forward:
+/// GraphLevel owns the adjacency and builds each derived operator on its
+/// first read, then caches it:
 ///   - the CSR form of the adjacency and of the normalized operators,
 ///   - the sym-normalized propagation matrix D̃^{-1/2}ÃD̃^{-1/2} (GCN),
 ///   - the row-normalized matrix D̃^{-1}Ã (ASAP/AttPool/GMN),
 ///   - the neighborhood log mask (GAT/ASAP attention).
+/// The normalized CSR operators are built from the adjacency CSR by one
+/// path for dense-backed and sparse-native levels alike, byte-identical to
+/// the CSR of the dense operators of propagation.h. Every read of a cached
+/// operator ticks exactly one graph_level.cache.hit or .miss.
 ///
 /// Caching invariant: derived operators are cached ONLY when the adjacency
 /// is a gradient-free leaf (requires_grad() false and no tape parents) —
 /// then SymNormalize/RowNormalize produce untaped constants that can be
 /// reused across epochs, eval passes, and data-parallel workers without
 /// touching any autograd state. For taped adjacencies (training-mode
-/// coarsened levels, A' = MᵀAM) every accessor computes a fresh taped
-/// result so the autograd graph is identical to the pre-GraphLevel code.
+/// coarsened levels, A' = MᵀAM) every read computes a fresh taped result
+/// (ticking graph_level.cache.uncached) so the autograd graph is identical
+/// to the pre-GraphLevel code.
 ///
 /// GraphLevel is a cheap shared-state handle (copies alias one State, like
-/// Tensor); the cache is mutex-protected so concurrent workers sharing a
-/// prepared dataset race-freely fill it. Call WarmCaches() at dataset
-/// preparation time to pre-fill outside the training loop.
+/// Tensor); each cached operator is built once under its own once-flag, so
+/// concurrent workers sharing a prepared dataset race-freely fill it.
 class GraphLevel {
  public:
-  /// Snapshot of one level's derived-operator cache activity. A hit is an
-  /// accessor call served from a filled cache; a miss computed the
-  /// operator (and, when cacheable, filled the cache — so a warmed level
-  /// shows exactly one miss per operator). Accessor calls on
-  /// non-cacheable levels always recompute and count as misses.
-  /// Counters are cumulative over the level's lifetime and shared by all
-  /// copies of the handle.
-  struct CacheStats {
-    uint64_t sym_hits = 0, sym_misses = 0;
-    uint64_t row_hits = 0, row_misses = 0;
-    uint64_t mask_hits = 0, mask_misses = 0;
-    uint64_t adj_csr_hits = 0, adj_csr_misses = 0;
-    uint64_t sym_csr_hits = 0, sym_csr_misses = 0;
-    uint64_t row_csr_hits = 0, row_csr_misses = 0;
-
-    uint64_t TotalHits() const {
-      return sym_hits + row_hits + mask_hits + adj_csr_hits + sym_csr_hits +
-             row_csr_hits;
-    }
-    uint64_t TotalMisses() const {
-      return sym_misses + row_misses + mask_misses + adj_csr_misses +
-             sym_csr_misses + row_csr_misses;
-    }
-  };
-
   GraphLevel() = default;
   explicit GraphLevel(Tensor adjacency);
 
@@ -88,9 +66,8 @@ class GraphLevel {
   /// 100k-node graphs enter the system — a dense adjacency at that size
   /// would be 40 GB. Sparse-native levels are always cacheable (the CSR
   /// holds input data, not taped values) and always dispatch sparse;
-  /// the dense accessors (adjacency(), SymNormalized(), RowNormalized(),
-  /// LogMask()) CHECK-fail, and consumers that need them must test
-  /// has_dense_adjacency() first.
+  /// adjacency() and LogMask() CHECK-fail, and consumers that need them
+  /// must test has_dense_adjacency() first.
   explicit GraphLevel(CsrMatrix adjacency);
 
   bool defined() const { return state_ != nullptr; }
@@ -115,7 +92,7 @@ class GraphLevel {
 
   /// Fraction of adjacency entries with |value| > kSparsityThreshold.
   /// Computed once and cached (a pure data read, safe even on taped
-  /// adjacencies).
+  /// adjacencies); not counted as a cache read.
   double Density() const;
 
   /// Whether this level's propagation uses the CSR fast path under the
@@ -124,45 +101,37 @@ class GraphLevel {
   /// detach it from the tape.
   bool UseSparse() const;
 
-  /// D̃^{-1/2} Ã D̃^{-1/2} (dense tensor; cached when cacheable).
-  Tensor SymNormalized() const;
-
-  /// D̃^{-1} Ã (dense tensor; cached when cacheable).
-  Tensor RowNormalized() const;
-
   /// Additive attention mask over the self-loop neighbourhood (cached when
   /// cacheable). See NeighborhoodLogMask.
   Tensor LogMask() const;
 
-  /// SymNormalized() · x — the GCN propagation step. Uses SpMatMul over
-  /// the cached CSR form when UseSparse(), else the dense MatMul;
+  /// D̃^{-1/2}ÃD̃^{-1/2} · x — the GCN propagation step. Uses SpMatMul
+  /// over the CSR operator when UseSparse(), else the dense MatMul;
   /// bit-identical either way (see kSparsityThreshold).
   Tensor Propagate(const Tensor& x) const;
 
-  /// RowNormalized() · x — mean aggregation (ASAP, AttPool, GMN).
+  /// D̃^{-1}Ã · x — mean aggregation (ASAP, AttPool, GMN).
   Tensor PropagateRowNormalized(const Tensor& x) const;
 
   /// adjacency · x — raw sum aggregation (GIN, coarsening, StructPool).
   Tensor Aggregate(const Tensor& x) const;
 
-  /// Eagerly computes every derived operator this level can cache (no-op
-  /// for non-cacheable levels). Called at dataset-preparation time so the
-  /// training loop, and every data-parallel worker, reuses one copy.
+  /// Builds what Propagate and Aggregate read on this level's dispatch
+  /// side under the current policy: the density plus, when UseSparse(),
+  /// the adjacency and sym CSR, else the dense sym operator. Everything
+  /// else is built on first read. No-op for non-cacheable levels.
   void WarmCaches() const;
-
-  /// Copy of this level's cumulative cache counters (empty for an
-  /// undefined handle). The process-wide totals are also published to the
-  /// obs metrics registry (graph_level.cache.*).
-  CacheStats cache_stats() const;
 
  private:
   struct State;
 
-  /// Cached CSR of the operator chosen by UseSparse(); null on the dense
-  /// path or for non-cacheable levels.
-  const CsrMatrix* SymCsr() const;
-  const CsrMatrix* RowCsr() const;
-  const CsrMatrix* AdjacencyCsr() const;
+  /// The normalized operators behind Propagate/PropagateRowNormalized:
+  /// dense (recomputed on every read when not cacheable) and CSR
+  /// (cacheable levels only).
+  Tensor SymNormalized() const;
+  Tensor RowNormalized() const;
+  const CsrMatrix& SymCsr() const;
+  const CsrMatrix& RowCsr() const;
 
   std::shared_ptr<State> state_;
 };

@@ -5,19 +5,12 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
-
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include "obs/sketch.h"
 
@@ -199,7 +192,6 @@ struct TelemetryExporter::Impl {
   std::condition_variable cv;
   bool stop = false;
   MetricsSnapshot prev;  // last scrape, for interval deltas (guarded by mu)
-  int listen_fd = -1;
   // Logged-skip state; atomic because ScrapeOnce may race the loop.
   std::atomic<bool> write_failing{false};
 
@@ -235,7 +227,7 @@ struct TelemetryExporter::Impl {
     return ok;
   }
 
-  void FileLoop() {
+  void ScrapeLoop() {
     std::unique_lock<std::mutex> lock(mu);
     while (!stop) {
       cv.wait_for(lock, std::chrono::milliseconds(options.interval_ms),
@@ -246,83 +238,13 @@ struct TelemetryExporter::Impl {
       lock.lock();
     }
   }
-
-  void HttpLoop() {
-    while (true) {
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        if (stop) break;
-      }
-      pollfd pfd{listen_fd, POLLIN, 0};
-      const int ready = ::poll(&pfd, 1, 200);
-      if (ready <= 0) continue;
-      const int client = ::accept(listen_fd, nullptr, nullptr);
-      if (client < 0) continue;
-      char request[1024];
-      const ssize_t got = ::recv(client, request, sizeof(request) - 1, 0);
-      const bool want_json =
-          got > 0 && std::strncmp(request, "GET /json", 9) == 0;
-      MetricsSnapshot snap = SnapshotMetrics();
-      std::string body;
-      if (want_json) {
-        std::lock_guard<std::mutex> lock(mu);
-        body = RenderExporterJson(snap, prev);
-        prev = snap;
-      } else {
-        body = RenderPrometheus(snap);
-      }
-      std::string response =
-          "HTTP/1.1 200 OK\r\nContent-Type: " +
-          std::string(want_json ? "application/json"
-                                : "text/plain; version=0.0.4") +
-          "\r\nContent-Length: " + std::to_string(body.size()) +
-          "\r\nConnection: close\r\n\r\n" + body;
-      size_t sent = 0;
-      while (sent < response.size()) {
-        const ssize_t n = ::send(client, response.data() + sent,
-                                 response.size() - sent, MSG_NOSIGNAL);
-        if (n <= 0) break;
-        sent += static_cast<size_t>(n);
-      }
-      ::close(client);
-    }
-  }
 };
 
 TelemetryExporter::TelemetryExporter(const Options& options)
     : impl_(new Impl()) {
   impl_->options = options;
-  if (options.port >= 0) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd >= 0) {
-      const int one = 1;
-      ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-      addr.sin_port = htons(static_cast<uint16_t>(options.port));
-      if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0 &&
-          ::listen(fd, 16) == 0) {
-        sockaddr_in bound{};
-        socklen_t len = sizeof(bound);
-        if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) ==
-            0) {
-          bound_port_ = ntohs(bound.sin_port);
-        }
-        impl_->listen_fd = fd;
-        impl_->worker = std::thread([impl = impl_] { impl->HttpLoop(); });
-        return;
-      }
-      ::close(fd);
-    }
-    std::fprintf(stderr,
-                 "hap::obs: TelemetryExporter could not listen on port %d; "
-                 "exporter disabled\n",
-                 options.port);
-    return;
-  }
   if (!options.path.empty()) {
-    impl_->worker = std::thread([impl = impl_] { impl->FileLoop(); });
+    impl_->worker = std::thread([impl = impl_] { impl->ScrapeLoop(); });
   }
 }
 
@@ -341,36 +263,20 @@ void TelemetryExporter::Stop() {
   }
   impl_->cv.notify_all();
   if (impl_->worker.joinable()) impl_->worker.join();
-  if (impl_->listen_fd >= 0) {
-    ::close(impl_->listen_fd);
-    impl_->listen_fd = -1;
-  }
-  // Final scrape so file-mode consumers see the complete run.
+  // Final scrape so readers of the files see the complete run.
   if (!impl_->options.path.empty()) impl_->Scrape();
 }
 
 namespace {
 
-// HAP_PROM=<path|port>: exporter spans the whole process. Digits-only
-// values are ports; anything else is a file path. Implies metrics on.
+// HAP_PROM=<path>: exporter spans the whole process. Implies metrics on.
 struct EnvExporter {
   EnvExporter() {
     const char* env = std::getenv("HAP_PROM");
     if (env == nullptr || env[0] == '\0') return;
     SetMetricsEnabled(true);
     TelemetryExporter::Options options;
-    bool digits = true;
-    for (const char* p = env; *p; ++p) {
-      if (*p < '0' || *p > '9') {
-        digits = false;
-        break;
-      }
-    }
-    if (digits) {
-      options.port = std::atoi(env);
-    } else {
-      options.path = env;
-    }
+    options.path = env;
     const char* interval = std::getenv("HAP_PROM_INTERVAL_MS");
     if (interval != nullptr && interval[0] != '\0') {
       const int ms = std::atoi(interval);

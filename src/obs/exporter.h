@@ -1,8 +1,8 @@
 // Live telemetry exporter: a background thread that serializes metric
 // snapshots on an interval, in two formats —
-//  * Prometheus text exposition format (the scrape surface a future
-//    HTTP front-end mounts; grammar documented at
-//    https://prometheus.io/docs/instrumenting/exposition_formats/), and
+//  * Prometheus text exposition format (grammar documented at
+//    https://prometheus.io/docs/instrumenting/exposition_formats/; the
+//    same render hap_served's GET /metrics serves), and
 //  * JSON: the cumulative MetricsSnapshot plus per-interval sketch
 //    deltas (the distribution of just the last interval, via
 //    SketchSnapshot::DeltaSince) and any registered scrape sections.
@@ -11,10 +11,6 @@
 //  * HAP_PROM=<path> — every interval, write Prometheus text to <path>
 //    and JSON to <path>.json (atomic tmp+rename, so a concurrent reader
 //    never sees a torn file). A final scrape runs at process exit.
-//  * HAP_PROM=<port> (all digits) — serve the Prometheus text over a
-//    minimal blocking HTTP listener on 127.0.0.1:<port>; `GET /metrics`
-//    (any path, actually) returns the current render. JSON is at
-//    `GET /json`.
 //  * Programmatic: construct a TelemetryExporter directly.
 // HAP_PROM implies SetMetricsEnabled(true) — an exporter with timing
 // histograms and sketches empty would be useless.
@@ -60,35 +56,27 @@ std::string RenderExporterJson(const MetricsSnapshot& snap,
 class TelemetryExporter {
  public:
   struct Options {
-    std::string path;       // file mode when non-empty
-    int port = -1;          // HTTP mode when >= 0 (wins over path)
-    int interval_ms = 1000; // file-mode scrape cadence
+    std::string path;        // scrape target; no thread when empty
+    int interval_ms = 1000;  // scrape cadence
   };
 
-  /// Starts the background thread. File mode scrapes every interval_ms;
-  /// HTTP mode scrapes on demand per request.
+  /// Starts the background thread, which scrapes every interval_ms.
   explicit TelemetryExporter(const Options& options);
   ~TelemetryExporter();
 
   TelemetryExporter(const TelemetryExporter&) = delete;
   TelemetryExporter& operator=(const TelemetryExporter&) = delete;
 
-  /// Renders and (in file mode) writes one scrape immediately; callable
+  /// Renders and (with a path) writes one scrape immediately; callable
   /// from any thread. Returns false if a file write failed.
   bool ScrapeOnce();
 
   /// Joins the background thread after a final scrape. Idempotent.
   void Stop();
 
-  /// HTTP mode: the port actually bound (== Options::port, or the
-  /// kernel-assigned port when Options::port was 0); -1 in file mode or
-  /// if binding failed.
-  int bound_port() const { return bound_port_; }
-
  private:
   struct Impl;
   Impl* impl_;
-  int bound_port_ = -1;
 };
 
 }  // namespace hap::obs

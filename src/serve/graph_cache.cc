@@ -61,9 +61,10 @@ std::shared_ptr<const PreparedGraph> GraphCache::Prepare(const Graph& g) {
       return it->second->second;
     }
   }
-  // Prepare outside the lock: featurise + warm caches is the expensive
-  // part, and two concurrent misses on the same key just race to insert
-  // (the loser's copy is dropped, both answers are correct).
+  // Prepare outside the lock: featurising and building the propagation
+  // operators is the expensive part, and two concurrent misses on the
+  // same key just race to insert (the loser's copy is dropped, both
+  // answers are correct).
   auto prepared =
       std::make_shared<const PreparedGraph>(PrepareGraph(g, spec_));
   miss->Increment();

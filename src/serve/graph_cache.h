@@ -3,15 +3,16 @@
 //
 // Network requests arrive as graph *text*, so two identical requests
 // decode into two distinct Graph objects — and the engine's
-// pointer-identity coalescing, plus GraphLevel's warm operator caches,
-// would both miss. This cache closes that gap: graphs are keyed on a
+// pointer-identity coalescing, plus GraphLevel's operator caches, would
+// both miss. This cache closes that gap: graphs are keyed on a
 // canonical byte encoding of their content (node count, node labels,
 // sorted weighted edge list — the graph *label* is excluded, it is the
 // thing being predicted), and hits return the same
 // shared_ptr<const PreparedGraph>. Identical wire requests therefore
 // share one prepared graph, so
-//   * PrepareGraph (featurise + WarmCaches) runs once per distinct
-//     graph, and
+//   * PrepareGraph (featurise + WarmCaches, which builds the operators
+//     propagation reads) runs once per distinct graph, as does the build
+//     of any other operator, on its first read, and
 //   * the engine sees pointer-equal graphs and coalesces them into one
 //     forward per batch.
 //
@@ -47,7 +48,7 @@ class GraphCache {
   GraphCache(size_t capacity, const FeatureSpec& spec);
 
   /// Returns the cached PreparedGraph for a graph with `g`'s content,
-  /// preparing (featurise + warm caches) on a miss. Thread-safe; ticks
+  /// preparing (featurise + WarmCaches) on a miss. Thread-safe; ticks
   /// serve.cache.{hit,miss,evicted}.
   std::shared_ptr<const PreparedGraph> Prepare(const Graph& g);
 

@@ -7,8 +7,9 @@ PreparedGraph PrepareGraph(const Graph& g, const FeatureSpec& spec) {
   prepared.h = NodeFeatures(g, spec);
   prepared.adjacency = g.AdjacencyMatrix();
   prepared.level = GraphLevel(prepared.adjacency);
-  // Build the derived operators once, outside the training loop, so
-  // concurrent workers hit a warm read-only cache.
+  // Build the propagation operators outside the training loop, so
+  // concurrent workers mostly read a filled cache; any other operator is
+  // built once, on its first read.
   prepared.level.WarmCaches();
   prepared.label = g.label();
   return prepared;

@@ -13,8 +13,9 @@ namespace hap {
 
 /// A graph pre-converted to its tensor inputs so training loops do not
 /// re-featurise every epoch. Both tensors are gradient-free leaves, so
-/// `level` is cacheable: its normalized/CSR operators are built once here
-/// (WarmCaches) and reused across every epoch, eval pass, and
+/// `level` is cacheable: the operators Propagate and Aggregate read on its
+/// dispatch side are built here (WarmCaches), any other on its first read,
+/// and each is built once and reused across every epoch, eval pass, and
 /// data-parallel worker.
 /// Sparse-native graphs (docs/SPARSE.md) leave `adjacency` undefined and
 /// carry a CSR-backed `level` instead; consumers that need the dense

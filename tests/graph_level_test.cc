@@ -2,14 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/coarsening.h"
+#include "graph/featurize.h"
 #include "graph/generators.h"
 #include "graph/propagation.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "tensor/ops.h"
 #include "tensor/sparse.h"
+#include "train/prepared.h"
 
 namespace hap {
 namespace {
@@ -26,6 +32,15 @@ class DispatchScope {
  private:
   SparseDispatch saved_;
 };
+
+// memcmp-equality: same shape, same bytes.
+void ExpectSameBytes(const Tensor& actual, const Tensor& expected) {
+  ASSERT_EQ(actual.rows(), expected.rows());
+  ASSERT_EQ(actual.cols(), expected.cols());
+  EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
+                        sizeof(float) * expected.size()),
+            0);
+}
 
 TEST(FromTripletsTest, SumsDuplicatesAcrossUnsortedInput) {
   // Triplets arrive unsorted within and across rows; duplicates of the same
@@ -60,32 +75,28 @@ TEST(GraphLevelTest, LeafAdjacencyIsCacheable) {
 }
 
 TEST(GraphLevelTest, CachedOperatorsMatchFreshComputation) {
+  DispatchScope scope(SparseDispatch::kForceDense);
   Rng rng(11);
   Graph g = ConnectedErdosRenyi(12, 0.25, &rng);
   Tensor adjacency = g.AdjacencyMatrix();
   GraphLevel level(adjacency);
   level.WarmCaches();
+  Tensor x = Tensor::Randn(12, 5, &rng);
 
-  Tensor fresh_sym = SymNormalize(adjacency);
-  Tensor fresh_row = RowNormalize(adjacency);
-  Tensor fresh_mask = NeighborhoodLogMask(adjacency);
-  Tensor cached_sym = level.SymNormalized();
-  Tensor cached_row = level.RowNormalized();
+  ExpectSameBytes(level.Propagate(x), MatMul(SymNormalize(adjacency), x));
+  ExpectSameBytes(level.PropagateRowNormalized(x),
+                  MatMul(RowNormalize(adjacency), x));
   Tensor cached_mask = level.LogMask();
-  for (int64_t i = 0; i < fresh_sym.size(); ++i) {
-    ASSERT_EQ(cached_sym.data()[i], fresh_sym.data()[i]) << "sym[" << i << "]";
-    ASSERT_EQ(cached_row.data()[i], fresh_row.data()[i]) << "row[" << i << "]";
-    ASSERT_EQ(cached_mask.data()[i], fresh_mask.data()[i])
-        << "mask[" << i << "]";
-  }
+  ExpectSameBytes(cached_mask, NeighborhoodLogMask(adjacency));
   // Cached accessors hand back the same underlying buffer on repeat calls.
-  EXPECT_EQ(level.SymNormalized().data(), cached_sym.data());
+  EXPECT_EQ(level.LogMask().data(), cached_mask.data());
 }
 
 TEST(GraphLevelTest, CacheCoherentAfterCoarseningProducesNewLevel) {
   // The Eq. 18 output A' = MᵀAM built under NoGradGuard is a gradient-free
-  // leaf, so the next level caches it; the cached normalized operator must
-  // equal a fresh SymNormalize of the coarsened adjacency.
+  // leaf, so the next level caches it; its cached operators, dense and
+  // CSR, must propagate exactly as a fresh SymNormalize of the coarsened
+  // adjacency.
   Rng rng(13);
   Graph g = ConnectedErdosRenyi(14, 0.3, &rng);
   Tensor h = Tensor::Randn(14, 6, &rng);
@@ -102,11 +113,12 @@ TEST(GraphLevelTest, CacheCoherentAfterCoarseningProducesNewLevel) {
   CoarsenResult coarse = coarsener.Forward(h, level);
   ASSERT_TRUE(coarse.level.defined());
   EXPECT_TRUE(coarse.level.cacheable());
-  Tensor cached = coarse.level.SymNormalized();
-  Tensor fresh = SymNormalize(coarse.adjacency);
-  ASSERT_EQ(cached.size(), fresh.size());
-  for (int64_t i = 0; i < fresh.size(); ++i) {
-    ASSERT_EQ(cached.data()[i], fresh.data()[i]) << "entry " << i;
+  Tensor x = Tensor::Randn(4, 3, &rng);
+  Tensor fresh = MatMul(SymNormalize(coarse.adjacency), x);
+  for (SparseDispatch mode :
+       {SparseDispatch::kForceDense, SparseDispatch::kForceSparse}) {
+    DispatchScope scope(mode);
+    ExpectSameBytes(coarse.level.Propagate(x), fresh);
   }
 }
 
@@ -131,32 +143,33 @@ TEST(GraphLevelTest, TapedAdjacencyIsNeverCachedOrSparse) {
 }
 
 TEST(GraphLevelTest, SparseAndDensePropagationBitIdentical) {
+  // Unit weights and weights drawn from [0.1, 2): the CSR operators are
+  // built from the adjacency CSR, and must still propagate bit for bit as
+  // the dense operators do.
   Rng rng(19);
-  Graph g = ConnectedErdosRenyi(16, 0.15, &rng);
-  GraphLevel level(g.AdjacencyMatrix());
-  level.WarmCaches();
-  Tensor x = Tensor::Randn(16, 8, &rng);
+  for (bool weighted : {false, true}) {
+    Graph g = ConnectedErdosRenyi(16, 0.15, &rng);
+    if (weighted) {
+      for (const auto& [u, v] : g.Edges()) {
+        g.AddEdge(u, v, static_cast<float>(rng.Uniform(0.1, 2.0)));
+      }
+    }
+    GraphLevel level(g.AdjacencyMatrix());
+    Tensor x = Tensor::Randn(16, 8, &rng);
 
-  Tensor dense_prop, dense_row, dense_agg;
-  {
-    DispatchScope scope(SparseDispatch::kForceDense);
-    EXPECT_FALSE(level.UseSparse());
-    dense_prop = level.Propagate(x);
-    dense_row = level.PropagateRowNormalized(x);
-    dense_agg = level.Aggregate(x);
-  }
-  Tensor sparse_prop, sparse_row, sparse_agg;
-  {
+    Tensor dense_prop, dense_row, dense_agg;
+    {
+      DispatchScope scope(SparseDispatch::kForceDense);
+      EXPECT_FALSE(level.UseSparse());
+      dense_prop = level.Propagate(x);
+      dense_row = level.PropagateRowNormalized(x);
+      dense_agg = level.Aggregate(x);
+    }
     DispatchScope scope(SparseDispatch::kForceSparse);
     EXPECT_TRUE(level.UseSparse());
-    sparse_prop = level.Propagate(x);
-    sparse_row = level.PropagateRowNormalized(x);
-    sparse_agg = level.Aggregate(x);
-  }
-  for (int64_t i = 0; i < dense_prop.size(); ++i) {
-    ASSERT_EQ(sparse_prop.data()[i], dense_prop.data()[i]) << "prop " << i;
-    ASSERT_EQ(sparse_row.data()[i], dense_row.data()[i]) << "rownorm " << i;
-    ASSERT_EQ(sparse_agg.data()[i], dense_agg.data()[i]) << "agg " << i;
+    ExpectSameBytes(level.Propagate(x), dense_prop);
+    ExpectSameBytes(level.PropagateRowNormalized(x), dense_row);
+    ExpectSameBytes(level.Aggregate(x), dense_agg);
   }
 }
 
@@ -178,93 +191,165 @@ TEST(GraphLevelTest, CopiesShareOneCache) {
   Graph g = ConnectedErdosRenyi(9, 0.3, &rng);
   GraphLevel level(g.AdjacencyMatrix());
   GraphLevel copy = level;
-  copy.WarmCaches();
-  // Warming through the copy fills the original's cache: same buffer.
-  EXPECT_EQ(level.SymNormalized().data(), copy.SymNormalized().data());
+  // Filling through the copy fills the original's cache: same buffer.
+  EXPECT_EQ(level.LogMask().data(), copy.LogMask().data());
 }
 
-TEST(GraphLevelTest, CacheStatsCountMissThenHits) {
+// The process-wide graph_level.cache.* counters, read with detailed
+// metrics on, as deltas since the fixture's SetUp.
+class GraphLevelCacheTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    obs::SetMetricsEnabled(true);
+    hits0_ = Read(obs::names::kGraphCacheHit);
+    misses0_ = Read(obs::names::kGraphCacheMiss);
+    uncached0_ = Read(obs::names::kGraphUncached);
+  }
+  void TearDown() override { obs::SetMetricsEnabled(false); }
+
+  uint64_t hits() const { return Read(obs::names::kGraphCacheHit) - hits0_; }
+  uint64_t misses() const {
+    return Read(obs::names::kGraphCacheMiss) - misses0_;
+  }
+  uint64_t uncached() const {
+    return Read(obs::names::kGraphUncached) - uncached0_;
+  }
+
+ private:
+  static uint64_t Read(const char* name) { return obs::CounterValue(name); }
+  uint64_t hits0_ = 0, misses0_ = 0, uncached0_ = 0;
+};
+
+TEST_F(GraphLevelCacheTest, FirstReadMissesThenHits) {
   Rng rng(31);
   Graph g = ConnectedErdosRenyi(10, 0.3, &rng);
   GraphLevel level(g.AdjacencyMatrix());
-  EXPECT_EQ(level.cache_stats().TotalHits(), 0u);
-  EXPECT_EQ(level.cache_stats().TotalMisses(), 0u);
+  EXPECT_EQ(hits() + misses(), 0u);  // construction builds nothing
 
-  level.SymNormalized();  // first touch computes and fills the cache
-  GraphLevel::CacheStats stats = level.cache_stats();
-  EXPECT_EQ(stats.sym_misses, 1u);
-  EXPECT_EQ(stats.sym_hits, 0u);
+  level.LogMask();  // first read builds and fills the cache
+  EXPECT_EQ(misses(), 1u);
+  EXPECT_EQ(hits(), 0u);
 
-  level.SymNormalized();
-  level.SymNormalized();
-  stats = level.cache_stats();
-  EXPECT_EQ(stats.sym_misses, 1u);  // misses frozen once the cache is warm
-  EXPECT_EQ(stats.sym_hits, 2u);
-  EXPECT_EQ(stats.row_misses, 0u);  // untouched operators stay at zero
-  EXPECT_EQ(stats.TotalMisses(), 1u);
+  level.LogMask();
+  level.LogMask();
+  EXPECT_EQ(misses(), 1u);  // misses frozen once the cache is warm
+  EXPECT_EQ(hits(), 2u);
 }
 
-TEST(GraphLevelTest, WarmCachesIsExactlyOneMissPerOperator) {
+TEST_F(GraphLevelCacheTest, WarmCachesIsExactlyOneMissPerOperator) {
   DispatchScope scope(SparseDispatch::kForceDense);
   Rng rng(37);
   Graph g = ConnectedErdosRenyi(11, 0.3, &rng);
   GraphLevel level(g.AdjacencyMatrix());
   level.WarmCaches();
-  GraphLevel::CacheStats stats = level.cache_stats();
-  EXPECT_EQ(stats.sym_misses, 1u);
-  EXPECT_EQ(stats.row_misses, 1u);
-  EXPECT_EQ(stats.mask_misses, 1u);
-  EXPECT_EQ(stats.adj_csr_misses, 0u);  // dense dispatch: CSR never built
-  EXPECT_EQ(stats.TotalHits(), 0u);
+  // Dense dispatch: the dense sym operator only; no row operator, log
+  // mask or CSR.
+  EXPECT_EQ(misses(), 1u);
+  EXPECT_EQ(hits(), 0u);
 
-  // Re-warming touches only filled caches: hits grow, misses do not.
+  // Re-warming reads only the filled cache: hits grow, misses do not.
   level.WarmCaches();
-  stats = level.cache_stats();
-  EXPECT_EQ(stats.TotalMisses(), 3u);
-  EXPECT_EQ(stats.sym_hits, 1u);
-  EXPECT_EQ(stats.row_hits, 1u);
-  EXPECT_EQ(stats.mask_hits, 1u);
+  EXPECT_EQ(misses(), 1u);
+  EXPECT_EQ(hits(), 1u);
 }
 
-TEST(GraphLevelTest, SparseWarmFillsCsrCaches) {
+TEST_F(GraphLevelCacheTest, SparseWarmFillsCsrCaches) {
   DispatchScope scope(SparseDispatch::kForceSparse);
   GraphLevel level(Cycle(12).AdjacencyMatrix());
   level.WarmCaches();
-  GraphLevel::CacheStats stats = level.cache_stats();
-  EXPECT_EQ(stats.adj_csr_misses, 1u);
-  EXPECT_EQ(stats.sym_csr_misses, 1u);
-  EXPECT_EQ(stats.row_csr_misses, 1u);
-  EXPECT_EQ(stats.TotalMisses(), 6u);  // three dense + three CSR operators
+  EXPECT_EQ(misses(), 2u);  // the adjacency CSR and the sym CSR
+  EXPECT_EQ(hits(), 0u);
+
+  // The row CSR is built on first read, from the warm adjacency CSR.
+  level.PropagateRowNormalized(Tensor::Ones(12, 2));
+  EXPECT_EQ(misses(), 3u);
+  EXPECT_EQ(hits(), 1u);
 }
 
-TEST(GraphLevelTest, NonCacheableAccessorsAlwaysCountMisses) {
+TEST_F(GraphLevelCacheTest, SparseWarmBuildsNoDenseOperator) {
+  // What PrepareGraph leaves on a sparse-dispatched graph: the adjacency
+  // is the only dense N×N tensor, so every dense operator's first read
+  // is a miss.
+  DispatchScope auto_scope(SparseDispatch::kAuto);
+  Rng rng(47);
+  PreparedGraph prepared =
+      PrepareGraph(ConnectedErdosRenyi(40, 0.05, &rng), FeatureSpec{});
+  const GraphLevel& level = prepared.level;
+  ASSERT_TRUE(level.UseSparse());
+  EXPECT_EQ(misses(), 2u);  // the adjacency CSR and the sym CSR
+  EXPECT_EQ(hits(), 0u);
+
+  level.LogMask();
+  EXPECT_EQ(misses(), 3u);
+  DispatchScope dense_scope(SparseDispatch::kForceDense);
+  level.Propagate(prepared.h);
+  level.PropagateRowNormalized(prepared.h);
+  EXPECT_EQ(misses(), 5u);
+  EXPECT_EQ(hits(), 0u);
+}
+
+TEST_F(GraphLevelCacheTest, WarmSparsePropagateIsOneHit) {
+  DispatchScope scope(SparseDispatch::kForceSparse);
+  Rng rng(53);
+  GraphLevel level(ConnectedErdosRenyi(15, 0.2, &rng).AdjacencyMatrix());
+  level.WarmCaches();
+  const uint64_t warm_misses = misses();
+  const uint64_t warm_hits = hits();
+  level.Propagate(Tensor::Randn(15, 4, &rng));
+  EXPECT_EQ(hits() - warm_hits, 1u);  // the sym CSR, and nothing else
+  EXPECT_EQ(misses(), warm_misses);
+}
+
+TEST_F(GraphLevelCacheTest, ConcurrentFirstReadsBuildEachOperatorOnce) {
+  // Operators are built on first read, so workers sharing a prepared
+  // graph race to fill its caches: each operator must be built once, and
+  // every thread must see the same bytes.
+  DispatchScope scope(SparseDispatch::kForceSparse);
+  Rng rng(59);
+  GraphLevel level(ConnectedErdosRenyi(24, 0.2, &rng).AdjacencyMatrix());
+  Tensor x = Tensor::Randn(24, 3, &rng);
+  constexpr int kThreads = 4;
+  std::vector<std::vector<Tensor>> outputs(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      outputs[t] = {level.Propagate(x), level.PropagateRowNormalized(x),
+                    level.Aggregate(x), level.LogMask()};
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(misses(), 4u);  // adjacency, sym and row CSR, log mask
+  for (int t = 1; t < kThreads; ++t) {
+    for (size_t i = 0; i < outputs[0].size(); ++i) {
+      ExpectSameBytes(outputs[t][i], outputs[0][i]);
+    }
+  }
+}
+
+TEST_F(GraphLevelCacheTest, TapedLevelCountsUncachedOnEveryRead) {
   Rng rng(41);
   Tensor leaf = Tensor::Randn(6, 6, &rng, 1.0f, /*requires_grad=*/true);
   GraphLevel level(Mul(leaf, leaf));
   ASSERT_FALSE(level.cacheable());
-  level.SymNormalized();
-  level.SymNormalized();
-  GraphLevel::CacheStats stats = level.cache_stats();
-  EXPECT_EQ(stats.sym_misses, 2u);  // recomputed every call
-  EXPECT_EQ(stats.sym_hits, 0u);
-  EXPECT_EQ(stats.TotalHits(), 0u);
+  Tensor x = Tensor::Randn(6, 2, &rng);
+  level.Propagate(x);
+  level.Propagate(x);
+  level.LogMask();
+  EXPECT_EQ(uncached(), 3u);  // recomputed on every read
+  EXPECT_EQ(hits() + misses(), 0u);
+  EXPECT_EQ(level.AdjacencyCsrOrNull(), nullptr);
 }
 
-TEST(GraphLevelTest, CopiesShareCacheStats) {
+TEST_F(GraphLevelCacheTest, CopiesCountOneSharedCache) {
   Rng rng(43);
   Graph g = ConnectedErdosRenyi(8, 0.35, &rng);
   GraphLevel level(g.AdjacencyMatrix());
   GraphLevel copy = level;
-  copy.SymNormalized();
-  EXPECT_EQ(level.cache_stats().sym_misses, 1u);
-  level.SymNormalized();
-  EXPECT_EQ(copy.cache_stats().sym_hits, 1u);
-}
-
-TEST(GraphLevelTest, UndefinedLevelReportsEmptyStats) {
-  GraphLevel level;
-  EXPECT_EQ(level.cache_stats().TotalHits(), 0u);
-  EXPECT_EQ(level.cache_stats().TotalMisses(), 0u);
+  copy.LogMask();
+  EXPECT_EQ(misses(), 1u);
+  level.LogMask();
+  EXPECT_EQ(misses(), 1u);
+  EXPECT_EQ(hits(), 1u);
 }
 
 }  // namespace

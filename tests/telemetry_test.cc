@@ -15,11 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
 #include "common/json.h"
@@ -399,61 +394,6 @@ TEST(ExporterTest, IntervalSketchesAreDeltas) {
     EXPECT_EQ(s.Find("count")->number_value(), 2.0);
   }
   EXPECT_TRUE(found);
-  exporter.Stop();
-  obs::ResetMetrics();
-}
-
-// Raw loopback HTTP GET; returns 0 on success with the full response
-// (headers + body) in *out.
-int HttpGet(int port, const char* request_path, std::string* out) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  const std::string request = std::string("GET ") + request_path +
-                              " HTTP/1.1\r\nHost: 127.0.0.1\r\n"
-                              "Connection: close\r\n\r\n";
-  if (::send(fd, request.data(), request.size(), 0) !=
-      static_cast<ssize_t>(request.size())) {
-    ::close(fd);
-    return -1;
-  }
-  char buffer[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buffer, sizeof(buffer), 0)) > 0) {
-    out->append(buffer, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return 0;
-}
-
-TEST(ExporterTest, HttpModeServesMetricsOnLoopback) {
-  obs::ResetMetrics();
-  obs::GetCounter("test.exporter.http")->Add(3);
-  obs::TelemetryExporter::Options options;
-  options.port = 0;  // kernel-assigned
-  obs::TelemetryExporter exporter(options);
-  ASSERT_GT(exporter.bound_port(), 0);
-
-  std::string response;
-  ASSERT_EQ(HttpGet(exporter.bound_port(), "/metrics", &response), 0);
-  EXPECT_NE(response.find("200 OK"), std::string::npos);
-  EXPECT_NE(response.find("hap_test_exporter_http 3"), std::string::npos);
-  const size_t header_end = response.find("\r\n\r\n");
-  ASSERT_NE(header_end, std::string::npos);
-  CheckPrometheusGrammar(response.substr(header_end + 4));
-
-  std::string json_response;
-  ASSERT_EQ(HttpGet(exporter.bound_port(), "/json", &json_response), 0);
-  const size_t json_start = json_response.find("\r\n\r\n");
-  ASSERT_NE(json_start, std::string::npos);
-  EXPECT_TRUE(ParseJson(json_response.substr(json_start + 4)).ok());
   exporter.Stop();
   obs::ResetMetrics();
 }
