@@ -390,16 +390,20 @@ batching_pass
 # The committed sparse-coarsening bench JSON must exist and clear its
 # gates: >= 5x hierarchical-forward speedup at 10k nodes, a completed 100k
 # sparse-only forward, and >= 99% prediction agreement with dense mode
-# from a non-constant classifier. The untaped in-place GCont/MOA path
-# must stay memcmp-equal to the taped ops at 1 and 4 threads (its CᵀC sum
-# is row-ordered; a row-parallel accumulation would show at 4). The
-# top-k/CSR parity suite (sparse_coarsen_test) runs in the ctest passes.
+# from a non-constant classifier. The fused coarsening ops (GCont
+# standardisation, MOA, Gumbel soft sampling, SymNormalize) must stay
+# memcmp-equal to their composed reference, taped and untaped, at 1 and 4
+# threads (MOA's CᵀC sum is row-ordered; a row-parallel accumulation would
+# show at 4), and their gradient bits must match across thread counts.
+# The top-k/CSR parity suite (sparse_coarsen_test) runs in the ctest
+# passes.
 sparse_coarsen_pass() {
   echo "=== build: sparse coarsening parity + bench gate ==="
   for threads in 1 4; do
     HAP_NUM_THREADS=$threads ./build/tests/coarsening_test > /dev/null
+    HAP_NUM_THREADS=$threads ./build/tests/fused_ops_test > /dev/null
   done
-  echo "untaped GCont/MOA memcmp-equal to the taped ops at 1 and 4 threads"
+  echo "fused coarsening ops memcmp-equal to the composed reference at 1 and 4 threads; gradient bits match across thread counts"
   python3 - <<'EOF'
 import json
 doc = json.load(open("BENCH_sparse_coarsening.json"))

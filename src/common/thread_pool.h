@@ -1,6 +1,7 @@
 #ifndef HAP_COMMON_THREAD_POOL_H_
 #define HAP_COMMON_THREAD_POOL_H_
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -79,6 +80,17 @@ int NumThreads();
 /// safe to call while parallel work is in flight; intended for benchmarks
 /// and tests that sweep thread counts.
 void SetNumThreads(int num_threads);
+
+/// Minimum scalar operations one parallel block must amortise. Work below
+/// this runs serially (ParallelFor's small-range fast path), so tiny
+/// tensors never pay scheduling overhead.
+inline constexpr int64_t kParallelGrainWork = int64_t{1} << 15;
+
+/// Rows per parallel block such that a block covers at least
+/// kParallelGrainWork scalar operations, given `row_work` per row.
+inline int64_t RowGrain(int64_t row_work) {
+  return kParallelGrainWork / std::max<int64_t>(row_work, 1) + 1;
+}
 
 /// Convenience wrapper over GlobalThreadPool().ParallelFor.
 inline void ParallelFor(int64_t begin, int64_t end, int64_t grain,

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -36,15 +39,24 @@ CoarseningModule::CoarseningModule(const CoarseningConfig& config, Rng* rng)
 
 namespace {
 
-// Untaped NormalizeGCont in place: two double-accumulated reductions and
-// one scale pass. Bit-identical to the composed ops below: the same sums
+// The grad buffer of a parent that requires grad, else nullptr: parents
+// without requires_grad never get one.
+float* GradOf(internal::TensorImpl& parent) {
+  if (!parent.requires_grad) return nullptr;
+  parent.EnsureGrad();
+  return parent.grad.data();
+}
+
+// GCont standardisation's forward (Eq. 13 prepared as in the config
+// comment), shared by both grad modes; `y` may alias `x`. Two
+// double-accumulated reductions and one scale pass, bit-identical to the
+// composed ops it replaces (tests/coarsening_reference.h): the same sums
 // in the same order, a float rounding wherever they round, the same
-// HAP_CHECK on a NaN variance, and the broadcasts through MatMul, which
-// skips a zero multiplicand and so turns a -0 mean into +0.
-void StandardizeInPlace(Tensor* c) {
-  const int64_t size = c->size();
+// HAP_CHECK on a NaN variance, and the mean broadcast as MatMul delivers
+// it, which skips a zero multiplicand and so turns a -0 mean into +0.
+// Returns the standard deviation.
+float Standardize(const float* x, float* y, int64_t size) {
   HAP_CHECK_GT(size, 0);
-  float* x = c->mutable_data();
   const float inv_size = 1.0f / static_cast<float>(size);
   double sum = 0.0;
   for (int64_t i = 0; i < size; ++i) sum += x[i];
@@ -59,31 +71,57 @@ void StandardizeInPlace(Tensor* c) {
   const float variance = static_cast<float>(squares) * inv_size + 1e-6f;
   HAP_CHECK_GE(variance, 0.0f);
   const float stddev = std::sqrt(variance);
-  for (int64_t i = 0; i < size; ++i) x[i] = (x[i] - mean) / stddev;
+  for (int64_t i = 0; i < size; ++i) y[i] = (x[i] - mean) / stddev;
+  return stddev;
 }
 
-// The one ascending-row pass of untaped MOA over C (N×N′): the row scores
+// Backward of y = (x - mean)/σ over all entries, from y and σ alone:
+//   dx = (g - mean(g) - y·mean(g∘y)) / σ.
+void StandardizeBackward(float stddev, internal::TensorImpl& node) {
+  float* gx = GradOf(*node.parents[0]);
+  if (gx == nullptr) return;
+  const float* g = node.grad.data();
+  const float* y = node.data.data();
+  const int64_t size = static_cast<int64_t>(node.data.size());
+  double g_sum = 0.0, gy_sum = 0.0;
+  for (int64_t i = 0; i < size; ++i) {
+    g_sum += g[i];
+    gy_sum += static_cast<double>(g[i]) * y[i];
+  }
+  const float g_mean = static_cast<float>(g_sum / size);
+  const float gy_mean = static_cast<float>(gy_sum / size);
+  const float inv_stddev = 1.0f / stddev;
+  ParallelFor(0, size, kParallelGrainWork, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      gx[i] += (g[i] - g_mean - y[i] * gy_mean) * inv_stddev;
+    }
+  });
+}
+
+// The one ascending-row pass of MOA over C (N×N′): the row scores
 // r = C·a₁, the column-score sums s (Cᵀ(C·a₂), or for the paper-literal
-// relaxation the truncated Cᵀa₂; the caller scales) and, when `gram` is
-// non-null, G = CᵀC. Every sum adds the terms of the MatMul it replaces in
-// that product's order: rows ascending, terms whose left-hand C entry is
-// zero skipped (tensor/matmul_kernels.h).
+// relaxation the truncated Cᵀa₂; the caller scales), when `gram` is
+// non-null G = CᵀC, and when `projected` is non-null p = C·a₂. Every sum
+// adds the terms of the MatMul it replaces in that product's order: rows
+// ascending, terms whose left-hand C entry is zero skipped
+// (tensor/matmul_kernels.h).
 void ScanGContRows(const float* c, int n, int k, const float* a1,
                    const float* a2, bool literal, float* r, float* s,
-                   float* gram) {
+                   float* gram, float* projected) {
   const int literal_rows = std::min(n, k);
   for (int i = 0; i < n; ++i) {
     const float* row = c + static_cast<size_t>(i) * k;
-    float row_score = 0.0f, projected = 0.0f;
+    float row_score = 0.0f, row_projected = 0.0f;
     for (int p = 0; p < k; ++p) {
       const float v = row[p];
       if (v == 0.0f) continue;
       row_score += v * a1[p];
-      projected += v * a2[p];
+      row_projected += v * a2[p];
     }
     r[i] = row_score;
+    if (projected != nullptr) projected[i] = row_projected;
     if (!literal || i < literal_rows) {
-      const float w = literal ? a2[i] : projected;
+      const float w = literal ? a2[i] : row_projected;
       for (int p = 0; p < k; ++p) {
         if (row[p] != 0.0f) s[p] += row[p] * w;
       }
@@ -95,18 +133,21 @@ void ScanGContRows(const float* c, int n, int k, const float* a1,
 // Turns each row of `m` (N×N′) in place into its MOA attention (Eq. 14-15):
 //   m_ij ← softmax_j(LeakyReLU(logit(r_i + s_j, m_ij))),
 // with the element operations, roundings and order of the composed
-// OuterSum, Add, LeakyRelu and SoftmaxRows.
+// OuterSum, Add, LeakyRelu and SoftmaxRows. When `nonnegative` is
+// non-null it records which LeakyReLU branch each logit took.
 template <typename Logit>
 Tensor AttentionRows(Tensor m, const float* r, const float* s, float slope,
-                     Logit logit) {
+                     Logit logit, uint8_t* nonnegative) {
   const int k = m.cols();
   float* out = m.mutable_data();
-  ParallelFor(0, m.rows(), (1 << 15) / k + 1, [&](int64_t lo, int64_t hi) {
+  ParallelFor(0, m.rows(), RowGrain(k), [&](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) {
       float* row = out + i * k;
       for (int j = 0; j < k; ++j) {
         const float z = logit(r[i] + s[j], row[j]);
-        row[j] = z >= 0.0f ? z : slope * z;
+        const bool keep = z >= 0.0f;
+        if (nonnegative != nullptr) nonnegative[i * k + j] = keep;
+        row[j] = keep ? z : slope * z;
       }
       float mx = row[0];
       for (int j = 1; j < k; ++j) mx = std::max(mx, row[j]);
@@ -122,6 +163,165 @@ Tensor AttentionRows(Tensor m, const float* r, const float* s, float slope,
   return m;
 }
 
+// What a taped MOA's backward reads besides M, X (C, or H with GCont
+// ablated) and the parameters. Untaped calls build none of it.
+struct MoaTape {
+  std::vector<uint8_t> nonnegative;  // LeakyReLU branch of each logit
+  std::vector<float> projected;      // p = C·a₂ (invariant relaxation)
+  Tensor gram;                       // G = CᵀC (bilinear GCont)
+};
+
+// MOA's forward (Eq. 14-15), shared by both grad modes. With GCont: one
+// ScanGContRows pass, the C·G GEMM into M's buffer and AttentionRows.
+// With GCont ablated: r = H·a₁, s = S·a₂ and H·Sᵀ through MatMul, then
+// AttentionRows. Fills `tape` when non-null; a taped MOA pins its GEMMs
+// to fp32, so only an untaped one can dispatch int8.
+Tensor AttentionForward(const CoarseningConfig& config, const Tensor& c_or_h,
+                        const Tensor& seeds, const Tensor& a1,
+                        const Tensor& a2, MoaTape* tape) {
+  NoGradGuard no_grad;  // the pieces are values, not tape nodes
+  std::optional<PrecisionScope> fp32;
+  const int n = c_or_h.rows(), k = config.num_clusters;
+  uint8_t* nonnegative = nullptr;
+  if (tape != nullptr) {
+    fp32.emplace(Precision::kFp32);
+    tape->nonnegative.resize(static_cast<size_t>(n) * k);
+    nonnegative = tape->nonnegative.data();
+  }
+  const float slope = config.leaky_slope;
+  Tensor r, s;
+  if (config.use_gcont) {
+    HAP_CHECK_EQ(c_or_h.cols(), k);
+    const bool literal = config.paper_literal_relaxation;
+    r = Tensor(n, 1);
+    s = Tensor(k, 1);
+    Tensor gram = config.bilinear_moa ? Tensor(k, k) : Tensor();
+    float* projected = nullptr;
+    if (tape != nullptr && !literal) {
+      tape->projected.resize(n);
+      projected = tape->projected.data();
+    }
+    ScanGContRows(c_or_h.data(), n, k, a1.data(), a2.data(), literal,
+                  r.mutable_data(), s.mutable_data(),
+                  gram.defined() ? gram.mutable_data() : nullptr, projected);
+    const float inv_n = 1.0f / static_cast<float>(n);
+    if (!literal) {
+      for (int j = 0; j < k; ++j) s.mutable_data()[j] *= inv_n;
+    }
+    if (gram.defined()) {
+      if (tape != nullptr) tape->gram = gram;
+      return AttentionRows(
+          MatMul(c_or_h, gram), r.data(), s.data(), slope,
+          [inv_n](float base, float e) { return base + e * inv_n; },
+          nonnegative);
+    }
+  } else {
+    HAP_CHECK_EQ(c_or_h.cols(), config.in_features);
+    r = MatMul(c_or_h, a1);
+    s = MatMul(seeds, a2);
+    if (config.bilinear_moa) {
+      return AttentionRows(MatMul(c_or_h, Transpose(seeds)), r.data(),
+                           s.data(), slope,
+                           [](float base, float e) { return base + e; },
+                           nonnegative);
+    }
+  }
+  return AttentionRows(Tensor(n, k), r.data(), s.data(), slope,
+                       [](float base, float) { return base; }, nonnegative);
+}
+
+// MOA's backward from M (the node's data), the LeakyReLU branches, X, G
+// and p. The node's parents are {X, a₁, a₂}, or {H, S, a₁, a₂} with GCont
+// ablated (S the cluster seeds). With Z the logits and dZ their gradient
+// (softmax, then LeakyReLU), dr and ds are dZ's row and column sums.
+void AttentionBackward(const CoarseningConfig& config, const MoaTape& tape,
+                       internal::TensorImpl& node) {
+  const bool gcont = node.parents.size() == 3;
+  internal::TensorImpl& px = *node.parents[0];
+  internal::TensorImpl& pa1 = *node.parents[gcont ? 1 : 2];
+  internal::TensorImpl& pa2 = *node.parents[gcont ? 2 : 3];
+  const int n = node.rows, k = node.cols, w = px.cols;
+  const float slope = config.leaky_slope;
+  std::vector<float> dz(static_cast<size_t>(n) * k), dr(n), ds(k, 0.0f);
+  ParallelFor(0, n, RowGrain(k), [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      const size_t row = static_cast<size_t>(i) * k;
+      const float* m = node.data.data() + row;
+      const float* g = node.grad.data() + row;
+      double dot = 0.0;
+      for (int j = 0; j < k; ++j) dot += g[j] * m[j];
+      float row_sum = 0.0f;
+      for (int j = 0; j < k; ++j) {
+        float v = m[j] * (g[j] - static_cast<float>(dot));
+        if (!tape.nonnegative[row + j]) v *= slope;
+        dz[row + j] = v;
+        row_sum += v;
+      }
+      dr[i] = row_sum;
+    }
+  });
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < k; ++j) ds[j] += dz[static_cast<size_t>(i) * k + j];
+  }
+  const float* x = px.data.data();
+  const float* a1 = pa1.data.data();
+  const float* a2 = pa2.data.data();
+  float* gx = GradOf(px);
+  float* ga1 = GradOf(pa1);
+  float* ga2 = GradOf(pa2);
+  // r = X·a₁.
+  if (gx != nullptr) AddMatMul(dr.data(), a1, gx, n, 1, w);
+  if (ga1 != nullptr) AddMatMulAt(x, dr.data(), ga1, n, w, 1);
+
+  if (!gcont) {
+    // s = S·a₂, and the interaction E = H·Sᵀ.
+    internal::TensorImpl& pseeds = *node.parents[1];
+    const float* seeds = pseeds.data.data();
+    float* gseeds = GradOf(pseeds);
+    if (gseeds != nullptr) AddMatMul(ds.data(), a2, gseeds, k, 1, w);
+    if (ga2 != nullptr) AddMatMulAt(seeds, ds.data(), ga2, k, w, 1);
+    if (!config.bilinear_moa) return;
+    if (gx != nullptr) AddMatMul(dz.data(), seeds, gx, n, k, w);
+    if (gseeds != nullptr) AddMatMulAt(dz.data(), x, gseeds, n, k, w);
+    return;
+  }
+
+  const float inv_n = 1.0f / static_cast<float>(n);
+  if (config.paper_literal_relaxation) {
+    // s_j = Σ_{i < min(N, N′)} C_ij a₂_i.
+    const int rows = std::min(n, k);
+    if (gx != nullptr) AddMatMul(a2, ds.data(), gx, rows, 1, k);
+    if (ga2 != nullptr) AddMatMul(x, ds.data(), ga2, rows, k, 1);
+  } else {
+    // s = Cᵀp/N with p = C·a₂.
+    for (float& v : ds) v *= inv_n;
+    std::vector<float> dp(n, 0.0f);
+    AddMatMul(x, ds.data(), dp.data(), n, k, 1);
+    if (gx != nullptr) {
+      AddMatMul(tape.projected.data(), ds.data(), gx, n, 1, k);
+      AddMatMul(dp.data(), a2, gx, n, 1, k);
+    }
+    if (ga2 != nullptr) AddMatMulAt(x, dp.data(), ga2, n, k, 1);
+  }
+  if (!config.bilinear_moa || gx == nullptr) return;
+  // The interaction E = C·G/N with G = CᵀC: dC += dE·Gᵀ + C·(dG + dGᵀ)
+  // with dG = Cᵀ·dE.
+  for (float& v : dz) v *= inv_n;
+  const float* gram = tape.gram.data();
+  AddMatMulBt(dz.data(), gram, gx, n, k, k);
+  std::vector<float> dgram(static_cast<size_t>(k) * k, 0.0f);
+  AddMatMulAt(x, dz.data(), dgram.data(), n, k, k);
+  std::vector<float> sym(dgram.size());
+  for (int p = 0; p < k; ++p) {
+    for (int q = 0; q < k; ++q) {
+      sym[static_cast<size_t>(p) * k + q] =
+          dgram[static_cast<size_t>(p) * k + q] +
+          dgram[static_cast<size_t>(q) * k + p];
+    }
+  }
+  AddMatMul(x, sym.data(), gx, n, k, k);
+}
+
 }  // namespace
 
 Tensor CoarseningModule::ComputeGCont(const Tensor& h) const {
@@ -132,110 +332,34 @@ Tensor CoarseningModule::ComputeGCont(const Tensor& h) const {
 
 Tensor CoarseningModule::NormalizeGCont(Tensor c) const {
   if (!config_.normalize_gcont) return c;
-  if (!GradEnabled()) {
-    StandardizeInPlace(&c);
+  if (!WillTape(c)) {
+    Standardize(c.data(), c.mutable_data(), c.size());
     return c;
   }
-  // Differentiable whole-matrix standardisation; see the config comment.
-  const int n = c.rows(), k = c.cols();
-  Tensor mean = ReduceMeanAll(c);  // (1,1)
-  Tensor mean_full =
-      MatMul(Tensor::Ones(n, 1), MatMul(mean, Tensor::Ones(1, k)));
-  Tensor centered = Sub(c, mean_full);
-  Tensor stddev =
-      Sqrt(AddScalar(ReduceMeanAll(Square(centered)), 1e-6f));  // (1,1)
-  Tensor stddev_full =
-      MatMul(Tensor::Ones(n, 1), MatMul(stddev, Tensor::Ones(1, k)));
-  return Div(centered, stddev_full);
-}
-
-Tensor CoarseningModule::UntapedAttention(const Tensor& c_or_h) const {
-  const int n = c_or_h.rows(), k = config_.num_clusters;
-  const float slope = config_.leaky_slope;
-  Tensor r, s;
-  if (config_.use_gcont) {
-    HAP_CHECK_EQ(c_or_h.cols(), k);
-    r = Tensor(n, 1);
-    s = Tensor(k, 1);
-    Tensor gram = config_.bilinear_moa ? Tensor(k, k) : Tensor();
-    ScanGContRows(c_or_h.data(), n, k, attn_row_.data(), attn_col_.data(),
-                  config_.paper_literal_relaxation, r.mutable_data(),
-                  s.mutable_data(),
-                  gram.defined() ? gram.mutable_data() : nullptr);
-    const float inv_n = 1.0f / static_cast<float>(n);
-    if (!config_.paper_literal_relaxation) {
-      for (int j = 0; j < k; ++j) s.mutable_data()[j] *= inv_n;
-    }
-    if (gram.defined()) {
-      return AttentionRows(MatMul(c_or_h, gram), r.data(), s.data(), slope,
-                           [inv_n](float base, float e) {
-                             return base + e * inv_n;
-                           });
-    }
-  } else {
-    HAP_CHECK_EQ(c_or_h.cols(), config_.in_features);
-    r = MatMul(c_or_h, attn_row_);
-    s = MatMul(cluster_seeds_, attn_col_);
-    if (config_.bilinear_moa) {
-      return AttentionRows(MatMul(c_or_h, Transpose(cluster_seeds_)),
-                           r.data(), s.data(), slope,
-                           [](float base, float e) { return base + e; });
-    }
-  }
-  return AttentionRows(Tensor(n, k), r.data(), s.data(), slope,
-                       [](float base, float) { return base; });
+  Tensor y(c.rows(), c.cols());
+  const float stddev = Standardize(c.data(), y.mutable_data(), c.size());
+  return TapeResult(std::move(y), {c},
+                    [stddev](internal::TensorImpl& node) {
+                      StandardizeBackward(stddev, node);
+                    });
 }
 
 Tensor CoarseningModule::ComputeAttention(const Tensor& c_or_h) const {
-  // Untaped calls (evaluation, serving, batched inference, calibration)
-  // run in place at every precision; taped calls record the composed ops.
-  if (!GradEnabled()) return UntapedAttention(c_or_h);
-  const int n = c_or_h.rows();
-  Tensor logits;
-  if (config_.use_gcont) {
-    const Tensor& c = c_or_h;
-    HAP_CHECK_EQ(c.cols(), config_.num_clusters);
-    Tensor col_scores;  // (N', 1)
-    if (config_.paper_literal_relaxation) {
-      // Paper-literal Claim 3: the comparison of C_{:,j} ∈ ℝᴺ against
-      // a₂ ∈ ℝ^{N'} uses only the first min(N, N') entries; missing
-      // entries are implicit zero padding. Order-dependent (see header).
-      const int effective = std::min(n, config_.num_clusters);
-      Tensor c_block = SliceRows(c, 0, effective);           // (eff, N')
-      Tensor a2_block = SliceRows(attn_col_, 0, effective);  // (eff, 1)
-      col_scores = MatMul(Transpose(c_block), a2_block);
-    } else {
-      // Invariant relaxation: s₂_j = a₂ · ĉ_j with ĉ_j = Cᵀ C_{:,j} / N,
-      // i.e. the column compared through C's own content. Summing over all
-      // source nodes makes the operand permutation invariant (Claim 2).
-      Tensor projected = MatMul(c, attn_col_);  // (N, 1)
-      col_scores = MulScalar(MatMul(Transpose(c), projected),
-                             1.0f / static_cast<float>(n));
-    }
-    // Row operand: s₁_i = a₁ · C_{i,:}.
-    Tensor row_scores = MatMul(c, attn_row_);              // (N, 1)
-    logits = OuterSum(row_scores, Transpose(col_scores));  // (N, N')
-    if (config_.bilinear_moa) {
-      // Cross-attention interaction C_{i,:}·ĉ_j with ĉ_j = CᵀC_{:,j}/N:
-      // the node-dependent term that makes MOA adaptive (see the config
-      // comment). (C Cᵀ C)/N computed right-to-left: O(N·N'²).
-      Tensor interaction = MulScalar(
-          MatMul(c, MatMul(Transpose(c), c)), 1.0f / static_cast<float>(n));
-      logits = Add(logits, interaction);
-    }
-  } else {
-    // Ablated GCont: attention between node features and cluster seeds.
-    const Tensor& h = c_or_h;
-    HAP_CHECK_EQ(h.cols(), config_.in_features);
-    Tensor row_scores = MatMul(h, attn_row_);              // (N, 1)
-    Tensor col_scores = MatMul(cluster_seeds_, attn_col_);  // (N', 1)
-    logits = OuterSum(row_scores, Transpose(col_scores));
-    if (config_.bilinear_moa) {
-      // Node-feature · cluster-seed interaction.
-      logits = Add(logits, MatMul(h, Transpose(cluster_seeds_)));
-    }
+  // cluster_seeds_ is undefined with GCont on; WillTape and TapeResult
+  // skip it.
+  if (!WillTape(c_or_h, cluster_seeds_, attn_row_, attn_col_)) {
+    return AttentionForward(config_, c_or_h, cluster_seeds_, attn_row_,
+                            attn_col_, nullptr);
   }
-  return SoftmaxRows(LeakyRelu(logits, config_.leaky_slope));  // Eq. 14-15
+  MoaTape tape;
+  Tensor m = AttentionForward(config_, c_or_h, cluster_seeds_, attn_row_,
+                              attn_col_, &tape);
+  return TapeResult(std::move(m),
+                    {c_or_h, cluster_seeds_, attn_row_, attn_col_},
+                    [config = config_, tape = std::move(tape)](
+                        internal::TensorImpl& node) {
+                      AttentionBackward(config, tape, node);
+                    });
 }
 
 namespace {

@@ -86,11 +86,13 @@ struct CoarseningConfig {
 /// bilinear term C_i,:·ĉ_j makes the attention node-dependent
 /// (bilinear_moa). paper_literal_relaxation instead truncates C_:,j to its
 /// first N' entries (zero-padded when N < N'), Claim 3's relaxation, and
-/// standardisation is normalize_gcont. Untaped calls compute C and M in
-/// place at every precision. In fp32 they are memcmp-equal to the
-/// composed ops the taped calls record (docs/PERFORMANCE.md); under an
-/// int8 scope the H·T and C·G GEMMs may run quantized, as MatMul's shape
-/// dispatch decides.
+/// standardisation is normalize_gcont. Standardisation and MOA are one
+/// op each: one forward for both grad modes, and a hand-written backward
+/// closure only when the result is taped. In fp32 both are memcmp-equal
+/// to the composed tensor ops they replace (docs/PERFORMANCE.md); an
+/// untaped call standardises C in place and records no backward state.
+/// Under an int8 scope an untaped call's H·T and C·G GEMMs may run
+/// quantized, as MatMul's shape dispatch decides; a taped MOA stays fp32.
 class CoarseningModule : public Coarsener {
  public:
   CoarseningModule(const CoarseningConfig& config, Rng* rng);
@@ -120,7 +122,11 @@ class CoarseningModule : public Coarsener {
   Tensor ComputeGCont(const Tensor& h) const;
 
   /// Normalised MOA matrix M (Eq. 14-15) for the given level. When GCont
-  /// is ablated, `c_or_h` is the raw feature matrix H.
+  /// is ablated, `c_or_h` is the raw feature matrix H. With GCont, one
+  /// ascending-row pass over C forms the row and column scores and CᵀC,
+  /// one GEMM C·CᵀC fills M's buffer, and LeakyReLU plus softmax run in
+  /// place. A taped call records one node whose backward works from M,
+  /// the LeakyReLU branches, C, CᵀC and C·a₂.
   Tensor ComputeAttention(const Tensor& c_or_h) const;
 
   /// Training mode toggles Gumbel noise in soft sampling.
@@ -163,16 +169,11 @@ class CoarseningModule : public Coarsener {
                                   const GraphLevel& level) const;
 
   /// Applies config().normalize_gcont to a GCont matrix C (identity when
-  /// the option is off). Untaped calls standardise `c` in place, so the
-  /// caller must hand over its only handle.
+  /// the option is off): zero mean and unit variance over all entries, as
+  /// one op whose backward reads only its output and σ. Untaped calls
+  /// standardise `c` in place, so the caller must hand over its only
+  /// handle.
   Tensor NormalizeGCont(Tensor c) const;
-
-  /// ComputeAttention() for untaped calls: one ascending-row pass over C
-  /// for the row and column scores and CᵀC, the one remaining GEMM into
-  /// M's buffer, and LeakyReLU plus softmax in place, memcmp-equal to the
-  /// composed ops in fp32. That GEMM is the only step an int8 scope
-  /// reaches.
-  Tensor UntapedAttention(const Tensor& c_or_h) const;
 
   /// Cluster formation and soft sampling for assignment `m` (Eq. 17-19).
   CoarsenResult FormClusters(const Tensor& m, const Tensor& h,

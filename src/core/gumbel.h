@@ -17,6 +17,11 @@ namespace hap {
 /// overflowed weights (inf/NaN) cannot poison the row with NaN. When
 /// `training` is false the noise is omitted, making inference
 /// deterministic — the expectation path documented in DESIGN.md.
+///
+/// One op: clamp, log, noise, 1/tau and the row softmax run in one pass
+/// per row, memcmp-equal to the composed tensor ops in fp32, and the noise
+/// is drawn in row-major order, so a seeded stream yields the same
+/// samples. A taped result's backward reads only the output and A'.
 Tensor GumbelSoftSample(const Tensor& adjacency, float tau, Rng* rng,
                         bool training, float eps = 1e-9f);
 

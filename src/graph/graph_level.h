@@ -50,8 +50,8 @@ inline constexpr double kSparseDispatchDensity = 0.25;
 /// reused across epochs, eval passes, and data-parallel workers without
 /// touching any autograd state. For taped adjacencies (training-mode
 /// coarsened levels, A' = MᵀAM) every read computes a fresh taped result
-/// (ticking graph_level.cache.uncached) so the autograd graph is identical
-/// to the pre-GraphLevel code.
+/// (ticking graph_level.cache.uncached); the sym operator's is one
+/// SymNormalize node.
 ///
 /// GraphLevel is a cheap shared-state handle (copies alias one State, like
 /// Tensor); each cached operator is built once under its own once-flag, so

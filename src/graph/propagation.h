@@ -19,6 +19,10 @@ Tensor AddIdentity(const Tensor& a);
 
 /// Symmetric normalisation D̃^{-1/2} Ã D̃^{-1/2} with Ã = A + I (Eq. 12).
 /// Degrees are floored at `eps` so isolated rows do not divide by zero.
+/// One op: a degree pass and a scale pass, memcmp-equal in fp32 to the
+/// composed AddIdentity, ReduceSumCols, ClampMin, Sqrt, Div, ScaleRows and
+/// ScaleCols it replaces. A taped result records one node whose backward
+/// reads only its output and the degrees.
 Tensor SymNormalize(const Tensor& a, float eps = 1e-9f);
 
 /// Row-stochastic normalisation D̃^{-1} Ã (cheaper; used by DiffPool-style

@@ -267,27 +267,23 @@ void TelemetryExporter::Stop() {
   if (!impl_->options.path.empty()) impl_->Scrape();
 }
 
-namespace {
+namespace internal {
 
-// HAP_PROM=<path>: exporter spans the whole process. Implies metrics on.
-struct EnvExporter {
-  EnvExporter() {
-    const char* env = std::getenv("HAP_PROM");
-    if (env == nullptr || env[0] == '\0') return;
-    SetMetricsEnabled(true);
-    TelemetryExporter::Options options;
-    options.path = env;
-    const char* interval = std::getenv("HAP_PROM_INTERVAL_MS");
-    if (interval != nullptr && interval[0] != '\0') {
-      const int ms = std::atoi(interval);
-      if (ms > 0) options.interval_ms = ms;
-    }
-    static TelemetryExporter* exporter = new TelemetryExporter(options);
-    std::atexit([] { exporter->Stop(); });
+void StartEnvExporter() {
+  const char* env = std::getenv("HAP_PROM");
+  if (env == nullptr || env[0] == '\0') return;
+  SetMetricsEnabled(true);
+  TelemetryExporter::Options options;
+  options.path = env;
+  const char* interval = std::getenv("HAP_PROM_INTERVAL_MS");
+  if (interval != nullptr && interval[0] != '\0') {
+    const int ms = std::atoi(interval);
+    if (ms > 0) options.interval_ms = ms;
   }
-};
-EnvExporter env_exporter;
+  static TelemetryExporter* exporter = new TelemetryExporter(options);
+  std::atexit([] { exporter->Stop(); });
+}
 
-}  // namespace
+}  // namespace internal
 
 }  // namespace hap::obs

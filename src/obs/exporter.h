@@ -53,6 +53,18 @@ std::string RenderPrometheus(const MetricsSnapshot& snap);
 std::string RenderExporterJson(const MetricsSnapshot& snap,
                                const MetricsSnapshot& prev);
 
+namespace internal {
+
+/// Starts the process-wide HAP_PROM exporter when the variable is set
+/// (see the header comment). metrics.cc calls it from its own static
+/// initialisation, after the HAP_METRICS parse: every binary that links
+/// hap_obs references the metrics registry, so the reference pulls this
+/// object in, whereas a static initialiser in this file would run only in
+/// binaries that reference another of its symbols.
+void StartEnvExporter();
+
+}  // namespace internal
+
 class TelemetryExporter {
  public:
   struct Options {

@@ -9,6 +9,8 @@
 #include <mutex>
 #include <unordered_map>
 
+#include "obs/exporter.h"
+
 namespace hap::obs {
 namespace {
 
@@ -373,6 +375,7 @@ void RefreshHotCountersFlag() {
 const bool g_env_flag_applied = [] {
   internal::g_metrics_enabled.store(Env().enabled, std::memory_order_relaxed);
   RefreshHotCountersFlag();
+  internal::StartEnvExporter();  // HAP_PROM, which implies metrics on
   return true;
 }();
 

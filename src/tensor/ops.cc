@@ -18,19 +18,11 @@ internal::TensorImpl& Parent(internal::TensorImpl& node, size_t i) {
   return *node.parents[i];
 }
 
-// Minimum scalar operations one parallel block must amortise. Ops whose
-// total work stays below this run serially (ParallelFor's small-range fast
-// path), so tiny tensors never pay scheduling overhead. Parallel kernels
-// here only split *disjoint output rows/elements* across blocks and keep
-// each output's summation order fixed, so results are bit-identical to the
-// serial path at every thread count. See docs/THREADING.md.
-constexpr int64_t kParallelGrainWork = 1 << 15;
-
-// Rows per parallel block such that a block covers at least
-// kParallelGrainWork scalar operations, given `row_work` operations per row.
-int64_t RowGrain(int64_t row_work) {
-  return kParallelGrainWork / std::max<int64_t>(row_work, 1) + 1;
-}
+// Parallel kernels here (kParallelGrainWork and RowGrain,
+// common/thread_pool.h) only split *disjoint output rows/elements* across
+// blocks and keep each output's summation order fixed, so results are
+// bit-identical to the serial path at every thread count. See
+// docs/THREADING.md.
 
 // --- Reduced-precision MatMul forwards (tensor/quant.h) ---
 // These produce untaped results only: MatMul's guard refuses non-fp32
@@ -146,50 +138,47 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     // inputs (cached propagation operators, dataset tensors) are skipped,
     // which both avoids the wasted O(mkn) work and keeps tensors shared
     // across data-parallel workers free of concurrent grad writes.
-    //
-    // Both backward passes run the blocked kernels
-    // (tensor/matmul_kernels.h), which keep the naive reference's
-    // per-element accumulation order, so the gradient bits do not depend
-    // on the thread count.
     if (pa.requires_grad) {
-      pa.EnsureGrad();
-      // dA += dOut * B^T, row-blocked over A's rows: block-private outputs.
-      const float* g = node.grad.data();
-      const float* bdat = pb.data.data();
-      float* ga = pa.grad.data();
-      const float* packed_bt = kernels::PackBTransposed(bdat, k, n);
-      ParallelFor(0, m, RowGrain(static_cast<int64_t>(k) * n),
-                  [&](int64_t lo, int64_t hi) {
-                    kernels::BlockedGradARows(g, packed_bt, bdat, ga, k, n,
-                                              lo, hi);
-                  });
+      pa.EnsureGrad();  // dA += dOut * B^T
+      AddMatMulBt(node.grad.data(), pb.data.data(), pa.grad.data(), m, k, n);
     }
     if (pb.requires_grad) {
-      pb.EnsureGrad();
-      // dB += A^T * dOut, row-blocked over B's rows. For each (p, j) the
-      // sum still runs over i ascending, matching the serial accumulation
-      // order.
-      const float* g = node.grad.data();
-      const float* adat = pa.data.data();
-      float* gb = pb.grad.data();
-      ParallelFor(0, k, RowGrain(static_cast<int64_t>(m) * n),
-                  [&](int64_t lo, int64_t hi) {
-                    kernels::BlockedGradBRows(adat, g, gb, m, k, n, lo, hi);
-                  });
+      pb.EnsureGrad();  // dB += A^T * dOut
+      AddMatMulAt(pa.data.data(), node.grad.data(), pb.grad.data(), m, k, n);
     }
   });
-  // Forward, row-blocked over the output rows (each block writes a
-  // disjoint row range). The kernel packs B into column panels once and
-  // keeps a 4x16 output tile in registers.
-  float* o = out.mutable_data();
-  const float* pa = a.data();
-  const float* pb = b.data();
-  const float* packed_b = kernels::PackBPanels(pb, k, n);
-  ParallelFor(0, m, RowGrain(static_cast<int64_t>(k) * n),
-              [&](int64_t lo, int64_t hi) {
-                kernels::BlockedForwardRows(pa, packed_b, pb, o, k, n, lo, hi);
-              });
+  AddMatMul(a.data(), b.data(), out.mutable_data(), m, k, n);
   return out;
+}
+
+// All three split output rows over the pool, and each output keeps the
+// naive reference's per-element accumulation order
+// (tensor/matmul_kernels.h), so the bits do not depend on the thread
+// count.
+void AddMatMul(const float* a, const float* b, float* out, int64_t m,
+               int64_t k, int64_t n) {
+  // The kernel packs B into column panels once and keeps a 4x16 output
+  // tile in registers.
+  const float* packed_b = kernels::PackBPanels(b, k, n);
+  ParallelFor(0, m, RowGrain(k * n), [&](int64_t lo, int64_t hi) {
+    kernels::BlockedForwardRows(a, packed_b, b, out, k, n, lo, hi);
+  });
+}
+
+void AddMatMulBt(const float* g, const float* b, float* out, int64_t m,
+                 int64_t k, int64_t n) {
+  const float* packed_bt = kernels::PackBTransposed(b, k, n);
+  ParallelFor(0, m, RowGrain(k * n), [&](int64_t lo, int64_t hi) {
+    kernels::BlockedGradARows(g, packed_bt, b, out, k, n, lo, hi);
+  });
+}
+
+void AddMatMulAt(const float* a, const float* g, float* out, int64_t m,
+                 int64_t k, int64_t n) {
+  // For each output (p, j) the sum runs over i ascending.
+  ParallelFor(0, k, RowGrain(m * n), [&](int64_t lo, int64_t hi) {
+    kernels::BlockedGradBRows(a, g, out, m, k, n, lo, hi);
+  });
 }
 
 Tensor Add(const Tensor& a, const Tensor& b) {

@@ -1,6 +1,7 @@
 #ifndef HAP_TENSOR_OPS_H_
 #define HAP_TENSOR_OPS_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -23,6 +24,18 @@ namespace hap {
 /// (kernels::WeightShapeAdmitsInt8) record the activation's absmax for
 /// later quantization.
 Tensor MatMul(const Tensor& a, const Tensor& b);
+
+/// Accumulating products on row-major float buffers, the kernels behind
+/// MatMul's forward and backward, for hand-written backward passes:
+/// AddMatMul is out(m,n) += A(m,k)·B(k,n), AddMatMulBt is
+/// out(m,k) += G(m,n)·Bᵀ for B (k,n), and AddMatMulAt is
+/// out(k,n) += Aᵀ·G for A (m,k). Bit-identical at any thread count.
+void AddMatMul(const float* a, const float* b, float* out, int64_t m,
+               int64_t k, int64_t n);
+void AddMatMulBt(const float* g, const float* b, float* out, int64_t m,
+                 int64_t k, int64_t n);
+void AddMatMulAt(const float* a, const float* g, float* out, int64_t m,
+                 int64_t k, int64_t n);
 
 /// Elementwise sum of equally shaped tensors.
 Tensor Add(const Tensor& a, const Tensor& b);

@@ -7,18 +7,6 @@
 
 namespace hap {
 
-namespace {
-
-// Same grain policy as tensor/ops.cc: parallel blocks only ever split
-// disjoint output rows, and each block must amortise the scheduling cost.
-constexpr int64_t kParallelGrainWork = 1 << 15;
-
-int64_t RowGrain(int64_t row_work) {
-  return kParallelGrainWork / std::max<int64_t>(row_work, 1) + 1;
-}
-
-}  // namespace
-
 SegmentSpec SegmentSpec::FromSizes(const std::vector<int>& sizes) {
   SegmentSpec seg;
   seg.offsets.reserve(sizes.size() + 1);

@@ -221,11 +221,15 @@ Tensor Tensor::FromImpl(std::shared_ptr<internal::TensorImpl> impl) {
 
 Tensor MakeOpResult(int rows, int cols, std::vector<Tensor> inputs,
                     std::function<void(internal::TensorImpl&)> backward_fn) {
-  auto impl = std::make_shared<internal::TensorImpl>();
-  impl->rows = rows;
-  impl->cols = cols;
-  impl->data = internal::AcquireBuffer(static_cast<size_t>(rows) * cols,
-                                       &impl->data_arena);
+  return TapeResult(Tensor(rows, cols), std::move(inputs),
+                    std::move(backward_fn));
+}
+
+Tensor TapeResult(Tensor result, std::vector<Tensor> inputs,
+                  std::function<void(internal::TensorImpl&)> backward_fn) {
+  internal::TensorImpl* impl = &result.impl();
+  HAP_CHECK(!impl->requires_grad && impl->parents.empty())
+      << "TapeResult needs a fresh untaped result";
   bool any_grad = false;
   for (const Tensor& input : inputs) {
     if (input.defined() && input.requires_grad()) {
@@ -243,7 +247,7 @@ Tensor MakeOpResult(int rows, int cols, std::vector<Tensor> inputs,
     }
     impl->backward_fn = std::move(backward_fn);
   }
-  return Tensor::FromImpl(std::move(impl));
+  return result;
 }
 
 }  // namespace hap

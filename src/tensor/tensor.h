@@ -176,6 +176,13 @@ Tensor MakeOpResult(int rows, int cols,
                     std::vector<Tensor> inputs,
                     std::function<void(internal::TensorImpl&)> backward_fn);
 
+/// MakeOpResult for a result the op has already computed: tapes `result`,
+/// a fresh untaped tensor no one else holds, over `inputs` under the same
+/// condition, and returns it. Fused ops use it when their backward
+/// function captures state their forward produces.
+Tensor TapeResult(Tensor result, std::vector<Tensor> inputs,
+                  std::function<void(internal::TensorImpl&)> backward_fn);
+
 /// True when MakeOpResult over `inputs` records a backward function: grad
 /// is enabled and some input requires grad. Ops whose closure is costly to
 /// build (the sparse kernels copy CSR arrays into theirs) build it only

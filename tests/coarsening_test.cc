@@ -4,12 +4,14 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "coarsening_reference.h"
 #include "graph/generators.h"
 #include "graph/graph_level.h"
 #include "obs/metric_names.h"
@@ -262,41 +264,18 @@ bool BitEqual(const Tensor& a, const Tensor& b) {
                      static_cast<size_t>(a.size()) * sizeof(float)) == 0;
 }
 
-// A matrix with exact zeros where the MatMul kernels skip terms: rows
-// 1, 4, 7, ... all zero (alternating +0 and -0) and a scattered -0.
 Tensor WithZeros(int rows, int cols, Rng* rng) {
-  std::vector<float> v = Tensor::Randn(rows, cols, rng).values();
-  for (int i = 0; i < rows; ++i) {
-    for (int j = 0; j < cols; ++j) {
-      float& x = v[static_cast<size_t>(i) * cols + j];
-      if (i % 3 == 1) x = j % 2 == 0 ? 0.0f : -0.0f;
-      if ((i + j) % 5 == 0) x = -0.0f;
-    }
-  }
-  return Tensor::FromVector(rows, cols, std::move(v));
+  return Tensor::FromVector(rows, cols, reference::ZeroLaden(rows, cols, rng));
 }
 
-// Bit-equal element by element, except that a NaN only has to meet a
-// NaN: NaN payloads are outside the kernels' bit contract
-// (tensor/matmul_kernels.h).
-bool SameBitsOrBothNan(const Tensor& a, const Tensor& b) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  for (int64_t i = 0; i < a.size(); ++i) {
-    const float x = a.data()[i], y = b.data()[i];
-    if (std::isnan(x) || std::isnan(y)) {
-      if (std::isnan(x) != std::isnan(y)) return false;
-    } else if (std::memcmp(&x, &y, sizeof(float)) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
-// Untaped GCont and MOA run in place; every result must be memcmp-equal
-// to the taped composed ops, for each way r, s and the interaction term
-// are formed. With finite operands a skipped zero term is invisible (the
-// sums start at +0), so one input also puts an infinity into a row of
-// zeros, where a zero left-hand term not skipped would add 0·inf = NaN.
+// GCont standardisation and MOA run as one op each. Taped and untaped,
+// every result must be memcmp-equal to the composed ops of
+// coarsening_reference.h, for each way r, s and the interaction term are
+// formed; so must a dense Forward (H′ = MᵀH and the soft-sampled MᵀAM),
+// and a top-k Forward must not depend on the grad mode. With finite
+// operands a skipped zero term is invisible (the sums start at +0), so one
+// input also puts an infinity into a row of zeros, where a zero left-hand
+// term not skipped would add 0·inf = NaN.
 TEST(UntapedCoarseningTest, MemcmpEqualToTapedOps) {
   constexpr int kFeatures = 6;
   for (const char* variant : {"default", "bilinear_off", "paper_literal",
@@ -324,44 +303,53 @@ TEST(UntapedCoarseningTest, MemcmpEqualToTapedOps) {
             Tensor::FromVector(n, width, std::move(inf_values));
         const CsrMatrix csr =
             SparseErdosRenyiCsr(n, std::min(0.5, 6.0 / n), &rng);
+        const GraphLevel dense_level(csr.ToDense());
 
-        Tensor inf_attention[2];
-        auto run = [&](bool taped) {
+        std::vector<Tensor> expected;
+        const Tensor c_ref =
+            config.use_gcont ? reference::GCont(module, h) : h;
+        if (config.use_gcont) expected.push_back(c_ref);
+        const Tensor m_ref = reference::Attention(module, c_ref);
+        expected.push_back(m_ref);
+        expected.push_back(reference::Attention(module, raw));
+        const Tensor m_t = Transpose(m_ref);
+        expected.push_back(MatMul(m_t, h));
+        expected.push_back(reference::GumbelSoftSample(
+            MatMul(m_t, dense_level.Aggregate(m_ref)), config.tau, nullptr,
+            /*training=*/false));
+        expected.push_back(m_ref);
+        const Tensor inf_ref = reference::Attention(module, with_inf);
+
+        std::vector<Tensor> topk[2];
+        for (const bool taped : {true, false}) {
+          SCOPED_TRACE(taped ? "taped" : "untaped");
+          std::optional<NoGradGuard> no_grad;
+          if (!taped) no_grad.emplace();
           std::vector<Tensor> out;
-          auto forward = [&](const GraphLevel& level) {
-            const CoarsenResult r = module.Forward(h, level);
-            out.push_back(r.h);
-            out.push_back(r.adjacency);
-            out.push_back(module.last_attention());
-          };
-          auto body = [&] {
-            const Tensor c = config.use_gcont ? module.ComputeGCont(h) : h;
-            if (config.use_gcont) out.push_back(c);
-            out.push_back(module.ComputeAttention(c));
-            out.push_back(module.ComputeAttention(raw));
-            inf_attention[taped] = module.ComputeAttention(with_inf);
-            module.set_coarsen_mode(CoarsenMode::kDense);
-            forward(GraphLevel(csr.ToDense()));
-            module.set_coarsen_mode(CoarsenMode::kTopkSparse, 4);
-            forward(GraphLevel(csr));
-          };
-          if (taped) {
-            body();
-            EXPECT_TRUE(out[0].requires_grad());
-          } else {
-            NoGradGuard no_grad;
-            body();
-            EXPECT_FALSE(out[0].requires_grad());
+          const Tensor c = config.use_gcont ? module.ComputeGCont(h) : h;
+          if (config.use_gcont) out.push_back(c);
+          out.push_back(module.ComputeAttention(c));
+          out.push_back(module.ComputeAttention(raw));
+          const Tensor inf_attention = module.ComputeAttention(with_inf);
+          module.set_coarsen_mode(CoarsenMode::kDense);
+          const CoarsenResult dense = module.Forward(h, dense_level);
+          out.push_back(dense.h);
+          out.push_back(dense.adjacency);
+          out.push_back(module.last_attention());
+          EXPECT_EQ(out[0].requires_grad(), taped);
+          ASSERT_EQ(out.size(), expected.size());
+          for (size_t i = 0; i < out.size(); ++i) {
+            EXPECT_TRUE(BitEqual(out[i], expected[i])) << "result " << i;
           }
-          return out;
-        };
-        const std::vector<Tensor> taped = run(true);
-        const std::vector<Tensor> untaped = run(false);
-        ASSERT_EQ(taped.size(), untaped.size());
-        for (size_t i = 0; i < taped.size(); ++i) {
-          EXPECT_TRUE(BitEqual(taped[i], untaped[i])) << "result " << i;
+          EXPECT_TRUE(reference::SameBitsOrBothNan(inf_attention, inf_ref));
+          module.set_coarsen_mode(CoarsenMode::kTopkSparse, 4);
+          const CoarsenResult sparse = module.Forward(h, GraphLevel(csr));
+          topk[taped] = {sparse.h, sparse.adjacency, module.last_attention()};
         }
-        EXPECT_TRUE(SameBitsOrBothNan(inf_attention[1], inf_attention[0]));
+        for (size_t i = 0; i < topk[0].size(); ++i) {
+          EXPECT_TRUE(BitEqual(topk[1][i], topk[0][i])) << "top-k " << i;
+        }
+        EXPECT_TRUE(BitEqual(topk[1][2], m_ref));
       }
     }
   }
@@ -434,8 +422,8 @@ TEST(UntapedCoarseningTest, Int8ScopeTakesTheInPlacePath) {
   }
 }
 
-// A non-finite feature makes the GCont variance NaN; the taped Sqrt and
-// the in-place standardisation fail the same check.
+// A non-finite feature makes the GCont variance NaN; taped and untaped
+// standardisation fail the same check as the composed Sqrt did.
 TEST(UntapedCoarseningDeathTest, NonFiniteFeaturesFailTheVarianceCheck) {
   Rng rng(21);
   CoarseningModule module(Config(4, 3), &rng);
