@@ -186,14 +186,19 @@ int Main(int argc, char** argv) {
 
   // N=256, F=64 is the acceptance shape (a pooled graph level's feature
   // transform); the next five sweep embedding-sized shapes up and down.
-  // The rest are small products of per-graph HAP forwards (a readout
-  // vector, a few-node level, narrow or shallow operands, a score
-  // column) that the former shape rule kept on the naive loops.
+  // The next seven are small products of per-graph HAP forwards (a
+  // readout vector, a few-node level, narrow or shallow operands, a score
+  // column) that the former shape rule kept on the naive loops. The last
+  // four are the narrow products of HAP training at N' = 8 clusters,
+  // which run on the kernels' column, row and depth tails: GCont's
+  // C = H·T and dT (27x32x8), MOA's C·G and dG (28x8x8), the first GCN
+  // weight of a PROTEINS-like model (28x3x32) and a depth-8 dA (6x8x32).
   const int shapes[][3] = {
       {256, 64, 64}, {256, 256, 64}, {128, 64, 64}, {64, 64, 64},
       {512, 64, 128}, {32, 64, 16},  {1, 32, 32},   {4, 32, 32},
       {7, 64, 64},   {32, 8, 8},     {16, 3, 33},   {1, 64, 2},
-      {24, 32, 1},
+      {24, 32, 1},   {27, 32, 8},    {28, 8, 8},    {28, 3, 32},
+      {6, 8, 32},
   };
 
   JsonWriter json;

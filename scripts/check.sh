@@ -395,6 +395,9 @@ batching_pass
 # memcmp-equal to their composed reference, taped and untaped, at 1 and 4
 # threads (MOA's CᵀC sum is row-ordered; a row-parallel accumulation would
 # show at 4), and their gradient bits must match across thread counts.
+# The CSR×dense products (SpMatMul, CsrTransposeMatMul,
+# AssignmentTransposeMatMul) must match their scalar loops bit for bit,
+# forward and every gradient, at 1 and 4 threads (csr_parity_test).
 # The top-k/CSR parity suite (sparse_coarsen_test) runs in the ctest
 # passes.
 sparse_coarsen_pass() {
@@ -402,8 +405,9 @@ sparse_coarsen_pass() {
   for threads in 1 4; do
     HAP_NUM_THREADS=$threads ./build/tests/coarsening_test > /dev/null
     HAP_NUM_THREADS=$threads ./build/tests/fused_ops_test > /dev/null
+    HAP_NUM_THREADS=$threads ./build/tests/csr_parity_test > /dev/null
   done
-  echo "fused coarsening ops memcmp-equal to the composed reference at 1 and 4 threads; gradient bits match across thread counts"
+  echo "fused coarsening ops memcmp-equal to the composed reference and CSR products to their scalar loops at 1 and 4 threads; gradient bits match across thread counts"
   python3 - <<'EOF'
 import json
 doc = json.load(open("BENCH_sparse_coarsening.json"))

@@ -6,11 +6,8 @@
 
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
+#include "tensor/lanes_avx2.h"
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define HAP_KERNELS_X86 1
-#include <immintrin.h>
-#endif
 
 namespace hap::kernels {
 
@@ -52,116 +49,141 @@ PackScratch& Scratch() {
 // contract them and per-term rounding matches the scalar reference
 // exactly. Operand order also matches the reference (`g * b`, `a * b`,
 // `acc + prod`) so NaN payload propagation is identical too.
+//
+// Each body covers one run of output columns in V vectors (lanes_avx2.h):
+// a full 16-wide panel is V = 2 unmasked, a column or depth tail is 1-4
+// vectors whose last one may be masked. Rows go in kRowTile tiles, then
+// one tile of the 1-3 leftover rows, with the tile's R×V outputs held in
+// registers across the whole reduction.
 // ---------------------------------------------------------------------------
 
 #if HAP_KERNELS_X86
 
-__attribute__((target("avx2"))) void ForwardRowsAvx2(
-    const float* a, const float* packed_b, float* out, int64_t k, int64_t n,
-    int64_t i0, int64_t i1) {
-  const int64_t panels = n / kColPanel;
-  for (int64_t jp = 0; jp < panels; ++jp) {
-    const float* panel = packed_b + jp * k * kColPanel;
-    const int64_t j0 = jp * kColPanel;
-    int64_t i = i0;
-    for (; i + kRowTile <= i1; i += kRowTile) {
-      const float* a0 = a + (i + 0) * k;
-      const float* a1 = a + (i + 1) * k;
-      const float* a2 = a + (i + 2) * k;
-      const float* a3 = a + (i + 3) * k;
-      float* o0 = out + (i + 0) * n + j0;
-      float* o1 = out + (i + 1) * n + j0;
-      float* o2 = out + (i + 2) * n + j0;
-      float* o3 = out + (i + 3) * n + j0;
-      __m256 c00 = _mm256_loadu_ps(o0), c01 = _mm256_loadu_ps(o0 + 8);
-      __m256 c10 = _mm256_loadu_ps(o1), c11 = _mm256_loadu_ps(o1 + 8);
-      __m256 c20 = _mm256_loadu_ps(o2), c21 = _mm256_loadu_ps(o2 + 8);
-      __m256 c30 = _mm256_loadu_ps(o3), c31 = _mm256_loadu_ps(o3 + 8);
-      for (int64_t p = 0; p < k; ++p) {
-        const __m256 b0 = _mm256_loadu_ps(panel + p * kColPanel);
-        const __m256 b1 = _mm256_loadu_ps(panel + p * kColPanel + 8);
-        float av;
-        av = a0[p];
-        if (av != 0.0f) {
-          const __m256 v = _mm256_set1_ps(av);
-          c00 = _mm256_add_ps(c00, _mm256_mul_ps(v, b0));
-          c01 = _mm256_add_ps(c01, _mm256_mul_ps(v, b1));
-        }
-        av = a1[p];
-        if (av != 0.0f) {
-          const __m256 v = _mm256_set1_ps(av);
-          c10 = _mm256_add_ps(c10, _mm256_mul_ps(v, b0));
-          c11 = _mm256_add_ps(c11, _mm256_mul_ps(v, b1));
-        }
-        av = a2[p];
-        if (av != 0.0f) {
-          const __m256 v = _mm256_set1_ps(av);
-          c20 = _mm256_add_ps(c20, _mm256_mul_ps(v, b0));
-          c21 = _mm256_add_ps(c21, _mm256_mul_ps(v, b1));
-        }
-        av = a3[p];
-        if (av != 0.0f) {
-          const __m256 v = _mm256_set1_ps(av);
-          c30 = _mm256_add_ps(c30, _mm256_mul_ps(v, b0));
-          c31 = _mm256_add_ps(c31, _mm256_mul_ps(v, b1));
-        }
+// Forward over the output columns [j0, j0 + width). `bcols` is B's column
+// j0 with row stride `bstride`: a packed panel (stride 16) or, for the
+// column tail, the raw operand (stride n).
+template <int V, bool kMasked>
+struct ForwardCols {
+  template <int R>
+  __attribute__((target("avx2"), always_inline)) static void Tile(
+      const float* a, const float* bcols, int64_t bstride, float* out,
+      int64_t k, int64_t n, __m256i mask, int64_t i) {
+    __m256 c[R][V];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+      for (int v = 0; v < V; ++v) {
+        c[r][v] = LoadLanes<V, kMasked>(out + (i + r) * n, v, mask);
       }
-      _mm256_storeu_ps(o0, c00);
-      _mm256_storeu_ps(o0 + 8, c01);
-      _mm256_storeu_ps(o1, c10);
-      _mm256_storeu_ps(o1 + 8, c11);
-      _mm256_storeu_ps(o2, c20);
-      _mm256_storeu_ps(o2 + 8, c21);
-      _mm256_storeu_ps(o3, c30);
-      _mm256_storeu_ps(o3 + 8, c31);
     }
-    for (; i < i1; ++i) {  // row tail, one row at a time
-      const float* arow = a + i * k;
-      float* orow = out + i * n + j0;
-      __m256 c0 = _mm256_loadu_ps(orow), c1 = _mm256_loadu_ps(orow + 8);
-      for (int64_t p = 0; p < k; ++p) {
-        const float av = arow[p];
-        if (av == 0.0f) continue;
-        const __m256 v = _mm256_set1_ps(av);
-        c0 = _mm256_add_ps(c0, _mm256_mul_ps(v, _mm256_loadu_ps(panel + p * kColPanel)));
-        c1 = _mm256_add_ps(
-            c1, _mm256_mul_ps(v, _mm256_loadu_ps(panel + p * kColPanel + 8)));
+    for (int64_t p = 0; p < k; ++p) {
+      __m256 b[V];
+#pragma GCC unroll 4
+      for (int v = 0; v < V; ++v) {
+        b[v] = LoadLanes<V, kMasked>(bcols + p * bstride, v, mask);
       }
-      _mm256_storeu_ps(orow, c0);
-      _mm256_storeu_ps(orow + 8, c1);
+#pragma GCC unroll 4
+      for (int r = 0; r < R; ++r) {
+        const float av = a[(i + r) * k + p];
+        // Most a[i,p] are nonzero: keep the add on the fall-through path.
+        if (__builtin_expect(av != 0.0f, 1)) {
+          const __m256 s = _mm256_set1_ps(av);
+#pragma GCC unroll 4
+          for (int v = 0; v < V; ++v) {
+            c[r][v] = _mm256_add_ps(c[r][v], _mm256_mul_ps(s, b[v]));
+          }
+        }
+      }
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+      for (int v = 0; v < V; ++v) {
+        StoreLanes<V, kMasked>(out + (i + r) * n, v, mask, c[r][v]);
+      }
     }
   }
+
+  __attribute__((target("avx2"))) static void Run(
+      const float* a, const float* bcols, int64_t bstride, float* out,
+      int64_t k, int64_t n, int64_t j0, int64_t width, int64_t i0,
+      int64_t i1) {
+    const __m256i mask = RunMask<kMasked>(width);
+    float* o = out + j0;
+    int64_t i = i0;
+    for (; i + kRowTile <= i1; i += kRowTile) {
+      Tile<kRowTile>(a, bcols, bstride, o, k, n, mask, i);
+    }
+    switch (i1 - i) {
+      case 3: return Tile<3>(a, bcols, bstride, o, k, n, mask, i);
+      case 2: return Tile<2>(a, bcols, bstride, o, k, n, mask, i);
+      case 1: return Tile<1>(a, bcols, bstride, o, k, n, mask, i);
+    }
+  }
+};
+
+__attribute__((target("avx2"))) void ForwardRowsAvx2(
+    const float* a, const float* packed_b, const float* b, float* out,
+    int64_t k, int64_t n, int64_t i0, int64_t i1) {
+  const int64_t panels = n / kColPanel;
+  for (int64_t jp = 0; jp < panels; ++jp) {
+    ForwardCols<2, false>::Run(a, packed_b + jp * k * kColPanel, kColPanel,
+                               out, k, n, jp * kColPanel, kColPanel, i0, i1);
+  }
+  const int64_t n16 = panels * kColPanel;
+  if (n16 == n) return;
+  RunLanes<ForwardCols, 2>(n - n16, a, b + n16, n, out, k, n, n16, n - n16,
+                           i0, i1);
 }
+
+// dA over the depth columns [p0, p0 + width) of ga, from a packed Bᵀ
+// chunk of row stride V·8 (zero padded past `width`, so its loads are
+// never masked; only ga's last vector is).
+template <int V, bool kMasked>
+struct GradAChunk {
+  __attribute__((target("avx2"))) static void Run(
+      const float* g, const float* chunk, float* ga, int64_t k, int64_t n,
+      int64_t p0, int64_t width, int64_t i0, int64_t i1) {
+    const __m256i mask = RunMask<kMasked>(width);
+    for (int64_t i = i0; i < i1; ++i) {
+      const float* grow = g + i * n;
+      float* garow = ga + i * k + p0;
+      __m256 acc[V];
+#pragma GCC unroll 4
+      for (int v = 0; v < V; ++v) {
+        acc[v] = LoadLanes<V, kMasked>(garow, v, mask);
+      }
+      for (int64_t j = 0; j < n; ++j) {
+        const float gv = grow[j];
+        if (gv == 0.0f) continue;
+        const __m256 s = _mm256_set1_ps(gv);
+        const float* bt = chunk + j * V * kLanes;
+#pragma GCC unroll 4
+        for (int v = 0; v < V; ++v) {
+          acc[v] = _mm256_add_ps(
+              acc[v], _mm256_mul_ps(s, _mm256_loadu_ps(bt + v * kLanes)));
+        }
+      }
+#pragma GCC unroll 4
+      for (int v = 0; v < V; ++v) {
+        StoreLanes<V, kMasked>(garow, v, mask, acc[v]);
+      }
+    }
+  }
+};
 
 __attribute__((target("avx2"))) void GradARowsAvx2(
     const float* g, const float* packed_bt, float* ga, int64_t k, int64_t n,
     int64_t i0, int64_t i1) {
   const int64_t chunks = k / kGradAChunk;
-  for (int64_t i = i0; i < i1; ++i) {
-    const float* grow = g + i * n;
-    for (int64_t c = 0; c < chunks; ++c) {
-      const float* chunk = packed_bt + c * n * kGradAChunk;
-      float* garow = ga + i * k + c * kGradAChunk;
-      __m256 acc0 = _mm256_loadu_ps(garow);
-      __m256 acc1 = _mm256_loadu_ps(garow + 8);
-      __m256 acc2 = _mm256_loadu_ps(garow + 16);
-      __m256 acc3 = _mm256_loadu_ps(garow + 24);
-      for (int64_t j = 0; j < n; ++j) {
-        const float gv = grow[j];
-        if (gv == 0.0f) continue;
-        const __m256 v = _mm256_set1_ps(gv);
-        const float* bt = chunk + j * kGradAChunk;
-        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(v, _mm256_loadu_ps(bt)));
-        acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(v, _mm256_loadu_ps(bt + 8)));
-        acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(v, _mm256_loadu_ps(bt + 16)));
-        acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(v, _mm256_loadu_ps(bt + 24)));
-      }
-      _mm256_storeu_ps(garow, acc0);
-      _mm256_storeu_ps(garow + 8, acc1);
-      _mm256_storeu_ps(garow + 16, acc2);
-      _mm256_storeu_ps(garow + 24, acc3);
-    }
+  for (int64_t c = 0; c < chunks; ++c) {
+    GradAChunk<4, false>::Run(g, packed_bt + c * n * kGradAChunk, ga, k, n,
+                              c * kGradAChunk, kGradAChunk, i0, i1);
   }
+  const int64_t k32 = chunks * kGradAChunk;
+  if (k32 == k) return;
+  RunLanes<GradAChunk, 4>(k - k32, g, packed_bt + chunks * n * kGradAChunk,
+                          ga, k, n, k32, k - k32, i0, i1);
 }
 
 __attribute__((target("avx2"))) void AddRowGramAvx2(const float* row,
@@ -181,80 +203,80 @@ __attribute__((target("avx2"))) void AddRowGramAvx2(const float* row,
   }
 }
 
-// dB is the one kernel where the g == 0 skip sits on the vector lanes, so
-// the branch becomes a compare-and-mask: lanes with g == 0 contribute a
-// +0.0f add, which is bit-identical to skipping because the accumulator
-// (a gradient cell) can never be -0.0 — see the header contract.
+// dB over the output columns [j0, j0 + width). This is the one kernel
+// where the g == 0 skip sits on the vector lanes, so the branch becomes a
+// compare-and-mask: lanes with g == 0 contribute a +0.0f add, which is
+// bit-identical to skipping because the accumulator (a gradient cell) can
+// never be -0.0 — see the header contract.
+template <int V, bool kMasked>
+struct GradBCols {
+  template <int R>
+  __attribute__((target("avx2"), always_inline)) static void Tile(
+      const float* a, const float* g, float* gb, int64_t m, int64_t k,
+      int64_t n, __m256i mask, int64_t p) {
+    const __m256 zero = _mm256_setzero_ps();
+    __m256 c[R][V];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+      for (int v = 0; v < V; ++v) {
+        c[r][v] = LoadLanes<V, kMasked>(gb + (p + r) * n, v, mask);
+      }
+    }
+    for (int64_t i = 0; i < m; ++i) {
+      __m256 gv[V], live[V];
+#pragma GCC unroll 4
+      for (int v = 0; v < V; ++v) {
+        gv[v] = LoadLanes<V, kMasked>(g + i * n, v, mask);
+        live[v] = _mm256_cmp_ps(gv[v], zero, _CMP_NEQ_UQ);
+      }
+      const float* arow = a + i * k + p;
+#pragma GCC unroll 4
+      for (int r = 0; r < R; ++r) {
+        const __m256 s = _mm256_set1_ps(arow[r]);
+#pragma GCC unroll 4
+        for (int v = 0; v < V; ++v) {
+          c[r][v] = _mm256_add_ps(
+              c[r][v], _mm256_and_ps(_mm256_mul_ps(gv[v], s), live[v]));
+        }
+      }
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+      for (int v = 0; v < V; ++v) {
+        StoreLanes<V, kMasked>(gb + (p + r) * n, v, mask, c[r][v]);
+      }
+    }
+  }
+
+  __attribute__((target("avx2"))) static void Run(
+      const float* a, const float* g, float* gb, int64_t m, int64_t k,
+      int64_t n, int64_t j0, int64_t width, int64_t p0, int64_t p1) {
+    const __m256i mask = RunMask<kMasked>(width);
+    const float* gc = g + j0;
+    float* gbc = gb + j0;
+    int64_t p = p0;
+    for (; p + kRowTile <= p1; p += kRowTile) {
+      Tile<kRowTile>(a, gc, gbc, m, k, n, mask, p);
+    }
+    switch (p1 - p) {
+      case 3: return Tile<3>(a, gc, gbc, m, k, n, mask, p);
+      case 2: return Tile<2>(a, gc, gbc, m, k, n, mask, p);
+      case 1: return Tile<1>(a, gc, gbc, m, k, n, mask, p);
+    }
+  }
+};
+
 __attribute__((target("avx2"))) void GradBRowsAvx2(
     const float* a, const float* g, float* gb, int64_t m, int64_t k, int64_t n,
     int64_t p0, int64_t p1) {
   const int64_t n16 = n - n % kColPanel;
-  const __m256 zero = _mm256_setzero_ps();
-  int64_t p = p0;
-  for (; p + kRowTile <= p1; p += kRowTile) {
-    for (int64_t jc = 0; jc < n16; jc += kColPanel) {
-      float* gb0 = gb + (p + 0) * n + jc;
-      float* gb1 = gb + (p + 1) * n + jc;
-      float* gb2 = gb + (p + 2) * n + jc;
-      float* gb3 = gb + (p + 3) * n + jc;
-      __m256 c00 = _mm256_loadu_ps(gb0), c01 = _mm256_loadu_ps(gb0 + 8);
-      __m256 c10 = _mm256_loadu_ps(gb1), c11 = _mm256_loadu_ps(gb1 + 8);
-      __m256 c20 = _mm256_loadu_ps(gb2), c21 = _mm256_loadu_ps(gb2 + 8);
-      __m256 c30 = _mm256_loadu_ps(gb3), c31 = _mm256_loadu_ps(gb3 + 8);
-      for (int64_t i = 0; i < m; ++i) {
-        const __m256 g0 = _mm256_loadu_ps(g + i * n + jc);
-        const __m256 g1 = _mm256_loadu_ps(g + i * n + jc + 8);
-        const __m256 mask0 = _mm256_cmp_ps(g0, zero, _CMP_NEQ_UQ);
-        const __m256 mask1 = _mm256_cmp_ps(g1, zero, _CMP_NEQ_UQ);
-        const float* arow = a + i * k + p;
-        __m256 v;
-        v = _mm256_set1_ps(arow[0]);
-        c00 = _mm256_add_ps(c00, _mm256_and_ps(_mm256_mul_ps(g0, v), mask0));
-        c01 = _mm256_add_ps(c01, _mm256_and_ps(_mm256_mul_ps(g1, v), mask1));
-        v = _mm256_set1_ps(arow[1]);
-        c10 = _mm256_add_ps(c10, _mm256_and_ps(_mm256_mul_ps(g0, v), mask0));
-        c11 = _mm256_add_ps(c11, _mm256_and_ps(_mm256_mul_ps(g1, v), mask1));
-        v = _mm256_set1_ps(arow[2]);
-        c20 = _mm256_add_ps(c20, _mm256_and_ps(_mm256_mul_ps(g0, v), mask0));
-        c21 = _mm256_add_ps(c21, _mm256_and_ps(_mm256_mul_ps(g1, v), mask1));
-        v = _mm256_set1_ps(arow[3]);
-        c30 = _mm256_add_ps(c30, _mm256_and_ps(_mm256_mul_ps(g0, v), mask0));
-        c31 = _mm256_add_ps(c31, _mm256_and_ps(_mm256_mul_ps(g1, v), mask1));
-      }
-      _mm256_storeu_ps(gb0, c00);
-      _mm256_storeu_ps(gb0 + 8, c01);
-      _mm256_storeu_ps(gb1, c10);
-      _mm256_storeu_ps(gb1 + 8, c11);
-      _mm256_storeu_ps(gb2, c20);
-      _mm256_storeu_ps(gb2 + 8, c21);
-      _mm256_storeu_ps(gb3, c30);
-      _mm256_storeu_ps(gb3 + 8, c31);
-    }
-    // j tail: scalar with the reference's explicit skip.
-    for (int64_t pr = p; pr < p + kRowTile; ++pr) {
-      for (int64_t j = n16; j < n; ++j) {
-        float acc = gb[pr * n + j];
-        for (int64_t i = 0; i < m; ++i) {
-          const float gv = g[i * n + j];
-          if (gv == 0.0f) continue;
-          acc += gv * a[i * k + pr];
-        }
-        gb[pr * n + j] = acc;
-      }
-    }
+  for (int64_t j0 = 0; j0 < n16; j0 += kColPanel) {
+    GradBCols<2, false>::Run(a, g, gb, m, k, n, j0, kColPanel, p0, p1);
   }
-  // p tail: remaining rows, scalar per element (i ascending).
-  for (; p < p1; ++p) {
-    for (int64_t j = 0; j < n; ++j) {
-      float acc = gb[p * n + j];
-      for (int64_t i = 0; i < m; ++i) {
-        const float gv = g[i * n + j];
-        if (gv == 0.0f) continue;
-        acc += gv * a[i * k + p];
-      }
-      gb[p * n + j] = acc;
-    }
-  }
+  if (n16 == n) return;
+  RunLanes<GradBCols, 2>(n - n16, a, g, gb, m, k, n, n16, n - n16, p0, p1);
 }
 
 // ---------------------------------------------------------------------------
@@ -501,13 +523,15 @@ QuantScratch& QScratch() {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar register-tile fallbacks: same blocking, same per-element term
-// order, plain float lanes the compiler may auto-vectorize (mul and add
-// stay separate expressions — -O2 never contracts them without FMA ISA).
+// Scalar fallbacks for hosts without AVX2: the same register tiles with
+// plain float lanes the compiler may auto-vectorize (mul and add stay
+// separate expressions — -O2 never contracts them without FMA ISA), and
+// the reference loops on the unpacked B for column and depth tails.
 // ---------------------------------------------------------------------------
 
-void ForwardRowsScalarTile(const float* a, const float* packed_b, float* out,
-                           int64_t k, int64_t n, int64_t i0, int64_t i1) {
+void ForwardRowsScalar(const float* a, const float* packed_b, const float* b,
+                       float* out, int64_t k, int64_t n, int64_t i0,
+                       int64_t i1) {
   const int64_t panels = n / kColPanel;
   for (int64_t jp = 0; jp < panels; ++jp) {
     const float* panel = packed_b + jp * k * kColPanel;
@@ -526,10 +550,21 @@ void ForwardRowsScalarTile(const float* a, const float* packed_b, float* out,
       for (int64_t q = 0; q < kColPanel; ++q) orow[q] = acc[q];
     }
   }
+  const int64_t n16 = panels * kColPanel;
+  if (n16 == n) return;
+  for (int64_t i = i0; i < i1; ++i) {
+    for (int64_t p = 0; p < k; ++p) {
+      const float av = a[i * k + p];
+      if (av == 0.0f) continue;
+      const float* brow = b + p * n;
+      float* orow = out + i * n;
+      for (int64_t j = n16; j < n; ++j) orow[j] += av * brow[j];
+    }
+  }
 }
 
-void GradARowsScalarTile(const float* g, const float* packed_bt, float* ga,
-                         int64_t k, int64_t n, int64_t i0, int64_t i1) {
+void GradARowsScalar(const float* g, const float* packed_bt, const float* b,
+                     float* ga, int64_t k, int64_t n, int64_t i0, int64_t i1) {
   const int64_t chunks = k / kGradAChunk;
   for (int64_t i = i0; i < i1; ++i) {
     const float* grow = g + i * n;
@@ -547,9 +582,20 @@ void GradARowsScalarTile(const float* g, const float* packed_bt, float* ga,
       for (int64_t q = 0; q < kGradAChunk; ++q) garow[q] = acc[q];
     }
   }
+  const int64_t k32 = chunks * kGradAChunk;
+  if (k32 == k) return;
+  for (int64_t i = i0; i < i1; ++i) {
+    for (int64_t j = 0; j < n; ++j) {
+      const float gv = g[i * n + j];
+      if (gv == 0.0f) continue;
+      for (int64_t p = k32; p < k; ++p) {
+        ga[i * k + p] += gv * b[p * n + j];
+      }
+    }
+  }
 }
 
-void GradBRowsScalarTile(const float* a, const float* g, float* gb, int64_t m,
+void GradBRowsScalar(const float* a, const float* g, float* gb, int64_t m,
                          int64_t k, int64_t n, int64_t p0, int64_t p1) {
   for (int64_t p = p0; p < p1; ++p) {
     for (int64_t j = 0; j < n; ++j) {
@@ -591,7 +637,10 @@ const float* PackBPanels(const float* b, int64_t k, int64_t n) {
 
 const float* PackBTransposed(const float* b, int64_t k, int64_t n) {
   const int64_t chunks = k / kGradAChunk;
-  float* dst = Scratch().Get(static_cast<size_t>(chunks) * n * kGradAChunk);
+  const int64_t tail = k - chunks * kGradAChunk;
+  const int64_t tail_width = (tail + kLanes - 1) / kLanes * kLanes;
+  float* dst = Scratch().Get(
+      static_cast<size_t>(chunks * kGradAChunk + tail_width) * n);
   for (int64_t c = 0; c < chunks; ++c) {
     float* chunk = dst + c * n * kGradAChunk;
     const float* src = b + c * kGradAChunk * n;
@@ -600,6 +649,15 @@ const float* PackBTransposed(const float* b, int64_t k, int64_t n) {
         chunk[j * kGradAChunk + q] = src[q * n + j];
       }
     }
+  }
+  if (tail == 0) return dst;
+  // The tail chunk: [j*w + q] for w = tail_width, zero past the tail.
+  float* chunk = dst + chunks * n * kGradAChunk;
+  const float* src = b + chunks * kGradAChunk * n;
+  for (int64_t j = 0; j < n; ++j) {
+    float* row = chunk + j * tail_width;
+    for (int64_t q = 0; q < tail; ++q) row[q] = src[q * n + j];
+    for (int64_t q = tail; q < tail_width; ++q) row[q] = 0.0f;
   }
   return dst;
 }
@@ -649,32 +707,18 @@ void NaiveGradBRows(const float* a, const float* g, float* gb, int64_t m,
   }
 }
 
-// --- Blocked kernels: panel body + naive tails ---
+// --- Blocked kernels ---
 
 void BlockedForwardRows(const float* a, const float* packed_b, const float* b,
                         float* out, int64_t k, int64_t n, int64_t i0,
                         int64_t i1) {
 #if HAP_KERNELS_X86
   if (CpuHasAvx2()) {
-    ForwardRowsAvx2(a, packed_b, out, k, n, i0, i1);
-  } else {
-    ForwardRowsScalarTile(a, packed_b, out, k, n, i0, i1);
+    ForwardRowsAvx2(a, packed_b, b, out, k, n, i0, i1);
+    return;
   }
-#else
-  ForwardRowsScalarTile(a, packed_b, out, k, n, i0, i1);
 #endif
-  // Column tail [n - n%16, n): reference loops on the unpacked B.
-  const int64_t n16 = n - n % kColPanel;
-  if (n16 == n) return;
-  for (int64_t i = i0; i < i1; ++i) {
-    for (int64_t p = 0; p < k; ++p) {
-      const float av = a[i * k + p];
-      if (av == 0.0f) continue;
-      const float* brow = b + p * n;
-      float* orow = out + i * n;
-      for (int64_t j = n16; j < n; ++j) orow[j] += av * brow[j];
-    }
-  }
+  ForwardRowsScalar(a, packed_b, b, out, k, n, i0, i1);
 }
 
 void AddRowGram(const float* row, int64_t k, float* gram) {
@@ -698,24 +742,10 @@ void BlockedGradARows(const float* g, const float* packed_bt, const float* b,
 #if HAP_KERNELS_X86
   if (CpuHasAvx2()) {
     GradARowsAvx2(g, packed_bt, ga, k, n, i0, i1);
-  } else {
-    GradARowsScalarTile(g, packed_bt, ga, k, n, i0, i1);
+    return;
   }
-#else
-  GradARowsScalarTile(g, packed_bt, ga, k, n, i0, i1);
 #endif
-  // Depth tail [k - k%32, k): reference loops on the unpacked B.
-  const int64_t k32 = k - k % kGradAChunk;
-  if (k32 == k) return;
-  for (int64_t i = i0; i < i1; ++i) {
-    for (int64_t j = 0; j < n; ++j) {
-      const float gv = g[i * n + j];
-      if (gv == 0.0f) continue;
-      for (int64_t p = k32; p < k; ++p) {
-        ga[i * k + p] += gv * b[p * n + j];
-      }
-    }
-  }
+  GradARowsScalar(g, packed_bt, b, ga, k, n, i0, i1);
 }
 
 void BlockedGradBRows(const float* a, const float* g, float* gb, int64_t m,
@@ -726,7 +756,7 @@ void BlockedGradBRows(const float* a, const float* g, float* gb, int64_t m,
     return;
   }
 #endif
-  GradBRowsScalarTile(a, g, gb, m, k, n, p0, p1);
+  GradBRowsScalar(a, g, gb, m, k, n, p0, p1);
 }
 
 // --- Reduced-precision forward kernels (eval only; see header) ---

@@ -7,7 +7,11 @@
 //    the i-k-j loop order keeps a 4x16 output tile in registers across
 //    the whole k extent, and the 16-wide j-inner loop is unrolled (AVX2
 //    mul+add when the CPU has it, an auto-vectorizable scalar tile
-//    otherwise). Column and depth tails run the reference loops.
+//    otherwise). With AVX2 the leftovers run in 8-wide lanes too: the
+//    forward's and dB's column tails (n % 16), dB's row tail (k % 4) and
+//    dA's depth tail (k % 32), the last partial vector under a lane mask
+//    (tensor/lanes_avx2.h). Without AVX2 the tails run the reference
+//    loops.
 //  * Naive*Rows — the original triple loops from ops.cc, kept verbatim as
 //    the bit-exactness reference. Only tests and bench_matmul_kernels
 //    call them.
@@ -23,8 +27,9 @@
 // kernel replaces the per-lane g == 0 branch with a compare-and-mask add
 // of +0.0f, which is bit-identical here because a gradient accumulator
 // can never hold -0.0 (it starts at +0.0 and IEEE round-to-nearest
-// addition of opposite values yields +0.0). Callers split work by output
-// rows, so any ParallelFor partition yields identical bits.
+// addition of opposite values yields +0.0). A masked lane loads zeros and
+// is never stored, so it adds no term to any output. Callers split work
+// by output rows, so any ParallelFor partition yields identical bits.
 //
 // Scope: the contract covers every non-NaN result bit (including signed
 // zeros and infinities). NaN payloads/signs are unspecified — the
@@ -63,7 +68,9 @@ const float* PackBPanels(const float* b, int64_t k, int64_t n);
 
 // Packs Bᵀ into kGradAChunk-wide row chunks for the dA kernel: chunk c
 // holds B rows [c*32, c*32+32) laid out [j*32 + q] (contiguous over q for
-// fixed j). Only floor(k/32) full chunks are packed.
+// fixed j). The k % 32 tail rows follow the floor(k/32) full chunks as
+// one more chunk, laid out [j*w + q] with w the tail rounded up to whole
+// 8-lane vectors and the padding zero.
 const float* PackBTransposed(const float* b, int64_t k, int64_t n);
 
 // --- Forward: out(m,n) += A(m,k)·B(k,n), output rows [i0, i1) ---

@@ -10,6 +10,8 @@
 #include "common/check.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
+#include "tensor/lanes_avx2.h"
+#include "tensor/matmul_kernels.h"
 
 namespace hap {
 
@@ -19,8 +21,9 @@ CsrMatrix CsrMatrix::FromDense(const Tensor& dense, float threshold) {
   out.cols_ = dense.cols();
   out.row_ptr_.assign(out.rows_ + 1, 0);
   for (int r = 0; r < out.rows_; ++r) {
+    const float* row = dense.data() + static_cast<size_t>(r) * out.cols_;
     for (int c = 0; c < out.cols_; ++c) {
-      const float v = dense.At(r, c);
+      const float v = row[c];
       if (std::abs(v) > threshold) {
         out.col_idx_.push_back(c);
         out.values_.push_back(v);
@@ -116,9 +119,106 @@ void CountSpMatMul(int64_t nnz, int n) {
   }
 }
 
+#if HAP_KERNELS_X86
+
+// The AVX2 bodies below add, per output element, the same terms in the
+// same order as the scalar loops after them, with `v * x` and `out + prod`
+// as separate multiply and add (no FMA), over one run of output columns
+// [j0, j0 + width) in V vectors (lanes_avx2.h). kCsrRunVectors vectors
+// (32 columns) per run keep the run and the operands well inside the 16
+// ymm registers.
+constexpr int kCsrRunVectors = 4;
+constexpr int kCsrRun = kCsrRunVectors * kernels::kLanes;
+
+// Gather: output row r's run stays in registers across the row's
+// nonzeros, and is loaded and stored once.
+template <int V, bool kMasked>
+struct CsrGatherRun {
+  __attribute__((target("avx2"))) static void Run(
+      const int* row_ptr, const int* col_idx, const float* values, int m,
+      const float* x, int n, float* out, int j0, int width) {
+    const __m256i mask = kernels::RunMask<kMasked>(width);
+    for (int r = 0; r < m; ++r) {
+      float* out_run = out + static_cast<size_t>(r) * n + j0;
+      __m256 acc[V];
+#pragma GCC unroll 4
+      for (int v = 0; v < V; ++v) {
+        acc[v] = kernels::LoadLanes<V, kMasked>(out_run, v, mask);
+      }
+      for (int i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
+        const float* x_run = x + static_cast<size_t>(col_idx[i]) * n + j0;
+        const __m256 s = _mm256_set1_ps(values[i]);
+#pragma GCC unroll 4
+        for (int v = 0; v < V; ++v) {
+          acc[v] = _mm256_add_ps(
+              acc[v],
+              _mm256_mul_ps(s, kernels::LoadLanes<V, kMasked>(x_run, v, mask)));
+        }
+      }
+#pragma GCC unroll 4
+      for (int v = 0; v < V; ++v) {
+        kernels::StoreLanes<V, kMasked>(out_run, v, mask, acc[v]);
+      }
+    }
+  }
+};
+
+// Scatter: input row r's run stays in registers while it is added,
+// 8 lanes at a time, into the output row of each of r's nonzeros.
+template <int V, bool kMasked>
+struct CsrScatterRun {
+  __attribute__((target("avx2"))) static void Run(
+      const int* row_ptr, const int* col_idx, const float* values, int m,
+      const float* x, int n, float* out, int j0, int width) {
+    const __m256i mask = kernels::RunMask<kMasked>(width);
+    for (int r = 0; r < m; ++r) {
+      const int begin = row_ptr[r], end = row_ptr[r + 1];
+      if (begin == end) continue;
+      const float* x_run = x + static_cast<size_t>(r) * n + j0;
+      __m256 xv[V];
+#pragma GCC unroll 4
+      for (int v = 0; v < V; ++v) {
+        xv[v] = kernels::LoadLanes<V, kMasked>(x_run, v, mask);
+      }
+      for (int i = begin; i < end; ++i) {
+        float* out_run = out + static_cast<size_t>(col_idx[i]) * n + j0;
+        const __m256 s = _mm256_set1_ps(values[i]);
+#pragma GCC unroll 4
+        for (int v = 0; v < V; ++v) {
+          kernels::StoreLanes<V, kMasked>(
+              out_run, v, mask,
+              _mm256_add_ps(kernels::LoadLanes<V, kMasked>(out_run, v, mask),
+                            _mm256_mul_ps(s, xv[v])));
+        }
+      }
+    }
+  }
+};
+
+// Runs Body over n's columns: full kCsrRun-wide runs, then the rest.
+template <template <int, bool> class Body>
+void CsrRunsAvx2(const int* row_ptr, const int* col_idx, const float* values,
+                 int m, const float* x, int n, float* out) {
+  const int full = n - n % kCsrRun;
+  for (int j0 = 0; j0 < full; j0 += kCsrRun) {
+    Body<kCsrRunVectors, false>::Run(row_ptr, col_idx, values, m, x, n, out,
+                                     j0, kCsrRun);
+  }
+  if (full == n) return;
+  kernels::RunLanes<Body, kCsrRunVectors>(n - full, row_ptr, col_idx, values,
+                                          m, x, n, out, full, n - full);
+}
+
+#endif  // HAP_KERNELS_X86
+
 // out(m, n) += A X for the CSR arrays of A(m, k) and a dense X(k, n).
 void CsrProduct(const int* row_ptr, const int* col_idx, const float* values,
                 int m, const float* x, int n, float* out) {
+#if HAP_KERNELS_X86
+  if (kernels::CpuHasAvx2()) {
+    return CsrRunsAvx2<CsrGatherRun>(row_ptr, col_idx, values, m, x, n, out);
+  }
+#endif
   for (int r = 0; r < m; ++r) {
     float* out_row = out + static_cast<size_t>(r) * n;
     for (int i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
@@ -135,6 +235,11 @@ void CsrProduct(const int* row_ptr, const int* col_idx, const float* values,
 void CsrTransposeProduct(const int* row_ptr, const int* col_idx,
                          const float* values, int m, const float* x, int n,
                          float* out) {
+#if HAP_KERNELS_X86
+  if (kernels::CpuHasAvx2()) {
+    return CsrRunsAvx2<CsrScatterRun>(row_ptr, col_idx, values, m, x, n, out);
+  }
+#endif
   for (int r = 0; r < m; ++r) {
     const float* x_row = x + static_cast<size_t>(r) * n;
     for (int i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {

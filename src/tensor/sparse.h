@@ -82,6 +82,17 @@ class CsrMatrix {
 /// here that holds a CsrMatrix operand, it copies A's arrays into a
 /// backward closure only when the result lands on the tape; untaped
 /// calls build no closure.
+///
+/// The CSR×dense kernels behind this op and the two transposed products
+/// below (docs/SPARSE.md) have one accumulation order: each output
+/// element sums its terms in CSR storage order (rows ascending, then
+/// columns ascending), each term `v * x` rounded before it is added. With
+/// AVX2 the gather product A·X keeps each output row in registers, 32
+/// columns at a time, across the row's nonzeros, and the scatter product
+/// AᵀX adds each input row into its nonzeros' output rows 8 lanes at a
+/// time; the last partial vector of a row is masked (tensor/lanes_avx2.h).
+/// Without AVX2 both run scalar loops in the same order, so the bits do
+/// not depend on the host.
 Tensor SpMatMul(const CsrMatrix& a, const Tensor& x);
 
 /// Transposed sparse-dense product Aᵀ(k,m) * X(m,n) -> (k,n) in

@@ -252,31 +252,59 @@ std::vector<float> RandomWithZeros(Rng* rng, int64_t size,
   return v;
 }
 
+// Runs MatMul and the naive kernels on random operands of one shape at
+// zero fractions 0 and 0.3, and expects identical bits for out, dA and dB.
+// Every operand is a vector of exactly its size, so a load past a tail
+// that is not masked reads out of bounds (ASan reports it).
+void ExpectShapeBitIdentical(int m, int k, int n, Rng* rng) {
+  for (double zero_fraction : {0.0, 0.3}) {
+    const std::vector<float> av =
+        RandomWithZeros(rng, int64_t{m} * k, zero_fraction);
+    const std::vector<float> bv =
+        RandomWithZeros(rng, int64_t{k} * n, zero_fraction);
+    const std::vector<float> wv =
+        RandomWithZeros(rng, int64_t{m} * n, zero_fraction);
+    const MatMulParity run = RunMatMul(m, k, n, av, bv, wv);
+    SCOPED_TRACE(::testing::Message() << "shape " << m << "x" << k << "x" << n
+                                      << " zeros " << zero_fraction);
+    ExpectBitIdentical(run.matmul.out, run.reference.out, "forward");
+    ExpectBitIdentical(run.matmul.da, run.reference.da, "dA");
+    ExpectBitIdentical(run.matmul.db, run.reference.db, "dB");
+  }
+}
+
 TEST(MatMulKernelParityTest, RandomShapesBitIdentical) {
   // Tile geometry is 4 rows x 16 cols (packed panels) with 32-wide dA
   // chunks: cover below/at/above every boundary plus degenerate and
-  // rectangular shapes.
+  // rectangular shapes. The second block is HAP's narrow products: GCont's
+  // C = H·T and its dT (27x32x8), MOA's C·G and dG (28x8x8), the first GCN
+  // weight of a PROTEINS-like model (28x3x32), a depth-8 dA (6x8x32), a
+  // 27-deep dA (8x27x32), a two-class head (1x64x2) and a score column
+  // (8x32x1).
   const int shapes[][3] = {
-      {1, 1, 1},   {1, 7, 1},    {1, 33, 1},  {1, 5, 16},  {3, 4, 15},
-      {4, 32, 16}, {5, 33, 17},  {8, 31, 32}, {9, 8, 48},  {2, 64, 7},
+      {1, 1, 1},   {1, 7, 1},    {1, 33, 1},   {1, 5, 16},  {3, 4, 15},
+      {4, 32, 16}, {5, 33, 17},  {8, 31, 32},  {9, 8, 48},  {2, 64, 7},
       {16, 3, 33}, {7, 40, 130}, {64, 64, 64}, {20, 33, 47},
+      {27, 32, 8}, {28, 8, 8},   {28, 3, 32},  {6, 8, 32},  {8, 27, 32},
+      {1, 64, 2},  {8, 32, 1},
   };
   Rng rng(0xC0FFEEu);
   for (const auto& shape : shapes) {
-    const int m = shape[0], k = shape[1], n = shape[2];
-    for (double zero_fraction : {0.0, 0.3}) {
-      const std::vector<float> av =
-          RandomWithZeros(&rng, int64_t{m} * k, zero_fraction);
-      const std::vector<float> bv =
-          RandomWithZeros(&rng, int64_t{k} * n, zero_fraction);
-      const std::vector<float> wv =
-          RandomWithZeros(&rng, int64_t{m} * n, zero_fraction);
-      const MatMulParity run = RunMatMul(m, k, n, av, bv, wv);
-      SCOPED_TRACE(::testing::Message() << "shape " << m << "x" << k << "x"
-                                        << n << " zeros " << zero_fraction);
-      ExpectBitIdentical(run.matmul.out, run.reference.out, "forward");
-      ExpectBitIdentical(run.matmul.da, run.reference.da, "dA");
-      ExpectBitIdentical(run.matmul.db, run.reference.db, "dB");
+    ExpectShapeBitIdentical(shape[0], shape[1], shape[2], &rng);
+  }
+}
+
+TEST(MatMulKernelParityTest, LaneTailsBitIdentical) {
+  // Column widths around one and two 8-lane vectors and a 16-wide panel
+  // (forward and dB column tails, masked or not), depths around the
+  // 4-row dB tile and the 8-lane dA depth tail, and row counts that leave
+  // one, two and three rows after the 4-row tiles.
+  Rng rng(0x7A115u);
+  for (int m : {1, 6, 7}) {
+    for (int n : {7, 8, 9, 15, 17, 23, 24, 25}) {
+      for (int k : {1, 2, 3, 5, 8, 27, 33}) {
+        ExpectShapeBitIdentical(m, k, n, &rng);
+      }
     }
   }
 }
@@ -319,6 +347,30 @@ TEST(MatMulKernelParityTest, NonFiniteValuesMatch) {
   ExpectSameUpToNanPayload(run.matmul.out, run.reference.out, "forward");
   ExpectSameUpToNanPayload(run.matmul.da, run.reference.da, "dA");
   ExpectSameUpToNanPayload(run.matmul.db, run.reference.db, "dB");
+
+  // n2 = 11 is one full vector and a masked one of 3 lanes (columns 8-10)
+  // in the forward and dB column tails; k2 = 13 is one full vector and a
+  // masked one of 5 lanes (depths 8-12) in the dA depth tail. Every
+  // non-finite value here sits in those masked vectors.
+  const int m2 = 6, k2 = 13, n2 = 11;
+  std::vector<float> a2 = RandomWithZeros(&rng, int64_t{m2} * k2, 0.2);
+  std::vector<float> b2 = RandomWithZeros(&rng, int64_t{k2} * n2, 0.2);
+  std::vector<float> w2 = RandomWithZeros(&rng, int64_t{m2} * n2, 0.2);
+  a2[0 * k2 + 9] = inf;
+  a2[2 * k2 + 12] = nan;
+  a2[5 * k2 + 10] = -inf;
+  b2[9 * n2 + 8] = inf;
+  b2[12 * n2 + 10] = nan;
+  b2[3 * n2 + 9] = -inf;
+  w2[1 * n2 + 10] = -inf;
+  w2[4 * n2 + 8] = nan;
+  const MatMulParity masked = RunMatMul(m2, k2, n2, a2, b2, w2);
+  ExpectSameUpToNanPayload(masked.matmul.out, masked.reference.out,
+                           "masked-lane forward");
+  ExpectSameUpToNanPayload(masked.matmul.da, masked.reference.da,
+                           "masked-lane dA");
+  ExpectSameUpToNanPayload(masked.matmul.db, masked.reference.db,
+                           "masked-lane dB");
 }
 
 TEST(MatMulKernelParityTest, RowPartitionsBitIdentical) {

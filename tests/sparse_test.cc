@@ -1,5 +1,9 @@
 #include "tensor/sparse.h"
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "core/gumbel.h"
@@ -25,6 +29,51 @@ TEST(CsrTest, ThresholdDropsSmallEntries) {
   Tensor dense = Tensor::FromVector(1, 3, {0.5f, 1e-6f, -0.5f});
   CsrMatrix csr = CsrMatrix::FromDense(dense, 1e-4f);
   EXPECT_EQ(csr.nnz(), 2);
+}
+
+// FromDense's loop before it read the row-major buffer directly; the
+// stored entries and their order must stay exactly this loop's.
+CsrMatrix FromDenseByAt(const Tensor& dense, float threshold) {
+  std::vector<int> row_ptr(1, 0), col_idx;
+  std::vector<float> values;
+  for (int r = 0; r < dense.rows(); ++r) {
+    for (int c = 0; c < dense.cols(); ++c) {
+      const float v = dense.At(r, c);
+      if (std::abs(v) > threshold) {
+        col_idx.push_back(c);
+        values.push_back(v);
+      }
+    }
+    row_ptr.push_back(static_cast<int>(col_idx.size()));
+  }
+  return CsrMatrix::FromParts(dense.rows(), dense.cols(), std::move(row_ptr),
+                              std::move(col_idx), std::move(values));
+}
+
+TEST(CsrTest, FromDenseKeepsInfinitiesAndDropsNanAndSignedZero) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // |NaN| > t and |-0| > 0 are false, so both drop; ±inf are kept.
+  Tensor dense = Tensor::FromVector(
+      3, 4, {-0.0f, 1.5f, nan, -inf, 0.0f, 0.0f, 0.0f, 0.0f, inf, -0.0f,
+             -2.0f, 1e-6f});
+  for (float threshold : {0.0f, 1e-4f}) {
+    SCOPED_TRACE(::testing::Message() << "threshold " << threshold);
+    const CsrMatrix got = CsrMatrix::FromDense(dense, threshold);
+    const CsrMatrix want = FromDenseByAt(dense, threshold);
+    EXPECT_EQ(got.rows(), want.rows());
+    EXPECT_EQ(got.cols(), want.cols());
+    EXPECT_EQ(got.row_ptr(), want.row_ptr());
+    EXPECT_EQ(got.col_idx(), want.col_idx());
+    ASSERT_EQ(got.values().size(), want.values().size());
+    EXPECT_EQ(std::memcmp(got.values().data(), want.values().data(),
+                          got.values().size() * sizeof(float)),
+              0);
+  }
+  const CsrMatrix csr = CsrMatrix::FromDense(dense);
+  EXPECT_EQ(csr.row_ptr(), (std::vector<int>{0, 2, 2, 5}));
+  EXPECT_EQ(csr.col_idx(), (std::vector<int>{1, 3, 0, 2, 3}));
+  EXPECT_EQ(csr.values(), (std::vector<float>{1.5f, -inf, inf, -2.0f, 1e-6f}));
 }
 
 TEST(CsrTest, FromTripletsSumsDuplicates) {
