@@ -155,9 +155,13 @@ int Main(int argc, char** argv) {
     sparse_config.use_gumbel = true;
     CoarseningModule sparse_module(sparse_config, &rng);
     const double dense_density = EdgeDensity(
-        dense_module.Forward(h, g.AdjacencyMatrix()).adjacency, 1e-3f);
+        dense_module.Forward(h, GraphLevel(g.AdjacencyMatrix()))
+            .level.adjacency(),
+        1e-3f);
     const double sampled_density = EdgeDensity(
-        sparse_module.Forward(h, g.AdjacencyMatrix()).adjacency, 1e-3f);
+        sparse_module.Forward(h, GraphLevel(g.AdjacencyMatrix()))
+            .level.adjacency(),
+        1e-3f);
     std::printf(
         "Soft sampling (Eq. 19) edge density on A': without %.3f, with "
         "%.3f — the sparsification that justifies the O(|E|) message-"

@@ -34,7 +34,7 @@ void BM_CoarseningForward(benchmark::State& state) {
   Tensor adj = g.AdjacencyMatrix();
   for (auto _ : state) {
     NoGradGuard guard;
-    CoarsenResult result = module.Forward(h, adj);
+    CoarsenResult result = module.Forward(h, GraphLevel(adj));
     benchmark::DoNotOptimize(result.h.data());
   }
   state.SetComplexityN(n);
@@ -69,7 +69,7 @@ void BM_HapModelForward(benchmark::State& state) {
   Tensor adj = g.AdjacencyMatrix();
   for (auto _ : state) {
     NoGradGuard guard;
-    Tensor e = model->Embed(h, adj);
+    Tensor e = model->Embed(h, GraphLevel(adj));
     benchmark::DoNotOptimize(e.data());
   }
   state.SetComplexityN(n);

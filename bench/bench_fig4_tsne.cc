@@ -112,7 +112,7 @@ double ReceptiveFieldStatistic() {
   int counted = 0;
   for (const Graph& g : ds.graphs) {
     Tensor h = NodeFeatures(g, ds.feature_spec);
-    module.Forward(h, g.AdjacencyMatrix());
+    module.Forward(h, GraphLevel(g.AdjacencyMatrix()));
     const Tensor& m = module.last_attention();
     for (int u = 0; u < g.num_nodes(); ++u) {
       if (g.Degree(u) == 0) continue;

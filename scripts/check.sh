@@ -494,6 +494,32 @@ EOF
 }
 docs_pass
 
+# --- Benchmark pass (BENCHMARK.json, perfbench/) ------------------------
+# The benchmark compiles against the library's headers from this tree, so
+# an API change that breaks it fails here instead of first in a benchmark
+# run. Its helper tests run, then each workload runs briefly (serve_replay
+# traced as well): every run must exit 0 and end on a result line whose
+# outputs were correct with no failed operation.
+bench_pass() {
+  echo "=== perfbench: self-test + short run of every workload ==="
+  python3 perfbench/run.py --self-test > /dev/null
+  local run workload trace
+  for run in "serve_replay 0" "train_hap 0" "embed_large 0" \
+             "serve_replay 1"; do
+    read -r workload trace <<< "${run}"
+    python3 perfbench/run.py --workload "${workload}" --seed 1 \
+      --seconds 3 --trace "${trace}" > build/perfbench_result.txt
+    python3 - "${workload}" "${trace}" <<'EOF'
+import json, sys
+result = json.loads(open("build/perfbench_result.txt").read().splitlines()[-1])
+assert result["correct"] is True and result["failed"] == 0, result
+print(f"perfbench {sys.argv[1]} (trace {sys.argv[2]}) OK: "
+      f"{result['attempted']} operations correct, none failed")
+EOF
+  done
+}
+bench_pass
+
 # halt_on_error keeps ctest failures attributable to one test; the
 # suppression-free defaults are intentional — the tree should stay clean.
 # The quant suite, whose kernels poke raw packed buffers with intrinsics,
@@ -501,4 +527,4 @@ docs_pass
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   run_pass build-sanitize -DHAP_SANITIZE=address,undefined
 
-echo "All checks passed (plain + observability + serving + telemetry + network + kernel + batching + sparse coarsening + quantization + docs + address,undefined)."
+echo "All checks passed (plain + observability + serving + telemetry + network + kernel + batching + sparse coarsening + quantization + docs + benchmark + address,undefined)."

@@ -452,7 +452,7 @@ CoarsenResult CoarseningModule::FormClusters(const Tensor& m,
     coarse_adj =
         GumbelSoftSample(coarse_adj, config_.tau, &noise_rng_, training_);
   }
-  return CoarsenResult(std::move(products.h), std::move(coarse_adj));
+  return {std::move(products.h), GraphLevel(std::move(coarse_adj))};
 }
 
 CoarsenResult CoarseningModule::Forward(const Tensor& h,

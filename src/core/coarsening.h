@@ -97,7 +97,6 @@ class CoarseningModule : public Coarsener {
  public:
   CoarseningModule(const CoarseningConfig& config, Rng* rng);
 
-  using Coarsener::Forward;
   CoarsenResult Forward(const Tensor& h,
                         const GraphLevel& level) const override;
 

@@ -24,19 +24,9 @@ class GraphEmbedder : public Module {
   virtual std::vector<Tensor> EmbedLevels(const Tensor& h,
                                           const GraphLevel& level) const = 0;
 
-  /// Compatibility shim wrapping a bare adjacency in an ephemeral level.
-  /// Derived classes re-expose it with `using GraphEmbedder::EmbedLevels;`.
-  std::vector<Tensor> EmbedLevels(const Tensor& h,
-                                  const Tensor& adjacency) const {
-    return EmbedLevels(h, GraphLevel(adjacency));
-  }
-
   /// The final (coarsest) graph-level embedding h_G.
   Tensor Embed(const Tensor& h, const GraphLevel& level) const {
     return EmbedLevels(h, level).back();
-  }
-  Tensor Embed(const Tensor& h, const Tensor& adjacency) const {
-    return EmbedLevels(h, adjacency).back();
   }
 
   virtual int embedding_dim() const = 0;
@@ -75,7 +65,6 @@ class FlatEmbedder : public GraphEmbedder {
   FlatEmbedder(std::unique_ptr<GnnEncoder> encoder,
                std::unique_ptr<Readout> readout);
 
-  using GraphEmbedder::EmbedLevels;
   std::vector<Tensor> EmbedLevels(const Tensor& h,
                                   const GraphLevel& level) const override;
   bool SupportsBatched() const override {
@@ -104,7 +93,6 @@ class HierarchicalEmbedder : public GraphEmbedder {
   HierarchicalEmbedder(std::vector<std::unique_ptr<GnnEncoder>> encoders,
                        std::vector<std::unique_ptr<Coarsener>> coarseners);
 
-  using GraphEmbedder::EmbedLevels;
   std::vector<Tensor> EmbedLevels(const Tensor& h,
                                   const GraphLevel& level) const override;
   bool SupportsBatched() const override;
@@ -137,7 +125,6 @@ class GcnConcatEmbedder : public GraphEmbedder {
   GcnConcatEmbedder(int in_features, int hidden_dim, int num_layers,
                     Rng* rng);
 
-  using GraphEmbedder::EmbedLevels;
   std::vector<Tensor> EmbedLevels(const Tensor& h,
                                   const GraphLevel& level) const override;
   bool SupportsBatched() const override { return true; }

@@ -30,7 +30,7 @@ CoarsenResult ReadoutCoarsener::Forward(const Tensor& h,
                                         const GraphLevel& level) const {
   Tensor pooled = readout_->Forward(h, level);
   HAP_CHECK_EQ(pooled.rows(), 1);
-  return CoarsenResult(std::move(pooled), Tensor::Ones(1, 1));
+  return {std::move(pooled), GraphLevel(Tensor::Ones(1, 1))};
 }
 
 void ReadoutCoarsener::CollectParameters(std::vector<Tensor>* out) const {

@@ -53,7 +53,6 @@ class ReadoutCoarsener : public Coarsener {
  public:
   explicit ReadoutCoarsener(std::unique_ptr<Readout> readout);
 
-  using Coarsener::Forward;
   CoarsenResult Forward(const Tensor& h,
                         const GraphLevel& level) const override;
   void CollectParameters(std::vector<Tensor>* out) const override;

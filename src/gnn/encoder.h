@@ -28,11 +28,6 @@ class GnnEncoder : public Module {
 
   Tensor Forward(const Tensor& h, const GraphLevel& level) const;
 
-  /// Compatibility shim wrapping a bare adjacency in an ephemeral level.
-  Tensor Forward(const Tensor& h, const Tensor& adjacency) const {
-    return Forward(h, GraphLevel(adjacency));
-  }
-
   /// Batched forward over N concatenated graphs (docs/BATCHING.md):
   /// bit-equal per segment to Forward on each graph alone in fp32.
   Tensor ForwardBatched(const Tensor& h, const BatchedLevel& level) const;

@@ -25,11 +25,6 @@ class GatLayer : public Module {
   /// the cached neighborhood log mask.
   Tensor Forward(const Tensor& h, const GraphLevel& level) const;
 
-  /// Compatibility shim wrapping a bare adjacency in an ephemeral level.
-  Tensor Forward(const Tensor& h, const Tensor& adjacency) const {
-    return Forward(h, GraphLevel(adjacency));
-  }
-
   /// Batched forward: W and the attention-score products run as fused
   /// GEMMs over all graphs; the segment-masked attention (per-graph
   /// softmax behind each level's log mask) runs per segment, so scores

@@ -17,9 +17,9 @@ Tensor ApplyActivation(const Tensor& x, Activation activation);
 /// Graph convolution layer (Kipf & Welling; Eq. 12):
 ///   H_{k+1} = act( D̃^{-1/2} Ã D̃^{-1/2} H_k W_k ).
 ///
-/// Forward takes the *raw* (possibly weighted, possibly gradient-carrying)
-/// adjacency; normalisation happens inside so coarsened graphs propagate
-/// gradients through their edge weights.
+/// Forward takes a level over the *raw* (possibly weighted, possibly
+/// gradient-carrying) adjacency; normalisation happens inside so coarsened
+/// graphs propagate gradients through their edge weights.
 class GcnLayer : public Module {
  public:
   GcnLayer(int in_features, int out_features, Rng* rng,
@@ -28,12 +28,6 @@ class GcnLayer : public Module {
   /// h: (N, in); level views the (N, N) raw-weight adjacency (no
   /// self-loops required) and supplies the cached normalized operator.
   Tensor Forward(const Tensor& h, const GraphLevel& level) const;
-
-  /// Compatibility shim for callers holding a bare adjacency tensor; wraps
-  /// it in an ephemeral (uncached across calls) GraphLevel.
-  Tensor Forward(const Tensor& h, const Tensor& adjacency) const {
-    return Forward(h, GraphLevel(adjacency));
-  }
 
   /// Batched forward over N concatenated graphs: propagation runs per
   /// segment against each graph's cached operator, the linear as one fused

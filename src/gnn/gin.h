@@ -20,11 +20,6 @@ class GinLayer : public Module {
 
   Tensor Forward(const Tensor& h, const GraphLevel& level) const;
 
-  /// Compatibility shim wrapping a bare adjacency in an ephemeral level.
-  Tensor Forward(const Tensor& h, const Tensor& adjacency) const {
-    return Forward(h, GraphLevel(adjacency));
-  }
-
   /// Batched forward (see GcnLayer::ForwardBatched): per-segment sum
   /// aggregation, fused MLP GEMMs.
   Tensor ForwardBatched(const Tensor& h, const BatchedLevel& level) const;

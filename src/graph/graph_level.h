@@ -72,6 +72,10 @@ class GraphLevel {
 
   bool defined() const { return state_ != nullptr; }
 
+  /// Address of the shared state: equal exactly when two handles are
+  /// copies of one level (two levels built over one tensor differ).
+  const void* identity() const { return state_.get(); }
+
   /// True when this level is dense-backed and adjacency() may be called.
   /// False for sparse-native levels (CSR only).
   bool has_dense_adjacency() const;

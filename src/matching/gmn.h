@@ -40,13 +40,6 @@ class GmnModel : public Module {
                                       const Tensor& h2,
                                       const GraphLevel& g2) const;
 
-  /// Compatibility shim wrapping bare adjacencies in ephemeral levels.
-  std::pair<Tensor, Tensor> EmbedPair(const Tensor& h1, const Tensor& a1,
-                                      const Tensor& h2,
-                                      const Tensor& a2) const {
-    return EmbedPair(h1, GraphLevel(a1), h2, GraphLevel(a2));
-  }
-
   void CollectParameters(std::vector<Tensor>* out) const override;
   void set_training(bool training);
   int embedding_dim() const { return config_.hidden_dim; }

@@ -14,15 +14,15 @@ SimGnnModel::SimGnnModel(int feature_dim, int hidden_dim, int ntn_slices,
       ntn_linear_(2 * hidden_dim, ntn_slices, rng),
       score_(ntn_slices, 1, rng) {}
 
-Tensor SimGnnModel::EmbedOne(const Tensor& h, const Tensor& adjacency) const {
-  return readout_.Forward(encoder_.Forward(h, adjacency), adjacency);
+Tensor SimGnnModel::EmbedOne(const Tensor& h, const GraphLevel& level) const {
+  return readout_.Forward(encoder_.Forward(h, level), level);
 }
 
-Tensor SimGnnModel::PredictSimilarity(const Tensor& h1, const Tensor& a1,
+Tensor SimGnnModel::PredictSimilarity(const Tensor& h1, const GraphLevel& g1,
                                       const Tensor& h2,
-                                      const Tensor& a2) const {
-  Tensor e1 = EmbedOne(h1, a1);  // (1, F)
-  Tensor e2 = EmbedOne(h2, a2);  // (1, F)
+                                      const GraphLevel& g2) const {
+  Tensor e1 = EmbedOne(h1, g1);  // (1, F)
+  Tensor e2 = EmbedOne(h2, g2);  // (1, F)
   // Bilinear slices: (e1 W) reshaped to (K, F), times e2ᵀ -> (K, 1).
   Tensor bilinear = MatMul(
       Reshape(MatMul(e1, ntn_bilinear_), slices_, hidden_dim_), Transpose(e2));

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "gnn/encoder.h"
+#include "graph/graph_level.h"
 #include "pooling/flat.h"
 #include "tensor/module.h"
 
@@ -19,14 +20,15 @@ class SimGnnModel : public Module {
  public:
   SimGnnModel(int feature_dim, int hidden_dim, int ntn_slices, Rng* rng);
 
-  /// Predicted similarity score for a pair, (1,1) in (0,1).
-  Tensor PredictSimilarity(const Tensor& h1, const Tensor& a1,
-                           const Tensor& h2, const Tensor& a2) const;
+  /// Predicted similarity score for a pair, (1,1) in (0,1). Prepared
+  /// levels (PrepareGraph) keep their cached operators across calls.
+  Tensor PredictSimilarity(const Tensor& h1, const GraphLevel& g1,
+                           const Tensor& h2, const GraphLevel& g2) const;
 
   void CollectParameters(std::vector<Tensor>* out) const override;
 
  private:
-  Tensor EmbedOne(const Tensor& h, const Tensor& adjacency) const;
+  Tensor EmbedOne(const Tensor& h, const GraphLevel& level) const;
 
   GnnEncoder encoder_;
   MeanAttReadout readout_;

@@ -43,7 +43,7 @@ CoarsenResult AsapCoarsener::Forward(const Tensor& h,
   Tensor kept_attention = GatherRows(attention, keep);  // (k, N)
   Tensor coarse_adj =
       MatMul(kept_attention, level.Aggregate(Transpose(kept_attention)));
-  return CoarsenResult(std::move(kept_h), std::move(coarse_adj));
+  return {std::move(kept_h), GraphLevel(std::move(coarse_adj))};
 }
 
 void AsapCoarsener::CollectParameters(std::vector<Tensor>* out) const {

@@ -18,7 +18,6 @@ class AsapCoarsener : public Coarsener {
  public:
   AsapCoarsener(int in_features, double ratio, Rng* rng);
 
-  using Coarsener::Forward;
   CoarsenResult Forward(const Tensor& h,
                         const GraphLevel& level) const override;
   void CollectParameters(std::vector<Tensor>* out) const override;

@@ -47,7 +47,7 @@ CoarsenResult AttPoolCoarsener::Forward(const Tensor& h,
   Tensor kept_h = GatherRows(aggregated, keep);
   Tensor rows = GatherRows(adjacency, keep);
   Tensor kept_adj = Transpose(GatherRows(Transpose(rows), keep));
-  return CoarsenResult(std::move(kept_h), std::move(kept_adj));
+  return {std::move(kept_h), GraphLevel(std::move(kept_adj))};
 }
 
 void AttPoolCoarsener::CollectParameters(std::vector<Tensor>* out) const {

@@ -20,7 +20,6 @@ class AttPoolCoarsener : public Coarsener {
 
   AttPoolCoarsener(int in_features, double ratio, Mode mode, Rng* rng);
 
-  using Coarsener::Forward;
   CoarsenResult Forward(const Tensor& h,
                         const GraphLevel& level) const override;
   void CollectParameters(std::vector<Tensor>* out) const override;

@@ -20,7 +20,7 @@ CoarsenResult DiffPoolCoarsener::Forward(const Tensor& h,
   Tensor coarse_h = MatMul(Transpose(assignment), embedded);
   Tensor coarse_adj =
       MatMul(Transpose(assignment), level.Aggregate(assignment));
-  return CoarsenResult(std::move(coarse_h), std::move(coarse_adj));
+  return {std::move(coarse_h), GraphLevel(std::move(coarse_adj))};
 }
 
 void DiffPoolCoarsener::CollectParameters(std::vector<Tensor>* out) const {

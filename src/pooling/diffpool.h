@@ -16,7 +16,6 @@ class DiffPoolCoarsener : public Coarsener {
   /// `num_clusters` is the fixed output size N'.
   DiffPoolCoarsener(int in_features, int num_clusters, Rng* rng);
 
-  using Coarsener::Forward;
   CoarsenResult Forward(const Tensor& h,
                         const GraphLevel& level) const override;
   void CollectParameters(std::vector<Tensor>* out) const override;

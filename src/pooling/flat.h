@@ -10,7 +10,6 @@ namespace hap {
 /// baseline in Table 3).
 class SumReadout : public Readout {
  public:
-  using Readout::Forward;
   Tensor Forward(const Tensor& h, const GraphLevel& level) const override;
   bool SupportsBatched() const override { return true; }
   Tensor ForwardBatched(const Tensor& h,
@@ -21,7 +20,6 @@ class SumReadout : public Readout {
 /// Element-wise mean over nodes.
 class MeanReadout : public Readout {
  public:
-  using Readout::Forward;
   Tensor Forward(const Tensor& h, const GraphLevel& level) const override;
   bool SupportsBatched() const override { return true; }
   Tensor ForwardBatched(const Tensor& h,
@@ -32,7 +30,6 @@ class MeanReadout : public Readout {
 /// Element-wise max over nodes.
 class MaxReadout : public Readout {
  public:
-  using Readout::Forward;
   Tensor Forward(const Tensor& h, const GraphLevel& level) const override;
   bool SupportsBatched() const override { return true; }
   Tensor ForwardBatched(const Tensor& h,
@@ -46,7 +43,6 @@ class MaxReadout : public Readout {
 class MeanAttReadout : public Readout {
  public:
   MeanAttReadout(int in_features, Rng* rng);
-  using Readout::Forward;
   Tensor Forward(const Tensor& h, const GraphLevel& level) const override;
   void CollectParameters(std::vector<Tensor>* out) const override;
 
@@ -59,7 +55,6 @@ class MeanAttReadout : public Readout {
 class GatedSumReadout : public Readout {
  public:
   GatedSumReadout(int in_features, Rng* rng);
-  using Readout::Forward;
   Tensor Forward(const Tensor& h, const GraphLevel& level) const override;
   void CollectParameters(std::vector<Tensor>* out) const override;
 

@@ -29,8 +29,8 @@ CoarsenResult MinCutPoolCoarsener::Forward(const Tensor& h,
   Tensor assignment =
       SoftmaxRows(assign2_.Forward(Relu(assign1_.Forward(h))));  // (N, k)
   Tensor s_t = Transpose(assignment);
-  CoarsenResult result(MatMul(s_t, h),
-                       MatMul(s_t, level.Aggregate(assignment)));
+  CoarsenResult result{
+      MatMul(s_t, h), GraphLevel(MatMul(s_t, level.Aggregate(assignment)))};
 
   // Normalised-cut relaxation: maximise within-cluster edge mass.
   Tensor degree_diag = Tensor::Zeros(adjacency.rows(), adjacency.cols());
@@ -42,7 +42,7 @@ CoarsenResult MinCutPoolCoarsener::Forward(const Tensor& h,
       degree_diag.Set(i, i, static_cast<float>(d));
     }
   }
-  Tensor cut_num = Trace(result.adjacency);
+  Tensor cut_num = Trace(result.level.adjacency());
   Tensor cut_den = AddScalar(
       Trace(MatMul(s_t, MatMul(degree_diag, assignment))), 1e-9f);
   Tensor cut_loss = Neg(Div(cut_num, cut_den));

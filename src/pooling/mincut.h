@@ -18,7 +18,6 @@ class MinCutPoolCoarsener : public Coarsener {
  public:
   MinCutPoolCoarsener(int in_features, int num_clusters, Rng* rng);
 
-  using Coarsener::Forward;
   CoarsenResult Forward(const Tensor& h,
                         const GraphLevel& level) const override;
   void CollectParameters(std::vector<Tensor>* out) const override;

@@ -29,11 +29,6 @@ bool ParseCoarsenMode(const std::string& text, CoarsenMode* mode) {
   return true;
 }
 
-CoarsenResult::CoarsenResult(Tensor h_in, GraphLevel level_in)
-    : h(std::move(h_in)), level(std::move(level_in)) {
-  if (level.has_dense_adjacency()) adjacency = level.adjacency();
-}
-
 // Defaults for poolers that have not implemented a batched mirror; callers
 // must consult SupportsBatched() and fall back to per-graph execution
 // (docs/BATCHING.md) before reaching these.

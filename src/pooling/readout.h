@@ -2,7 +2,6 @@
 #define HAP_POOLING_READOUT_H_
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "graph/batched_graph.h"
@@ -21,12 +20,6 @@ class Readout : public Module {
   ~Readout() override = default;
 
   virtual Tensor Forward(const Tensor& h, const GraphLevel& level) const = 0;
-
-  /// Compatibility shim wrapping a bare adjacency in an ephemeral level.
-  /// Derived classes re-expose it with `using Readout::Forward;`.
-  Tensor Forward(const Tensor& h, const Tensor& adjacency) const {
-    return Forward(h, GraphLevel(adjacency));
-  }
 
   /// Output embedding width given `in_features` wide node features.
   virtual int OutFeatures(int in_features) const { return in_features; }
@@ -68,22 +61,13 @@ const char* CoarsenModeName(CoarsenMode mode);
 /// handling: a typo must fail up front, not silently train dense).
 bool ParseCoarsenMode(const std::string& text, CoarsenMode* mode);
 
-/// Result of one graph-coarsening step, carried primarily as a GraphLevel
-/// so the next stage reuses its cached/CSR operators. The raw dense tensor
-/// stays exposed for dense-backed levels because tests and aux-loss code
-/// read it directly; it is undefined when the level is sparse-native
-/// (never materialised densely).
+/// Result of one graph-coarsening step (H', A'). The coarsened structure
+/// travels only as a GraphLevel, so the next stage reuses its cached/CSR
+/// operators; readers of the dense A' (aux losses, tests) call
+/// level.adjacency(), which a sparse-native level does not have.
 struct CoarsenResult {
-  CoarsenResult() = default;
-  CoarsenResult(Tensor h_in, Tensor adjacency_in)
-      : h(std::move(h_in)),
-        adjacency(std::move(adjacency_in)),
-        level(adjacency) {}
-  CoarsenResult(Tensor h_in, GraphLevel level_in);
-
   Tensor h;          // (N', F) cluster features
-  Tensor adjacency;  // (N', N') coarsened adjacency; undefined if sparse
-  GraphLevel level;  // primary representation of the coarsened structure
+  GraphLevel level;  // the coarsened (N', N') structure
 };
 
 /// Result of one batched coarsening step: concatenated cluster features
@@ -103,12 +87,6 @@ class Coarsener : public Module {
 
   virtual CoarsenResult Forward(const Tensor& h,
                                 const GraphLevel& level) const = 0;
-
-  /// Compatibility shim wrapping a bare adjacency in an ephemeral level.
-  /// Derived classes re-expose it with `using Coarsener::Forward;`.
-  CoarsenResult Forward(const Tensor& h, const Tensor& adjacency) const {
-    return Forward(h, GraphLevel(adjacency));
-  }
 
   /// Toggles training-only stochasticity (HAP's Gumbel soft sampling);
   /// deterministic coarseners ignore it.

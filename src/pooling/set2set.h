@@ -16,7 +16,6 @@ class Set2SetReadout : public Readout {
  public:
   Set2SetReadout(int in_features, Rng* rng, int steps = 3);
 
-  using Readout::Forward;
   Tensor Forward(const Tensor& h, const GraphLevel& level) const override;
   void CollectParameters(std::vector<Tensor>* out) const override;
   int OutFeatures(int in_features) const override { return 2 * in_features; }

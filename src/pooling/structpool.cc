@@ -24,7 +24,7 @@ CoarsenResult StructPoolCoarsener::Forward(const Tensor& h,
   }
   Tensor coarse_h = MatMul(Transpose(q), h);
   Tensor coarse_adj = MatMul(Transpose(q), level.Aggregate(q));
-  return CoarsenResult(std::move(coarse_h), std::move(coarse_adj));
+  return {std::move(coarse_h), GraphLevel(std::move(coarse_adj))};
 }
 
 void StructPoolCoarsener::CollectParameters(std::vector<Tensor>* out) const {

@@ -18,7 +18,6 @@ class StructPoolCoarsener : public Coarsener {
   StructPoolCoarsener(int in_features, int num_clusters, Rng* rng,
                       int iterations = 2);
 
-  using Coarsener::Forward;
   CoarsenResult Forward(const Tensor& h,
                         const GraphLevel& level) const override;
   void CollectParameters(std::vector<Tensor>* out) const override;

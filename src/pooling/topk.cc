@@ -31,7 +31,7 @@ CoarsenResult KeepTopK(const Tensor& h, const Tensor& adjacency,
   // A' = A[keep][:, keep]; gather rows then columns via transpose.
   Tensor rows = GatherRows(adjacency, keep);
   Tensor kept_adj = Transpose(GatherRows(Transpose(rows), keep));
-  return CoarsenResult(std::move(kept_h), std::move(kept_adj));
+  return {std::move(kept_h), GraphLevel(std::move(kept_adj))};
 }
 
 }  // namespace

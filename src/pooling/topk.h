@@ -17,7 +17,6 @@ class GPoolCoarsener : public Coarsener {
  public:
   GPoolCoarsener(int in_features, double ratio, Rng* rng);
 
-  using Coarsener::Forward;
   CoarsenResult Forward(const Tensor& h,
                         const GraphLevel& level) const override;
   void CollectParameters(std::vector<Tensor>* out) const override;
@@ -33,7 +32,6 @@ class SagPoolCoarsener : public Coarsener {
  public:
   SagPoolCoarsener(int in_features, double ratio, Rng* rng);
 
-  using Coarsener::Forward;
   CoarsenResult Forward(const Tensor& h,
                         const GraphLevel& level) const override;
   void CollectParameters(std::vector<Tensor>* out) const override;
@@ -50,7 +48,6 @@ class SortPoolReadout : public Readout {
  public:
   explicit SortPoolReadout(int k);
 
-  using Readout::Forward;
   Tensor Forward(const Tensor& h, const GraphLevel& level) const override;
   void CollectParameters(std::vector<Tensor>* out) const override;
   int OutFeatures(int in_features) const override { return k_ * in_features; }

@@ -25,14 +25,15 @@ namespace {
 // id; starts at 1 so id 0 means "never admitted".
 std::atomic<uint64_t> g_next_request_id{1};
 
-/// Identity of a request's graph for coalescing. PreparedGraph tensors
-/// are shared handles, so two requests carrying the same prepared graph
-/// alias the same storage — pointer equality is exact, with no risk of
-/// collapsing merely similar graphs.
-using GraphKey = std::pair<const float*, const float*>;
+/// Identity of a request's graph for coalescing: the features buffer
+/// plus the level's shared state. Both are shared handles, so two requests
+/// carrying the same prepared graph alias both, and pointer equality is
+/// exact, with no risk of collapsing merely similar graphs. Requests that
+/// share features but not structure keep distinct keys.
+using GraphKey = std::pair<const float*, const void*>;
 
 GraphKey KeyOf(const PreparedGraph& graph) {
-  return {graph.h.data(), graph.adjacency.data()};
+  return {graph.h.data(), graph.level.identity()};
 }
 
 }  // namespace

@@ -77,26 +77,20 @@ const QuantScales* ServedModel::lane_scales(int lane) const {
 }
 
 Status ServedModel::ValidateRequest(const PreparedGraph& graph) const {
-  // Sparse-native requests carry a CSR-backed level with no dense
-  // adjacency tensor (docs/SPARSE.md); either representation is accepted
-  // as long as its node count matches the feature rows.
-  const bool has_dense = graph.adjacency.defined();
-  const bool has_sparse = graph.level.defined() &&
-                          !graph.level.has_dense_adjacency();
-  if (!graph.h.defined() || (!has_dense && !has_sparse)) {
-    return Status::InvalidArgument("request graph has undefined tensors");
+  // The level is what the model runs, dense-backed or sparse-native
+  // (docs/SPARSE.md); GraphLevel itself guarantees a square adjacency.
+  if (!graph.h.defined() || !graph.level.defined()) {
+    return Status::InvalidArgument(
+        "request graph has undefined features or level");
   }
   if (graph.h.rows() < 1) {
     return Status::InvalidArgument("request graph has no nodes");
   }
-  if (has_dense && (graph.adjacency.rows() != graph.adjacency.cols() ||
-                    graph.adjacency.rows() != graph.h.rows())) {
+  if (graph.level.num_nodes() != graph.h.rows()) {
     return Status::InvalidArgument(
-        "request adjacency must be square and match the feature rows");
-  }
-  if (!has_dense && graph.level.num_nodes() != graph.h.rows()) {
-    return Status::InvalidArgument(
-        "request CSR adjacency must match the feature rows");
+        "request level has " + std::to_string(graph.level.num_nodes()) +
+        " nodes but the features have " + std::to_string(graph.h.rows()) +
+        " rows");
   }
   if (graph.h.cols() != config_.feature_dim) {
     return Status::InvalidArgument(

@@ -57,9 +57,10 @@ class ServedModel {
   static StatusOr<std::shared_ptr<const ServedModel>> Load(
       const ServedModelConfig& config, const std::string& checkpoint_path);
 
-  /// Checks that `graph` is something the model can run: non-empty,
-  /// square adjacency, feature width matching the architecture. The
-  /// engine rejects invalid graphs here so a hostile request gets an
+  /// Checks that `graph` is something the model can run: features and a
+  /// level both defined, at least one node, the level's node count equal
+  /// to the feature rows, and the feature width the architecture expects.
+  /// The engine rejects invalid graphs here so a malformed request gets an
   /// InvalidArgument instead of tripping a CHECK inside the kernels.
   Status ValidateRequest(const PreparedGraph& graph) const;
 

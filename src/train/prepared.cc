@@ -5,8 +5,7 @@ namespace hap {
 PreparedGraph PrepareGraph(const Graph& g, const FeatureSpec& spec) {
   PreparedGraph prepared;
   prepared.h = NodeFeatures(g, spec);
-  prepared.adjacency = g.AdjacencyMatrix();
-  prepared.level = GraphLevel(prepared.adjacency);
+  prepared.level = GraphLevel(g.AdjacencyMatrix());
   // Build the propagation operators outside the training loop, so
   // concurrent workers mostly read a filled cache; any other operator is
   // built once, on its first read.

@@ -11,19 +11,18 @@
 
 namespace hap {
 
-/// A graph pre-converted to its tensor inputs so training loops do not
-/// re-featurise every epoch. Both tensors are gradient-free leaves, so
-/// `level` is cacheable: the operators Propagate and Aggregate read on its
-/// dispatch side are built here (WarmCaches), any other on its first read,
-/// and each is built once and reused across every epoch, eval pass, and
-/// data-parallel worker.
-/// Sparse-native graphs (docs/SPARSE.md) leave `adjacency` undefined and
-/// carry a CSR-backed `level` instead; consumers that need the dense
-/// tensor must check level.has_dense_adjacency() first.
+/// A graph pre-converted to its inputs so training loops do not
+/// re-featurise every epoch. `level` is the graph's only structure: a
+/// gradient-free leaf, so it is cacheable. The operators Propagate and
+/// Aggregate read on its dispatch side are built here (WarmCaches), any
+/// other on its first read, and each is built once and reused across every
+/// epoch, eval pass, and data-parallel worker.
+/// Sparse-native graphs (docs/SPARSE.md) carry a CSR-backed `level`;
+/// consumers that need the dense tensor must check
+/// level.has_dense_adjacency() first.
 struct PreparedGraph {
   Tensor h;          // (N, F) initial node features
-  Tensor adjacency;  // (N, N) raw weights; undefined when sparse-native
-  GraphLevel level;  // cached view over the adjacency (dense or CSR)
+  GraphLevel level;  // the (N, N) raw-weight adjacency, dense or CSR
   int label = -1;
 };
 

@@ -178,8 +178,8 @@ SimilarityTrainResult TrainSimGnn(
   mean_ged = pairs > 0 ? mean_ged / pairs : 1.0;
 
   auto predict = [&](int i, int j) {
-    return model->PredictSimilarity(pool[i].h, pool[i].adjacency, pool[j].h,
-                                    pool[j].adjacency);
+    return model->PredictSimilarity(pool[i].h, pool[i].level, pool[j].h,
+                                    pool[j].level);
   };
   auto triplet_accuracy = [&](const std::vector<GraphTriplet>& triplets) {
     NoGradGuard guard;

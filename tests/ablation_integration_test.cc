@@ -135,7 +135,7 @@ TEST(CoarsenDepthTest, DeeperSchedulesExecute) {
     HapConfig config = SmallConfig(ds.feature_spec.FeatureDim());
     config.cluster_sizes = schedule;
     auto model = MakeHapModel(config, &rng);
-    auto levels = model->EmbedLevels(data[0].h, data[0].adjacency);
+    auto levels = model->EmbedLevels(data[0].h, data[0].level);
     EXPECT_EQ(levels.size(), schedule.size());
   }
 }

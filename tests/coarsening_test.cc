@@ -151,11 +151,11 @@ TEST(CoarseningTest, OutputShapesEq17And18) {
   CoarseningModule module(Config(5, 4), &rng);
   Graph g = ConnectedErdosRenyi(11, 0.4, &rng);
   Tensor h = Tensor::Randn(11, 5, &rng);
-  CoarsenResult result = module.Forward(h, g.AdjacencyMatrix());
+  CoarsenResult result = module.Forward(h, GraphLevel(g.AdjacencyMatrix()));
   EXPECT_EQ(result.h.rows(), 4);
   EXPECT_EQ(result.h.cols(), 5);
-  EXPECT_EQ(result.adjacency.rows(), 4);
-  EXPECT_EQ(result.adjacency.cols(), 4);
+  EXPECT_EQ(result.level.adjacency().rows(), 4);
+  EXPECT_EQ(result.level.adjacency().cols(), 4);
 }
 
 TEST(CoarseningTest, PermutationInvariance) {
@@ -168,20 +168,21 @@ TEST(CoarseningTest, PermutationInvariance) {
   module.set_training(false);
   Graph g = ConnectedErdosRenyi(9, 0.5, &rng);
   Tensor h = Tensor::Randn(9, 5, &rng);
-  CoarsenResult base = module.Forward(h, g.AdjacencyMatrix());
+  CoarsenResult base = module.Forward(h, GraphLevel(g.AdjacencyMatrix()));
   std::vector<int> perm = RandomPermutation(9, &rng);
   Graph pg = g.Permuted(perm);
   Tensor ph(9, 5);
   for (int u = 0; u < 9; ++u) {
     for (int c = 0; c < 5; ++c) ph.Set(perm[u], c, h.At(u, c));
   }
-  CoarsenResult permuted = module.Forward(ph, pg.AdjacencyMatrix());
+  CoarsenResult permuted = module.Forward(ph, GraphLevel(pg.AdjacencyMatrix()));
   for (int r = 0; r < 3; ++r) {
     for (int c = 0; c < 5; ++c) {
       EXPECT_NEAR(base.h.At(r, c), permuted.h.At(r, c), 1e-4);
     }
     for (int c = 0; c < 3; ++c) {
-      EXPECT_NEAR(base.adjacency.At(r, c), permuted.adjacency.At(r, c), 1e-4);
+      EXPECT_NEAR(base.level.adjacency().At(r, c),
+                  permuted.level.adjacency().At(r, c), 1e-4);
     }
   }
 }
@@ -192,17 +193,19 @@ TEST(CoarseningTest, GumbelSamplingOnlyInTraining) {
   Graph g = ConnectedErdosRenyi(7, 0.5, &rng);
   Tensor h = Tensor::Randn(7, 4, &rng);
   module.set_training(false);
-  CoarsenResult eval1 = module.Forward(h, g.AdjacencyMatrix());
-  CoarsenResult eval2 = module.Forward(h, g.AdjacencyMatrix());
-  for (int64_t i = 0; i < eval1.adjacency.size(); ++i) {
-    EXPECT_EQ(eval1.adjacency.data()[i], eval2.adjacency.data()[i]);
+  CoarsenResult eval1 = module.Forward(h, GraphLevel(g.AdjacencyMatrix()));
+  CoarsenResult eval2 = module.Forward(h, GraphLevel(g.AdjacencyMatrix()));
+  for (int64_t i = 0; i < eval1.level.adjacency().size(); ++i) {
+    EXPECT_EQ(eval1.level.adjacency().data()[i],
+              eval2.level.adjacency().data()[i]);
   }
   module.set_training(true);
-  CoarsenResult train1 = module.Forward(h, g.AdjacencyMatrix());
-  CoarsenResult train2 = module.Forward(h, g.AdjacencyMatrix());
+  CoarsenResult train1 = module.Forward(h, GraphLevel(g.AdjacencyMatrix()));
+  CoarsenResult train2 = module.Forward(h, GraphLevel(g.AdjacencyMatrix()));
   bool any_diff = false;
-  for (int64_t i = 0; i < train1.adjacency.size(); ++i) {
-    any_diff |= train1.adjacency.data()[i] != train2.adjacency.data()[i];
+  for (int64_t i = 0; i < train1.level.adjacency().size(); ++i) {
+    any_diff |= train1.level.adjacency().data()[i] !=
+                train2.level.adjacency().data()[i];
   }
   EXPECT_TRUE(any_diff);
 }
@@ -212,9 +215,9 @@ TEST(CoarseningTest, GradientsFlowToAllParameters) {
   CoarseningModule module(Config(4, 3), &rng);
   Graph g = ConnectedErdosRenyi(6, 0.5, &rng);
   Tensor h = Tensor::Randn(6, 4, &rng);
-  CoarsenResult result = module.Forward(h, g.AdjacencyMatrix());
+  CoarsenResult result = module.Forward(h, GraphLevel(g.AdjacencyMatrix()));
   Tensor loss = Add(ReduceSumAll(Square(result.h)),
-                    ReduceSumAll(Square(result.adjacency)));
+                    ReduceSumAll(Square(result.level.adjacency())));
   loss.Backward();
   for (const Tensor& p : module.Parameters()) {
     bool any = false;
@@ -229,8 +232,8 @@ TEST(CoarseningTest, AblatedGContVariant) {
   config.use_gcont = false;
   CoarseningModule module(config, &rng);
   Graph g = ConnectedErdosRenyi(8, 0.4, &rng);
-  CoarsenResult result =
-      module.Forward(Tensor::Randn(8, 5, &rng), g.AdjacencyMatrix());
+  CoarsenResult result = module.Forward(Tensor::Randn(8, 5, &rng),
+                                        GraphLevel(g.AdjacencyMatrix()));
   EXPECT_EQ(result.h.rows(), 3);
   EXPECT_EQ(module.Parameters().size(), 3u);  // seeds + a1 + a2
 }
@@ -240,8 +243,8 @@ TEST(CoarseningTest, ExpansionWhenTargetLargerThanSource) {
   Rng rng(11);
   CoarseningModule module(Config(4, 8), &rng);
   Graph g = Cycle(3);
-  CoarsenResult result =
-      module.Forward(Tensor::Randn(3, 4, &rng), g.AdjacencyMatrix());
+  CoarsenResult result = module.Forward(Tensor::Randn(3, 4, &rng),
+                                        GraphLevel(g.AdjacencyMatrix()));
   EXPECT_EQ(result.h.rows(), 8);
 }
 
@@ -334,7 +337,7 @@ TEST(UntapedCoarseningTest, MemcmpEqualToTapedOps) {
           module.set_coarsen_mode(CoarsenMode::kDense);
           const CoarsenResult dense = module.Forward(h, dense_level);
           out.push_back(dense.h);
-          out.push_back(dense.adjacency);
+          out.push_back(dense.level.adjacency());
           out.push_back(module.last_attention());
           EXPECT_EQ(out[0].requires_grad(), taped);
           ASSERT_EQ(out.size(), expected.size());
@@ -344,7 +347,8 @@ TEST(UntapedCoarseningTest, MemcmpEqualToTapedOps) {
           EXPECT_TRUE(reference::SameBitsOrBothNan(inf_attention, inf_ref));
           module.set_coarsen_mode(CoarsenMode::kTopkSparse, 4);
           const CoarsenResult sparse = module.Forward(h, GraphLevel(csr));
-          topk[taped] = {sparse.h, sparse.adjacency, module.last_attention()};
+          topk[taped] = {sparse.h, sparse.level.adjacency(),
+                         module.last_attention()};
         }
         for (size_t i = 0; i < topk[0].size(); ++i) {
           EXPECT_TRUE(BitEqual(topk[1][i], topk[0][i])) << "top-k " << i;

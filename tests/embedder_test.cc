@@ -27,7 +27,7 @@ TEST(FlatEmbedderTest, SingleLevel) {
       std::make_unique<SumReadout>());
   Graph g = Cycle(6);
   auto levels = embedder->EmbedLevels(Tensor::Randn(6, 5, &rng),
-                                      g.AdjacencyMatrix());
+                                      GraphLevel(g.AdjacencyMatrix()));
   EXPECT_EQ(levels.size(), 1u);
   EXPECT_EQ(levels[0].cols(), 8);
   EXPECT_EQ(embedder->embedding_dim(), 8);
@@ -38,8 +38,8 @@ TEST(HapModelTest, LevelsMatchClusterSchedule) {
   auto model = MakeHapModel(SmallConfig(), &rng);
   EXPECT_EQ(model->num_levels(), 2);
   Graph g = ConnectedErdosRenyi(10, 0.4, &rng);
-  auto levels =
-      model->EmbedLevels(Tensor::Randn(10, 5, &rng), g.AdjacencyMatrix());
+  auto levels = model->EmbedLevels(Tensor::Randn(10, 5, &rng),
+                                   GraphLevel(g.AdjacencyMatrix()));
   EXPECT_EQ(levels.size(), 2u);
   for (const Tensor& level : levels) {
     EXPECT_EQ(level.rows(), 1);
@@ -53,8 +53,8 @@ TEST(HapModelTest, EmbedIsFinalLevel) {
   model->set_training(false);
   Graph g = ConnectedErdosRenyi(9, 0.4, &rng);
   Tensor h = Tensor::Randn(9, 5, &rng);
-  Tensor embed = model->Embed(h, g.AdjacencyMatrix());
-  auto levels = model->EmbedLevels(h, g.AdjacencyMatrix());
+  Tensor embed = model->Embed(h, GraphLevel(g.AdjacencyMatrix()));
+  auto levels = model->EmbedLevels(h, GraphLevel(g.AdjacencyMatrix()));
   for (int c = 0; c < 8; ++c) {
     EXPECT_NEAR(embed.At(0, c), levels.back().At(0, c), 1e-5);
   }
@@ -68,14 +68,14 @@ TEST(HapModelTest, PermutationInvariantGraphEmbedding) {
   model->set_training(false);
   Graph g = ConnectedErdosRenyi(8, 0.5, &rng);
   Tensor h = Tensor::Randn(8, 5, &rng);
-  Tensor base = model->Embed(h, g.AdjacencyMatrix());
+  Tensor base = model->Embed(h, GraphLevel(g.AdjacencyMatrix()));
   std::vector<int> perm = RandomPermutation(8, &rng);
   Graph pg = g.Permuted(perm);
   Tensor ph(8, 5);
   for (int u = 0; u < 8; ++u) {
     for (int c = 0; c < 5; ++c) ph.Set(perm[u], c, h.At(u, c));
   }
-  Tensor permuted = model->Embed(ph, pg.AdjacencyMatrix());
+  Tensor permuted = model->Embed(ph, GraphLevel(pg.AdjacencyMatrix()));
   for (int c = 0; c < 8; ++c) {
     EXPECT_NEAR(base.At(0, c), permuted.At(0, c), 1e-3);
   }
@@ -90,7 +90,7 @@ TEST(HapVariantTest, AllVariantsProduceLevels) {
         CoarsenerKind::kMeanAttPool, CoarsenerKind::kSagPool,
         CoarsenerKind::kDiffPool}) {
     auto model = MakeHapVariant(kind, SmallConfig(), &rng);
-    auto levels = model->EmbedLevels(h, g.AdjacencyMatrix());
+    auto levels = model->EmbedLevels(h, GraphLevel(g.AdjacencyMatrix()));
     EXPECT_EQ(levels.size(), 2u) << CoarsenerKindName(kind);
     EXPECT_EQ(levels.back().cols(), 8) << CoarsenerKindName(kind);
   }
@@ -108,7 +108,7 @@ TEST(GcnConcatTest, ConcatenatesLayerReadouts) {
   EXPECT_EQ(embedder.embedding_dim(), 16);
   Graph g = Cycle(5);
   auto levels = embedder.EmbedLevels(Tensor::Randn(5, 5, &rng),
-                                     g.AdjacencyMatrix());
+                                     GraphLevel(g.AdjacencyMatrix()));
   EXPECT_EQ(levels.size(), 1u);
   EXPECT_EQ(levels[0].cols(), 16);
 }
@@ -118,8 +118,8 @@ TEST(HapModelTest, ParameterCountPositiveAndTrainable) {
   auto model = MakeHapModel(SmallConfig(), &rng);
   EXPECT_GT(model->NumParameters(), 100);
   Graph g = ConnectedErdosRenyi(7, 0.5, &rng);
-  Tensor loss = ReduceSumAll(
-      Square(model->Embed(Tensor::Randn(7, 5, &rng), g.AdjacencyMatrix())));
+  Tensor loss = ReduceSumAll(Square(model->Embed(
+      Tensor::Randn(7, 5, &rng), GraphLevel(g.AdjacencyMatrix()))));
   loss.Backward();
   int with_grad = 0;
   for (const Tensor& p : model->Parameters()) {

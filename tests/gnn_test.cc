@@ -58,7 +58,7 @@ TEST(GcnTest, ForwardShape) {
   Graph g = ConnectedErdosRenyi(7, 0.4, &rng);
   GcnLayer layer(5, 4, &rng);
   Tensor h = Tensor::Randn(7, 5, &rng);
-  Tensor out = layer.Forward(h, g.AdjacencyMatrix());
+  Tensor out = layer.Forward(h, GraphLevel(g.AdjacencyMatrix()));
   EXPECT_EQ(out.rows(), 7);
   EXPECT_EQ(out.cols(), 4);
 }
@@ -67,7 +67,8 @@ TEST(GcnTest, IsolatedGraphStillFinite) {
   Rng rng(4);
   Graph g(3);  // No edges at all.
   GcnLayer layer(2, 2, &rng);
-  Tensor out = layer.Forward(Tensor::Ones(3, 2), g.AdjacencyMatrix());
+  Tensor out =
+      layer.Forward(Tensor::Ones(3, 2), GraphLevel(g.AdjacencyMatrix()));
   for (int64_t i = 0; i < out.size(); ++i) {
     EXPECT_TRUE(std::isfinite(out.data()[i]));
   }
@@ -80,7 +81,8 @@ TEST(GcnTest, TrainableEndToEnd) {
   Tensor h = Tensor::Randn(4, 3, &rng);
   std::vector<Tensor> params = layer.Parameters();
   EXPECT_EQ(params.size(), 2u);
-  Tensor loss = ReduceSumAll(Square(layer.Forward(h, g.AdjacencyMatrix())));
+  Tensor loss =
+      ReduceSumAll(Square(layer.Forward(h, GraphLevel(g.AdjacencyMatrix()))));
   loss.Backward();
   // Gradients reached the layer weights.
   bool any_nonzero = false;
@@ -92,7 +94,8 @@ TEST(GatTest, ForwardShapeAndFinite) {
   Rng rng(6);
   Graph g = ConnectedErdosRenyi(9, 0.3, &rng);
   GatLayer layer(4, 6, &rng);
-  Tensor out = layer.Forward(Tensor::Randn(9, 4, &rng), g.AdjacencyMatrix());
+  Tensor out = layer.Forward(Tensor::Randn(9, 4, &rng),
+                             GraphLevel(g.AdjacencyMatrix()));
   EXPECT_EQ(out.rows(), 9);
   EXPECT_EQ(out.cols(), 6);
   for (int64_t i = 0; i < out.size(); ++i) {
@@ -110,8 +113,8 @@ TEST(GatTest, AttentionIgnoresNonNeighbors) {
   GatLayer layer(2, 3, &rng, Activation::kNone);
   Tensor h1 = Tensor::FromVector(4, 2, {1, 2, 3, 4, 5, 6, 7, 8});
   Tensor h2 = Tensor::FromVector(4, 2, {1, 2, 3, 4, 100, -50, 7, 8});
-  Tensor out1 = layer.Forward(h1, g.AdjacencyMatrix());
-  Tensor out2 = layer.Forward(h2, g.AdjacencyMatrix());
+  Tensor out1 = layer.Forward(h1, GraphLevel(g.AdjacencyMatrix()));
+  Tensor out2 = layer.Forward(h2, GraphLevel(g.AdjacencyMatrix()));
   for (int c = 0; c < 3; ++c) {
     EXPECT_NEAR(out1.At(0, c), out2.At(0, c), 1e-4);
     EXPECT_NEAR(out1.At(1, c), out2.At(1, c), 1e-4);
@@ -122,7 +125,8 @@ TEST(GinTest, ForwardShape) {
   Rng rng(21);
   Graph g = Cycle(6);
   GinLayer layer(3, 5, &rng);
-  Tensor out = layer.Forward(Tensor::Randn(6, 3, &rng), g.AdjacencyMatrix());
+  Tensor out = layer.Forward(Tensor::Randn(6, 3, &rng),
+                             GraphLevel(g.AdjacencyMatrix()));
   EXPECT_EQ(out.rows(), 6);
   EXPECT_EQ(out.cols(), 5);
 }
@@ -135,7 +139,7 @@ TEST(GinTest, SumAggregationCountsNeighbors) {
   Graph star = Star(5);
   GinLayer layer(1, 1, &rng, Activation::kNone);
   Tensor h = Tensor::Ones(5, 1);
-  Tensor out = layer.Forward(h, star.AdjacencyMatrix());
+  Tensor out = layer.Forward(h, GraphLevel(star.AdjacencyMatrix()));
   // Hub aggregates 1 + 4 = 5, leaves 1 + 1 = 2: outputs must differ.
   EXPECT_NE(out.At(0, 0), out.At(1, 0));
 }
@@ -144,8 +148,8 @@ TEST(GinTest, GradientsReachBothMlpLayers) {
   Rng rng(23);
   GinLayer layer(3, 4, &rng);
   Graph g = Cycle(5);
-  ReduceSumAll(
-      Square(layer.Forward(Tensor::Randn(5, 3, &rng), g.AdjacencyMatrix())))
+  ReduceSumAll(Square(layer.Forward(Tensor::Randn(5, 3, &rng),
+                                    GraphLevel(g.AdjacencyMatrix()))))
       .Backward();
   EXPECT_EQ(layer.Parameters().size(), 4u);
   for (const Tensor& p : layer.Parameters()) {
@@ -159,7 +163,8 @@ TEST(EncoderTest, GinVariant) {
   Rng rng(24);
   GnnEncoder encoder(EncoderKind::kGin, {5, 8, 8}, &rng);
   Graph g = Cycle(5);
-  Tensor out = encoder.Forward(Tensor::Randn(5, 5, &rng), g.AdjacencyMatrix());
+  Tensor out = encoder.Forward(Tensor::Randn(5, 5, &rng),
+                               GraphLevel(g.AdjacencyMatrix()));
   EXPECT_EQ(out.cols(), 8);
   EXPECT_EQ(encoder.Parameters().size(), 8u);  // 2 layers x 2 Linear x (W,b)
 }
@@ -169,7 +174,8 @@ TEST(EncoderTest, StackDepthAndOutputDim) {
   GnnEncoder encoder(EncoderKind::kGcn, {5, 8, 8}, &rng);
   EXPECT_EQ(encoder.out_features(), 8);
   Graph g = Cycle(5);
-  Tensor out = encoder.Forward(Tensor::Randn(5, 5, &rng), g.AdjacencyMatrix());
+  Tensor out = encoder.Forward(Tensor::Randn(5, 5, &rng),
+                               GraphLevel(g.AdjacencyMatrix()));
   EXPECT_EQ(out.cols(), 8);
   const size_t params = encoder.Parameters().size();
   EXPECT_EQ(params, 4u);  // Two GCN layers x (W, b).
@@ -179,7 +185,8 @@ TEST(EncoderTest, GatVariant) {
   Rng rng(9);
   GnnEncoder encoder(EncoderKind::kGat, {5, 8, 8}, &rng);
   Graph g = Cycle(5);
-  Tensor out = encoder.Forward(Tensor::Randn(5, 5, &rng), g.AdjacencyMatrix());
+  Tensor out = encoder.Forward(Tensor::Randn(5, 5, &rng),
+                               GraphLevel(g.AdjacencyMatrix()));
   EXPECT_EQ(out.cols(), 8);
   EXPECT_EQ(encoder.kind(), EncoderKind::kGat);
 }
@@ -197,8 +204,8 @@ TEST(EncoderTest, PermutationEquivariance) {
   for (int u = 0; u < 6; ++u) {
     for (int c = 0; c < 3; ++c) ph.Set(perm[u], c, h.At(u, c));
   }
-  Tensor out = encoder.Forward(h, g.AdjacencyMatrix());
-  Tensor pout = encoder.Forward(ph, pg.AdjacencyMatrix());
+  Tensor out = encoder.Forward(h, GraphLevel(g.AdjacencyMatrix()));
+  Tensor pout = encoder.Forward(ph, GraphLevel(pg.AdjacencyMatrix()));
   for (int u = 0; u < 6; ++u) {
     for (int c = 0; c < 4; ++c) {
       EXPECT_NEAR(pout.At(perm[u], c), out.At(u, c), 1e-4);

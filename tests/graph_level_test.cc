@@ -114,7 +114,7 @@ TEST(GraphLevelTest, CacheCoherentAfterCoarseningProducesNewLevel) {
   ASSERT_TRUE(coarse.level.defined());
   EXPECT_TRUE(coarse.level.cacheable());
   Tensor x = Tensor::Randn(4, 3, &rng);
-  Tensor fresh = MatMul(SymNormalize(coarse.adjacency), x);
+  Tensor fresh = MatMul(SymNormalize(coarse.level.adjacency()), x);
   for (SparseDispatch mode :
        {SparseDispatch::kForceDense, SparseDispatch::kForceSparse}) {
     DispatchScope scope(mode);

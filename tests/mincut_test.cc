@@ -15,9 +15,9 @@ TEST(MinCutPoolTest, ShapesAndAuxLoss) {
   Graph g = ConnectedErdosRenyi(10, 0.4, &rng);
   MinCutPoolCoarsener pool(6, 3, &rng);
   CoarsenResult result =
-      pool.Forward(Tensor::Randn(10, 6, &rng), g.AdjacencyMatrix());
+      pool.Forward(Tensor::Randn(10, 6, &rng), GraphLevel(g.AdjacencyMatrix()));
   EXPECT_EQ(result.h.rows(), 3);
-  EXPECT_EQ(result.adjacency.rows(), 3);
+  EXPECT_EQ(result.level.adjacency().rows(), 3);
   const Tensor& aux = pool.auxiliary_loss();
   ASSERT_TRUE(aux.defined());
   EXPECT_TRUE(std::isfinite(aux.Item()));
@@ -28,7 +28,7 @@ TEST(MinCutPoolTest, AuxLossIsDifferentiable) {
   Graph g = ConnectedErdosRenyi(8, 0.5, &rng);
   MinCutPoolCoarsener pool(4, 3, &rng);
   CoarsenResult result =
-      pool.Forward(Tensor::Randn(8, 4, &rng), g.AdjacencyMatrix());
+      pool.Forward(Tensor::Randn(8, 4, &rng), GraphLevel(g.AdjacencyMatrix()));
   Tensor total = Add(ReduceSumAll(Square(result.h)), pool.auxiliary_loss());
   total.Backward();
   for (const Tensor& p : pool.Parameters()) {
@@ -47,12 +47,12 @@ TEST(MinCutPoolTest, CutLossPrefersCommunityAlignedAssignment) {
   for (int u = 0; u < 16; ++u) h.Set(u, g.node_label(u), 1.0f);
   MinCutPoolCoarsener pool(2, 2, &rng);
   Tensor adjacency = g.AdjacencyMatrix();
-  pool.Forward(h, adjacency);
+  pool.Forward(h, GraphLevel(adjacency));
   const float initial = pool.auxiliary_loss().Item();
   // A few optimisation steps on the aux objective alone.
   std::vector<Tensor> params = pool.Parameters();
   for (int step = 0; step < 60; ++step) {
-    pool.Forward(h, adjacency);
+    pool.Forward(h, GraphLevel(adjacency));
     Tensor loss = pool.auxiliary_loss();
     loss.Backward();
     for (Tensor& p : params) {
@@ -61,7 +61,7 @@ TEST(MinCutPoolTest, CutLossPrefersCommunityAlignedAssignment) {
       p.ZeroGrad();
     }
   }
-  pool.Forward(h, adjacency);
+  pool.Forward(h, GraphLevel(adjacency));
   EXPECT_LT(pool.auxiliary_loss().Item(), initial);
 }
 
@@ -71,8 +71,8 @@ TEST(MinCutPoolTest, WorksAsHierarchyStage) {
   MinCutPoolCoarsener first(5, 4, &rng);
   MinCutPoolCoarsener second(5, 1, &rng);
   CoarsenResult mid =
-      first.Forward(Tensor::Randn(9, 5, &rng), g.AdjacencyMatrix());
-  CoarsenResult out = second.Forward(mid.h, mid.adjacency);
+      first.Forward(Tensor::Randn(9, 5, &rng), GraphLevel(g.AdjacencyMatrix()));
+  CoarsenResult out = second.Forward(mid.h, mid.level);
   EXPECT_EQ(out.h.rows(), 1);
 }
 

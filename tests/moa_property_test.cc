@@ -58,14 +58,14 @@ TEST_P(MoaShapeSweep, CoarsenedShapesMatch) {
   CoarseningModule module(config, &rng);
   module.set_training(false);
   Graph g = ConnectedErdosRenyi(n, 0.5, &rng);
-  CoarsenResult result =
-      module.Forward(Tensor::Randn(n, 5, &rng), g.AdjacencyMatrix());
+  CoarsenResult result = module.Forward(Tensor::Randn(n, 5, &rng),
+                                        GraphLevel(g.AdjacencyMatrix()));
   EXPECT_EQ(result.h.rows(), clusters);
   EXPECT_EQ(result.h.cols(), 5);
-  EXPECT_EQ(result.adjacency.rows(), clusters);
-  EXPECT_EQ(result.adjacency.cols(), clusters);
-  for (int64_t i = 0; i < result.adjacency.size(); ++i) {
-    EXPECT_TRUE(std::isfinite(result.adjacency.data()[i]));
+  EXPECT_EQ(result.level.adjacency().rows(), clusters);
+  EXPECT_EQ(result.level.adjacency().cols(), clusters);
+  for (int64_t i = 0; i < result.level.adjacency().size(); ++i) {
+    EXPECT_TRUE(std::isfinite(result.level.adjacency().data()[i]));
   }
 }
 
@@ -94,7 +94,7 @@ TEST_P(InvarianceSweep, DefaultMoaIsPermutationInvariant) {
   module.set_training(false);
   Graph g = ConnectedErdosRenyi(n, 0.4, &rng);
   Tensor h = Tensor::Randn(n, 4, &rng);
-  CoarsenResult base = module.Forward(h, g.AdjacencyMatrix());
+  CoarsenResult base = module.Forward(h, GraphLevel(g.AdjacencyMatrix()));
   for (int trial = 0; trial < 3; ++trial) {
     std::vector<int> perm = RandomPermutation(n, &rng);
     Graph pg = g.Permuted(perm);
@@ -102,7 +102,8 @@ TEST_P(InvarianceSweep, DefaultMoaIsPermutationInvariant) {
     for (int u = 0; u < n; ++u) {
       for (int c = 0; c < 4; ++c) ph.Set(perm[u], c, h.At(u, c));
     }
-    CoarsenResult permuted = module.Forward(ph, pg.AdjacencyMatrix());
+    CoarsenResult permuted =
+        module.Forward(ph, GraphLevel(pg.AdjacencyMatrix()));
     for (int r = 0; r < 3; ++r) {
       for (int c = 0; c < 5 && c < permuted.h.cols(); ++c) {
         EXPECT_NEAR(base.h.At(r, c), permuted.h.At(r, c), 2e-4);
@@ -128,9 +129,9 @@ TEST(MoaGradientTest, FullCoarseningPipelineGradCheck) {
   Tensor h = Tensor::Randn(4, 3, &rng, 1.0f, /*requires_grad=*/true);
   GradCheckResult result = CheckGradients(
       [&](const std::vector<Tensor>& in) {
-        CoarsenResult coarse = module.Forward(in[0], adjacency);
+        CoarsenResult coarse = module.Forward(in[0], GraphLevel(adjacency));
         return Add(ReduceSumAll(Square(coarse.h)),
-                   ReduceSumAll(Square(coarse.adjacency)));
+                   ReduceSumAll(Square(coarse.level.adjacency())));
       },
       {h}, /*epsilon=*/1e-3,
       // Slightly relaxed: the mass-normalised cluster formation divides by
@@ -154,7 +155,7 @@ TEST(MoaGradientTest, ParameterGradCheck) {
   std::vector<Tensor> params = module.Parameters();
   GradCheckResult result = CheckGradients(
       [&](const std::vector<Tensor>&) {
-        CoarsenResult coarse = module.Forward(h, adjacency);
+        CoarsenResult coarse = module.Forward(h, GraphLevel(adjacency));
         return ReduceSumAll(Square(coarse.h));
       },
       params);

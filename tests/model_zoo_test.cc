@@ -37,7 +37,7 @@ TEST_P(ZooBuildSweep, BuildsEmbedsAndBackprops) {
   embedder->set_training(false);
   Graph g = ConnectedErdosRenyi(9, 0.4, &rng);
   Tensor h = Tensor::Randn(9, 6, &rng);
-  auto levels = embedder->EmbedLevels(h, g.AdjacencyMatrix());
+  auto levels = embedder->EmbedLevels(h, GraphLevel(g.AdjacencyMatrix()));
   ASSERT_FALSE(levels.empty());
   for (const Tensor& level : levels) {
     EXPECT_EQ(level.rows(), 1);
@@ -50,7 +50,8 @@ TEST_P(ZooBuildSweep, BuildsEmbedsAndBackprops) {
   // Backward reaches at least one parameter (methods without parameters —
   // plain sum/mean readouts — still own encoder weights).
   embedder->set_training(true);
-  Tensor loss = ReduceSumAll(Square(embedder->Embed(h, g.AdjacencyMatrix())));
+  Tensor loss = ReduceSumAll(
+      Square(embedder->Embed(h, GraphLevel(g.AdjacencyMatrix()))));
   loss.Backward();
   int with_grad = 0;
   for (const Tensor& p : embedder->Parameters()) {
@@ -91,8 +92,8 @@ TEST(ModelZooTest, HapVariantsDifferInEncoder) {
   Graph g = Cycle(5);
   Rng feature_rng(4);
   Tensor h = Tensor::Randn(5, 4, &feature_rng);
-  Tensor a = gcn->Embed(h, g.AdjacencyMatrix());
-  Tensor b = gat->Embed(h, g.AdjacencyMatrix());
+  Tensor a = gcn->Embed(h, GraphLevel(g.AdjacencyMatrix()));
+  Tensor b = gat->Embed(h, GraphLevel(g.AdjacencyMatrix()));
   double gap = 0.0;
   for (int c = 0; c < 8; ++c) gap += std::abs(a.At(0, c) - b.At(0, c));
   EXPECT_GT(gap, 1e-6);

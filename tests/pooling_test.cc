@@ -30,10 +30,10 @@ struct Fixture {
 TEST(FlatPoolTest, SumMeanMaxValues) {
   Tensor h = Tensor::FromVector(2, 2, {1, 5, 3, -1});
   Tensor adj = Tensor::Zeros(2, 2);
-  EXPECT_EQ(SumReadout().Forward(h, adj).At(0, 0), 4.0f);
-  EXPECT_EQ(SumReadout().Forward(h, adj).At(0, 1), 4.0f);
-  EXPECT_EQ(MeanReadout().Forward(h, adj).At(0, 0), 2.0f);
-  EXPECT_EQ(MaxReadout().Forward(h, adj).At(0, 1), 5.0f);
+  EXPECT_EQ(SumReadout().Forward(h, GraphLevel(adj)).At(0, 0), 4.0f);
+  EXPECT_EQ(SumReadout().Forward(h, GraphLevel(adj)).At(0, 1), 4.0f);
+  EXPECT_EQ(MeanReadout().Forward(h, GraphLevel(adj)).At(0, 0), 2.0f);
+  EXPECT_EQ(MaxReadout().Forward(h, GraphLevel(adj)).At(0, 1), 5.0f);
 }
 
 TEST(FlatPoolTest, SumDistinguishesMultiplicityMeanDoesNot) {
@@ -42,16 +42,16 @@ TEST(FlatPoolTest, SumDistinguishesMultiplicityMeanDoesNot) {
   Tensor small = Tensor::FromVector(1, 1, {2.0f});
   Tensor big = Tensor::FromVector(3, 1, {2.0f, 2.0f, 2.0f});
   Tensor adj1 = Tensor::Zeros(1, 1), adj3 = Tensor::Zeros(3, 3);
-  EXPECT_EQ(MeanReadout().Forward(small, adj1).At(0, 0),
-            MeanReadout().Forward(big, adj3).At(0, 0));
-  EXPECT_NE(SumReadout().Forward(small, adj1).At(0, 0),
-            SumReadout().Forward(big, adj3).At(0, 0));
+  EXPECT_EQ(MeanReadout().Forward(small, GraphLevel(adj1)).At(0, 0),
+            MeanReadout().Forward(big, GraphLevel(adj3)).At(0, 0));
+  EXPECT_NE(SumReadout().Forward(small, GraphLevel(adj1)).At(0, 0),
+            SumReadout().Forward(big, GraphLevel(adj3)).At(0, 0));
 }
 
 TEST(FlatPoolTest, MeanAttOutputShapeAndParams) {
   Fixture f;
   MeanAttReadout readout(6, &f.rng);
-  Tensor out = readout.Forward(f.h, f.adj);
+  Tensor out = readout.Forward(f.h, GraphLevel(f.adj));
   EXPECT_EQ(out.rows(), 1);
   EXPECT_EQ(out.cols(), 6);
   EXPECT_EQ(readout.Parameters().size(), 1u);
@@ -60,14 +60,14 @@ TEST(FlatPoolTest, MeanAttOutputShapeAndParams) {
 TEST(FlatPoolTest, GatedSumShape) {
   Fixture f;
   GatedSumReadout readout(6, &f.rng);
-  Tensor out = readout.Forward(f.h, f.adj);
+  Tensor out = readout.Forward(f.h, GraphLevel(f.adj));
   EXPECT_EQ(out.cols(), 6);
 }
 
 TEST(Set2SetTest, OutputIsDoubleWidth) {
   Fixture f;
   Set2SetReadout readout(6, &f.rng, /*steps=*/3);
-  Tensor out = readout.Forward(f.h, f.adj);
+  Tensor out = readout.Forward(f.h, GraphLevel(f.adj));
   EXPECT_EQ(out.rows(), 1);
   EXPECT_EQ(out.cols(), 12);
   EXPECT_EQ(readout.OutFeatures(6), 12);
@@ -91,14 +91,14 @@ TEST_P(PermutationInvarianceTest, FlatReadoutsInvariant) {
   if (name == "gated") readout = std::make_unique<GatedSumReadout>(4, &rng);
   if (name == "set2set") readout = std::make_unique<Set2SetReadout>(4, &rng);
   ASSERT_NE(readout, nullptr);
-  Tensor out = readout->Forward(h, g.AdjacencyMatrix());
+  Tensor out = readout->Forward(h, GraphLevel(g.AdjacencyMatrix()));
   std::vector<int> perm = RandomPermutation(8, &rng);
   Graph pg = g.Permuted(perm);
   Tensor ph(8, 4);
   for (int u = 0; u < 8; ++u) {
     for (int c = 0; c < 4; ++c) ph.Set(perm[u], c, h.At(u, c));
   }
-  Tensor pout = readout->Forward(ph, pg.AdjacencyMatrix());
+  Tensor pout = readout->Forward(ph, GraphLevel(pg.AdjacencyMatrix()));
   for (int c = 0; c < out.cols(); ++c) {
     EXPECT_NEAR(out.At(0, c), pout.At(0, c), 1e-4) << name;
   }
@@ -119,22 +119,22 @@ TEST(TopKTest, KeepCount) {
 TEST(GPoolTest, CoarsensToRatio) {
   Fixture f;
   GPoolCoarsener pool(6, 0.5, &f.rng);
-  CoarsenResult result = pool.Forward(f.h, f.adj);
+  CoarsenResult result = pool.Forward(f.h, GraphLevel(f.adj));
   EXPECT_EQ(result.h.rows(), 5);
   EXPECT_EQ(result.h.cols(), 6);
-  EXPECT_EQ(result.adjacency.rows(), 5);
-  EXPECT_EQ(result.adjacency.cols(), 5);
+  EXPECT_EQ(result.level.adjacency().rows(), 5);
+  EXPECT_EQ(result.level.adjacency().cols(), 5);
 }
 
 TEST(SagPoolTest, CoarsensAndKeepsAdjacencySubmatrix) {
   Fixture f;
   SagPoolCoarsener pool(6, 0.4, &f.rng);
-  CoarsenResult result = pool.Forward(f.h, f.adj);
+  CoarsenResult result = pool.Forward(f.h, GraphLevel(f.adj));
   EXPECT_EQ(result.h.rows(), 4);
   // Adjacency entries are a subset of original 0/1 weights.
   for (int r = 0; r < 4; ++r) {
     for (int c = 0; c < 4; ++c) {
-      const float w = result.adjacency.At(r, c);
+      const float w = result.level.adjacency().At(r, c);
       EXPECT_TRUE(w == 0.0f || w == 1.0f);
     }
   }
@@ -143,7 +143,7 @@ TEST(SagPoolTest, CoarsensAndKeepsAdjacencySubmatrix) {
 TEST(SortPoolTest, FlattensTopK) {
   Fixture f;
   SortPoolReadout readout(4);
-  Tensor out = readout.Forward(f.h, f.adj);
+  Tensor out = readout.Forward(f.h, GraphLevel(f.adj));
   EXPECT_EQ(out.rows(), 1);
   EXPECT_EQ(out.cols(), 24);
 }
@@ -152,7 +152,7 @@ TEST(SortPoolTest, PadsWhenGraphSmallerThanK) {
   Rng rng(9);
   Tensor h = Tensor::Randn(2, 3, &rng);
   SortPoolReadout readout(5);
-  Tensor out = readout.Forward(h, Tensor::Zeros(2, 2));
+  Tensor out = readout.Forward(h, GraphLevel(Tensor::Zeros(2, 2)));
   EXPECT_EQ(out.cols(), 15);
   // Padded region is zero.
   EXPECT_EQ(out.At(0, 14), 0.0f);
@@ -163,18 +163,18 @@ TEST(AttPoolTest, GlobalAndLocalModes) {
   for (auto mode :
        {AttPoolCoarsener::Mode::kGlobal, AttPoolCoarsener::Mode::kLocal}) {
     AttPoolCoarsener pool(6, 0.5, mode, &f.rng);
-    CoarsenResult result = pool.Forward(f.h, f.adj);
+    CoarsenResult result = pool.Forward(f.h, GraphLevel(f.adj));
     EXPECT_EQ(result.h.rows(), 5);
-    EXPECT_EQ(result.adjacency.rows(), 5);
+    EXPECT_EQ(result.level.adjacency().rows(), 5);
   }
 }
 
 TEST(DiffPoolTest, FixedClusterCountAndAssignmentRows) {
   Fixture f;
   DiffPoolCoarsener pool(6, 3, &f.rng);
-  CoarsenResult result = pool.Forward(f.h, f.adj);
+  CoarsenResult result = pool.Forward(f.h, GraphLevel(f.adj));
   EXPECT_EQ(result.h.rows(), 3);
-  EXPECT_EQ(result.adjacency.rows(), 3);
+  EXPECT_EQ(result.level.adjacency().rows(), 3);
   const Tensor& s = pool.last_assignment();
   EXPECT_EQ(s.rows(), 10);
   EXPECT_EQ(s.cols(), 3);
@@ -188,26 +188,26 @@ TEST(DiffPoolTest, FixedClusterCountAndAssignmentRows) {
 TEST(AsapTest, CoarsensWithSoftMembership) {
   Fixture f;
   AsapCoarsener pool(6, 0.5, &f.rng);
-  CoarsenResult result = pool.Forward(f.h, f.adj);
+  CoarsenResult result = pool.Forward(f.h, GraphLevel(f.adj));
   EXPECT_EQ(result.h.rows(), 5);
-  EXPECT_EQ(result.adjacency.rows(), 5);
-  for (int64_t i = 0; i < result.adjacency.size(); ++i) {
-    EXPECT_TRUE(std::isfinite(result.adjacency.data()[i]));
+  EXPECT_EQ(result.level.adjacency().rows(), 5);
+  for (int64_t i = 0; i < result.level.adjacency().size(); ++i) {
+    EXPECT_TRUE(std::isfinite(result.level.adjacency().data()[i]));
   }
 }
 
 TEST(StructPoolTest, MeanFieldAssignment) {
   Fixture f;
   StructPoolCoarsener pool(6, 4, &f.rng, /*iterations=*/3);
-  CoarsenResult result = pool.Forward(f.h, f.adj);
+  CoarsenResult result = pool.Forward(f.h, GraphLevel(f.adj));
   EXPECT_EQ(result.h.rows(), 4);
-  EXPECT_EQ(result.adjacency.cols(), 4);
+  EXPECT_EQ(result.level.adjacency().cols(), 4);
 }
 
 TEST(CoarsenerGradsTest, GradientsReachParameters) {
   Fixture f;
   DiffPoolCoarsener pool(6, 3, &f.rng);
-  CoarsenResult result = pool.Forward(f.h, f.adj);
+  CoarsenResult result = pool.Forward(f.h, GraphLevel(f.adj));
   ReduceSumAll(Square(result.h)).Backward();
   bool any = false;
   for (const Tensor& p : pool.Parameters()) {

@@ -109,7 +109,7 @@ TEST(SerializeTest, ModuleCheckpointRestoresBehaviour) {
   model->set_training(false);
   Graph g = ConnectedErdosRenyi(7, 0.4, &rng);
   Tensor h = Tensor::Randn(7, 6, &rng);
-  Tensor before = model->Embed(h, g.AdjacencyMatrix());
+  Tensor before = model->Embed(h, GraphLevel(g.AdjacencyMatrix()));
 
   const std::string path = ::testing::TempDir() + "/hap_ckpt_test.bin";
   ASSERT_TRUE(SaveModule(*model, path).ok());
@@ -119,7 +119,7 @@ TEST(SerializeTest, ModuleCheckpointRestoresBehaviour) {
   Rng rng2(99);
   auto restored = MakeHapModel(config, &rng2);
   restored->set_training(false);
-  Tensor different = restored->Embed(h, g.AdjacencyMatrix());
+  Tensor different = restored->Embed(h, GraphLevel(g.AdjacencyMatrix()));
   double gap = 0;
   for (int c = 0; c < before.cols(); ++c) {
     gap += std::abs(before.At(0, c) - different.At(0, c));
@@ -127,7 +127,7 @@ TEST(SerializeTest, ModuleCheckpointRestoresBehaviour) {
   EXPECT_GT(gap, 1e-4);
 
   ASSERT_TRUE(LoadModule(restored.get(), path).ok());
-  Tensor after = restored->Embed(h, g.AdjacencyMatrix());
+  Tensor after = restored->Embed(h, GraphLevel(g.AdjacencyMatrix()));
   for (int c = 0; c < before.cols(); ++c) {
     EXPECT_NEAR(before.At(0, c), after.At(0, c), 1e-6);
   }

@@ -15,7 +15,9 @@
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.h"
+#include "graph/featurize.h"
 #include "graph/generators.h"
+#include "graph/graph_level.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "serve/admission.h"
@@ -24,6 +26,7 @@
 #include "serve/served_model.h"
 #include "tensor/matmul_kernels.h"
 #include "tensor/serialize.h"
+#include "tensor/sparse.h"
 #include "train/model_zoo.h"
 
 namespace hap::serve {
@@ -190,26 +193,104 @@ TEST(ServeEngineTest, RunsAtTheLoadedModelsPrecision) {
 }
 
 TEST(ServeEngineTest, RejectsMalformedGraphs) {
+  // Each malformed request gets InvalidArgument from both entry points
+  // before any kernel ever sees it, and SubmitAsync never calls back.
   ServeFixture fx;
+  Rng rng(29);
+  const PreparedGraph& valid = fx.prepared[0];
+  const Tensor larger =
+      ConnectedErdosRenyi(valid.h.rows() + 1, 0.3, &rng).AdjacencyMatrix();
+  // [0]: undefined features and level (default-constructed request).
+  std::vector<PreparedGraph> malformed(5);
+  // [1]: wrong feature width.
+  malformed[1].h = Tensor::Zeros(3, fx.config.feature_dim + 1);
+  malformed[1].level = GraphLevel(Tensor::Zeros(3, 3));
+  // [2]: features with no level (GraphLevel itself refuses a non-square
+  // adjacency, so a missing level is the structural hole left).
+  malformed[2].h = Tensor::Zeros(3, fx.config.feature_dim);
+  // [3], [4]: a dense-backed and a CSR-backed level one node larger than
+  // the features. The level is what the model runs, so its node count is
+  // what must match.
+  malformed[3].h = valid.h;
+  malformed[3].level = GraphLevel(larger);
+  malformed[4].h = valid.h;
+  malformed[4].level = GraphLevel(CsrMatrix::FromDense(larger));
   InferenceEngine engine(fx.model, EngineConfig{});
-  // Undefined tensors (default-constructed request).
-  PreparedGraph empty;
-  EXPECT_EQ(engine.Submit(empty).status().code(),
-            StatusCode::kInvalidArgument);
-  // Wrong feature width.
-  PreparedGraph narrow;
-  narrow.h = Tensor::Zeros(3, fx.config.feature_dim + 1);
-  narrow.adjacency = Tensor::Zeros(3, 3);
-  narrow.level = GraphLevel(narrow.adjacency);
-  EXPECT_EQ(engine.Submit(narrow).status().code(),
-            StatusCode::kInvalidArgument);
-  // Non-square adjacency (level left default: the engine must reject the
-  // request before any kernel ever sees it).
-  PreparedGraph skewed;
-  skewed.h = Tensor::Zeros(3, fx.config.feature_dim);
-  skewed.adjacency = Tensor::Zeros(3, 2);
-  EXPECT_EQ(engine.Submit(skewed).status().code(),
-            StatusCode::kInvalidArgument);
+  std::atomic<int> callbacks{0};
+  for (size_t i = 0; i < malformed.size(); ++i) {
+    EXPECT_EQ(engine.Submit(malformed[i]).status().code(),
+              StatusCode::kInvalidArgument)
+        << "request " << i;
+    EXPECT_EQ(engine
+                  .SubmitAsync(malformed[i], 0,
+                               [&callbacks](StatusOr<int>) { ++callbacks; })
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "request " << i;
+  }
+  engine.Shutdown();
+  EXPECT_EQ(callbacks.load(), 0);
+}
+
+TEST(ServeEngineTest, ServesHandBuiltLevels) {
+  // A request's structure is its level alone. Levels an in-process caller
+  // builds by hand, dense-backed or CSR-backed and never warmed, are
+  // accepted and predict what Predict does.
+  ServeFixture fx;
+  const Graph& g = fx.dataset.graphs[0];
+  PreparedGraph dense;
+  dense.h = NodeFeatures(g, fx.dataset.feature_spec);
+  dense.level = GraphLevel(g.AdjacencyMatrix());
+  PreparedGraph sparse;
+  sparse.h = dense.h;
+  sparse.level = GraphLevel(CsrMatrix::FromDense(g.AdjacencyMatrix()));
+  const int direct_dense = fx.model->Predict(dense, 0);
+  const int direct_sparse = fx.model->Predict(sparse, 0);
+  InferenceEngine engine(fx.model, EngineConfig{});
+  StatusOr<std::future<int>> served_dense = engine.Submit(dense);
+  ASSERT_TRUE(served_dense.ok()) << served_dense.status().ToString();
+  EXPECT_EQ(served_dense.value().get(), direct_dense);
+  StatusOr<std::future<int>> served_sparse = engine.Submit(sparse);
+  ASSERT_TRUE(served_sparse.ok()) << served_sparse.status().ToString();
+  EXPECT_EQ(served_sparse.value().get(), direct_sparse);
+}
+
+TEST(ServeEngineTest, KeepsSharedFeaturesWithDistinctLevelsApart) {
+  // Coalescing keys on the features buffer and the level together: two
+  // requests in one batch that share one h but carry different structure
+  // each run their own forward and resolve to their own prediction. These
+  // weights predict both classes on the fixture's graphs.
+  ServeFixture fx(/*lanes=*/4, /*weight_seed=*/23);
+  const PreparedGraph& base = fx.prepared[0];
+  const int n = base.h.rows();
+  // A level over the same nodes whose prediction differs, so a merged pair
+  // would resolve one request wrong as well as tick the coalesced counter.
+  PreparedGraph other;
+  other.h = base.h;
+  int other_direct = fx.direct[0];
+  for (const Tensor& adjacency :
+       {Tensor::Zeros(n, n), Tensor::Ones(n, n),
+        Path(n).AdjacencyMatrix(), Star(n).AdjacencyMatrix()}) {
+    other.level = GraphLevel(adjacency);
+    other_direct = fx.model->Predict(other, 0);
+    if (other_direct != fx.direct[0]) break;
+  }
+  ASSERT_NE(other_direct, fx.direct[0]);
+  const uint64_t coalesced_before =
+      obs::CounterValue(obs::names::kServeCoalesced);
+  const uint64_t batches_before = obs::CounterValue(obs::names::kServeBatches);
+  EngineConfig config;
+  config.max_batch = 2;
+  config.max_delay_us = 10'000'000;  // the batch seals once both are queued
+  InferenceEngine engine(fx.model, config);
+  StatusOr<std::future<int>> first = engine.Submit(base);
+  StatusOr<std::future<int>> second = engine.Submit(other);
+  ASSERT_TRUE(first.ok() && second.ok());
+  EXPECT_EQ(first.value().get(), fx.direct[0]);
+  EXPECT_EQ(second.value().get(), other_direct);
+  engine.Shutdown();
+  EXPECT_EQ(obs::CounterValue(obs::names::kServeBatches) - batches_before, 1u);
+  EXPECT_EQ(obs::CounterValue(obs::names::kServeCoalesced), coalesced_before);
 }
 
 TEST(ServeEngineTest, ServesGraphWithIsolatedNodeEndToEnd) {
@@ -580,13 +661,20 @@ TEST(ServeEngineTest, SkipsForwardsExpiredBeforeDispatch) {
 TEST(ServeEngineTest, CountsMidComputeDeadlineMisses) {
   // The deadline is a quarter of the fastest of three direct forwards of
   // a large graph (20% density keeps it on the dense O(N^2) coarsening
-  // path): shorter than any forward of that graph, yet several
-  // milliseconds, and longer when other processes slow the host down, so
-  // the dispatch-time skip check (a queue pop) passes even while the
-  // batcher waits for a core. The prediction still resolves — and must
-  // match the direct forward — while the miss counter (the SLO signal)
-  // ticks.
-  ServeFixture fx;
+  // path) through a wide model on one thread: shorter than any forward of
+  // that graph, yet tens of milliseconds (the forward takes well over
+  // 100 ms), and longer when other processes slow the host down, so the
+  // dispatch-time skip check (a queue pop) passes even while the batcher
+  // waits for a core. The prediction still resolves — and must match the
+  // direct forward — while the miss counter (the SLO signal) ticks.
+  ServeFixture fx(/*lanes=*/1);
+  ServedModelConfig wide = fx.config;
+  wide.hidden = 512;
+  const std::shared_ptr<const ServedModel> model =
+      ServedModel::Load(wide, WriteCheckpoint(wide, "serve_wide.bin", 21))
+          .value();
+  const int original_threads = NumThreads();
+  SetNumThreads(1);
   Rng rng(17);
   const Graph big = ConnectedErdosRenyi(2500, 0.2, &rng);
   const PreparedGraph prepared = PrepareGraph(big, fx.dataset.feature_spec);
@@ -594,18 +682,20 @@ TEST(ServeEngineTest, CountsMidComputeDeadlineMisses) {
   uint64_t fastest_ns = UINT64_MAX;
   for (int i = 0; i < 3; ++i) {
     const uint64_t start_ns = obs::MonotonicNs();
-    direct = fx.model->Predict(prepared, 0);
+    direct = model->Predict(prepared, 0);
     fastest_ns = std::min(fastest_ns, obs::MonotonicNs() - start_ns);
   }
   const uint64_t miss_before =
       obs::CounterValue(obs::names::kServeDeadlineMiss);
   EngineConfig config;
   config.default_deadline_us = static_cast<int64_t>(fastest_ns / 4000);
-  InferenceEngine engine(fx.model, config);
+  InferenceEngine engine(model, config);
   StatusOr<std::future<int>> result = engine.Submit(prepared);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().get(), direct);
   EXPECT_GT(obs::CounterValue(obs::names::kServeDeadlineMiss), miss_before);
+  engine.Shutdown();
+  SetNumThreads(original_threads);
 }
 
 TEST(AdmissionTest, QueueDepthShedsTyped) {

@@ -522,9 +522,9 @@ TEST(CoarsenModeTest, DenseModeUnchangedByDefault) {
   CoarsenResult dense_default = module.Forward(h, level);
   module.set_coarsen_mode(CoarsenMode::kDense);
   CoarsenResult dense_explicit = module.Forward(h, level);
-  for (int64_t i = 0; i < dense_default.adjacency.size(); ++i) {
-    EXPECT_EQ(dense_default.adjacency.data()[i],
-              dense_explicit.adjacency.data()[i]);
+  for (int64_t i = 0; i < dense_default.level.adjacency().size(); ++i) {
+    EXPECT_EQ(dense_default.level.adjacency().data()[i],
+              dense_explicit.level.adjacency().data()[i]);
   }
 }
 
@@ -550,7 +550,7 @@ TEST(CoarsenModeTest, TopkModeBitEqualToComposedReference) {
         CoarsenResult sparse;
         if (taped) {
           sparse = module.Forward(h, level);
-          ASSERT_TRUE(sparse.adjacency.requires_grad());
+          ASSERT_TRUE(sparse.level.adjacency().requires_grad());
         } else {
           NoGradGuard no_grad;
           sparse = module.Forward(h, level);
@@ -559,7 +559,7 @@ TEST(CoarsenModeTest, TopkModeBitEqualToComposedReference) {
         const Products reference =
             ComposedPath(csr, module.last_attention(), h, k, normalize);
         EXPECT_TRUE(BitEqual(sparse.h, reference.h));
-        EXPECT_TRUE(BitEqual(sparse.adjacency, reference.adj));
+        EXPECT_TRUE(BitEqual(sparse.level.adjacency(), reference.adj));
       }
     }
   }
@@ -593,7 +593,7 @@ TEST(CoarsenModeTest, BatchedTopkBitEqualToPerGraph) {
                          single.h))
         << "graph " << g;
     EXPECT_TRUE(BitEqual(batched.level.levels[g].adjacency(),
-                         single.adjacency))
+                         single.level.adjacency()))
         << "graph " << g;
   }
 }
@@ -613,7 +613,7 @@ TEST(CoarsenModeTest, TopkFallsBackOnTapedLevel) {
       Tensor::Randn(10, 10, &data_rng, 1.0f, /*requires_grad=*/true);
   Tensor h = Tensor::Randn(10, 6, &data_rng);
   CoarsenResult result = module.Forward(h, GraphLevel(Square(adjacency)));
-  EXPECT_EQ(result.adjacency.rows(), 4);
+  EXPECT_EQ(result.level.adjacency().rows(), 4);
   EXPECT_GT(fallback->Value(), before);
 }
 
@@ -633,9 +633,9 @@ TEST(CoarsenModeTest, TopkBudgetAtLeastClustersMatchesDenseToTolerance) {
     module.set_coarsen_mode(CoarsenMode::kTopkSparse, k);
     CoarsenResult sparse = module.Forward(h, level);
     EXPECT_TRUE(BitEqual(sparse.h, dense.h));
-    for (int64_t i = 0; i < dense.adjacency.size(); ++i) {
-      EXPECT_NEAR(sparse.adjacency.data()[i], dense.adjacency.data()[i],
-                  1e-5);
+    for (int64_t i = 0; i < dense.level.adjacency().size(); ++i) {
+      EXPECT_NEAR(sparse.level.adjacency().data()[i],
+                  dense.level.adjacency().data()[i], 1e-5);
     }
   }
 }

@@ -124,7 +124,7 @@ TEST(PreparedTest, PrepareDatasetKeepsLabelsAndShapes) {
   for (size_t i = 0; i < data.size(); ++i) {
     EXPECT_EQ(data[i].label, ds.graphs[i].label());
     EXPECT_EQ(data[i].h.rows(), ds.graphs[i].num_nodes());
-    EXPECT_EQ(data[i].adjacency.rows(), ds.graphs[i].num_nodes());
+    EXPECT_EQ(data[i].level.adjacency().rows(), ds.graphs[i].num_nodes());
   }
 }
 
