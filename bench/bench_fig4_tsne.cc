@@ -111,9 +111,8 @@ double ReceptiveFieldStatistic() {
   double neighbor_agreement = 0.0;
   int counted = 0;
   for (const Graph& g : ds.graphs) {
-    Tensor h = NodeFeatures(g, ds.feature_spec);
-    module.Forward(h, GraphLevel(g.AdjacencyMatrix()));
-    const Tensor& m = module.last_attention();
+    const Tensor h = NodeFeatures(g, ds.feature_spec);
+    const Tensor m = module.ComputeAttention(module.ComputeGCont(h));
     for (int u = 0; u < g.num_nodes(); ++u) {
       if (g.Degree(u) == 0) continue;
       // Dominant cluster of u's neighbourhood (mean attention of peers).

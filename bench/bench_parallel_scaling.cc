@@ -1,8 +1,11 @@
-// Parallel-execution scaling harness: measures the thread-pool kernels and
-// the data-parallel trainer at 1/2/4/8 threads and verifies the
-// determinism contract (identical training loss at every thread count).
-// Speedups are relative to the 1-thread run on the same build; on a
-// single-core machine every speedup is ~1.0 by construction.
+// Parallel-execution scaling harness: measures the thread-pool kernels at
+// 1/2/4/8 threads, and HAP classifier training with the serial loop
+// (TrainConfig::num_threads = 0) against the data-parallel runner at
+// 1/2/4/8 workers. Training rows alternate within each repeat, and each
+// reports the median and quartiles of its repeats; speedups are relative
+// to the serial loop's median. Exits non-zero unless every runner row
+// ends on the same loss and every row repeats its own loss exactly (the
+// determinism contract of docs/THREADING.md).
 // Emits BENCH_parallel_scaling.json (path overridable as argv[1]) so the
 // perf trajectory is tracked across PRs.
 // Set HAP_BENCH_FAST=1 for a quick smoke run.
@@ -14,6 +17,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -32,6 +36,16 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+// Linear-interpolated quantile q of `values`.
+double Quantile(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, values.size() - 1);
+  return values[lo] +
+         (values[hi] - values[lo]) * (pos - static_cast<double>(lo));
+}
+
 // Median-of-repeats wall time for `fn`, in milliseconds.
 template <typename Fn>
 double TimeMs(int repeats, Fn&& fn) {
@@ -42,8 +56,7 @@ double TimeMs(int repeats, Fn&& fn) {
     fn();
     times.push_back(SecondsSince(start) * 1000.0);
   }
-  std::sort(times.begin(), times.end());
-  return times[times.size() / 2];
+  return Quantile(std::move(times), 0.5);
 }
 
 struct KernelTimings {
@@ -100,14 +113,34 @@ TrainRun TimedClassifierRun(const std::vector<PreparedGraph>& data,
   return run;
 }
 
+// One training configuration over all repeats: the serial loop
+// (num_threads 0) or the runner with `num_threads` workers.
+struct TrainRow {
+  int num_threads = 0;
+  std::vector<double> seconds;
+  double final_loss = 0.0;
+  bool repeatable = true;  // every repeat ended on the same loss
+};
+
+std::string TrainerName(int num_threads) {
+  if (num_threads == 0) return "serial loop";
+  return "runner, " + std::to_string(num_threads) +
+         (num_threads == 1 ? " worker" : " workers");
+}
+
 int Main(int argc, char** argv) {
   const std::string json_path =
       argc > 1 ? argv[1] : "BENCH_parallel_scaling.json";
   const std::vector<int> thread_counts = {1, 2, 4, 8};
   const int matmul_size = FastOr(96, 512);
   const int matmul_repeats = FastOr(3, 7);
-  const int graphs = FastOr(24, 80);
-  const int epochs = FastOr(2, 5);
+  // 3200 graphs x 8 epochs keeps every training row above a second on a
+  // 4-core host; five alternating repeats give each row its quartiles.
+  const int graphs = FastOr(24, 3200);
+  const int epochs = FastOr(2, 8);
+  const int repeats = FastOr(1, 5);
+  const std::vector<int> trainer_threads = {0, 1, 2, 4, 8};
+  const int pool_threads = 8;  // the runner takes its workers from the pool
 
   std::printf("hardware_concurrency: %u\n\n",
               std::thread::hardware_concurrency());
@@ -136,29 +169,53 @@ int Main(int argc, char** argv) {
   Split split = SplitIndices(static_cast<int>(data.size()), &data_rng);
   HapConfig config = DefaultHapConfig(ds.feature_spec.FeatureDim(), 16);
 
-  std::printf("\nHAP classification, %s-like, %d graphs, %d epochs:\n\n",
-              ds.name.c_str(), graphs, epochs);
-  std::printf("| threads | seconds | speedup | final epoch loss |\n");
-  std::printf("|---------|---------|---------|------------------|\n");
-  SetNumThreads(8);  // Pool width; the trainer uses tc.num_threads workers.
-  double base_seconds = 0.0;
-  double reference_loss = 0.0;
+  std::printf(
+      "\nHAP classification, %s-like, %d graphs, %d epochs, pool width %d, "
+      "median of %d alternating repeats:\n\n",
+      ds.name.c_str(), graphs, epochs, pool_threads, repeats);
+  SetNumThreads(pool_threads);
+  std::vector<TrainRow> rows(trainer_threads.size());
+  for (int rep = 0; rep < repeats; ++rep) {
+    // Each repeat runs every configuration once, in alternating order, so
+    // drift in the host's speed spreads over all rows alike.
+    for (size_t k = 0; k < rows.size(); ++k) {
+      const size_t i = rep % 2 == 0 ? k : rows.size() - 1 - k;
+      const TrainRun run =
+          TimedClassifierRun(data, split, config, ds.num_classes, epochs,
+                             trainer_threads[i]);
+      TrainRow& row = rows[i];
+      row.num_threads = trainer_threads[i];
+      if (row.seconds.empty()) {
+        row.final_loss = run.final_loss;
+      } else if (run.final_loss != row.final_loss) {
+        row.repeatable = false;
+      }
+      row.seconds.push_back(run.seconds);
+    }
+  }
+  // The runner's trajectory is the same at every worker count; the serial
+  // loop keeps its own (docs/THREADING.md).
   bool deterministic = true;
-  std::vector<TrainRun> train_rows;
-  for (int threads : thread_counts) {
-    const TrainRun run = TimedClassifierRun(data, split, config,
-                                            ds.num_classes, epochs, threads);
-    if (threads == 1) {
-      base_seconds = run.seconds;
-      reference_loss = run.final_loss;
-    } else if (run.final_loss != reference_loss) {
+  for (const TrainRow& row : rows) {
+    deterministic = deterministic && row.repeatable;
+    if (row.num_threads >= 1 && row.final_loss != rows[1].final_loss) {
       deterministic = false;
     }
-    train_rows.push_back(run);
-    std::printf("| %7d | %7.2f | %6.2fx | %.12f |\n", threads, run.seconds,
-                base_seconds / run.seconds, run.final_loss);
   }
-  std::printf("\nfinal loss identical across thread counts: %s\n",
+  const double serial_median = Quantile(rows[0].seconds, 0.5);
+  std::printf("| trainer | median s | quartiles s | speedup vs serial | "
+              "final epoch loss |\n");
+  std::printf("|---------|----------|-------------|-------------------|"
+              "------------------|\n");
+  for (const TrainRow& row : rows) {
+    const double median = Quantile(row.seconds, 0.5);
+    std::printf("| %s | %.3f | %.3f-%.3f | %.2fx | %.12f |\n",
+                TrainerName(row.num_threads).c_str(), median,
+                Quantile(row.seconds, 0.25), Quantile(row.seconds, 0.75),
+                serial_median / median, row.final_loss);
+  }
+  std::printf("\nrunner loss identical at every worker count, and every "
+              "row repeatable: %s\n",
               deterministic ? "YES" : "NO");
 
   JsonWriter json;
@@ -169,6 +226,8 @@ int Main(int argc, char** argv) {
   json.Field("matmul_size", matmul_size);
   json.Field("graphs", graphs);
   json.Field("epochs", epochs);
+  json.Field("repeats", repeats);
+  json.Field("pool_threads", pool_threads);
   json.BeginArray("matmul");
   for (size_t i = 0; i < kernel_rows.size(); ++i) {
     json.BeginObject();
@@ -183,12 +242,18 @@ int Main(int argc, char** argv) {
   }
   json.EndArray();
   json.BeginArray("classifier_training");
-  for (size_t i = 0; i < train_rows.size(); ++i) {
+  for (const TrainRow& row : rows) {
+    const double median = Quantile(row.seconds, 0.5);
     json.BeginObject();
-    json.Field("threads", thread_counts[i]);
-    json.Field("seconds", train_rows[i].seconds);
-    json.Field("speedup", base_seconds / train_rows[i].seconds);
-    json.Field("final_loss", train_rows[i].final_loss);
+    json.Field("num_threads", row.num_threads);
+    json.Field("trainer", TrainerName(row.num_threads));
+    json.Field("seconds_median", median);
+    json.Field("seconds_q1", Quantile(row.seconds, 0.25));
+    json.Field("seconds_q3", Quantile(row.seconds, 0.75));
+    json.Field("seconds_min", Quantile(row.seconds, 0.0));
+    json.Field("seconds_max", Quantile(row.seconds, 1.0));
+    json.Field("speedup_vs_serial", serial_median / median);
+    json.Field("final_loss", row.final_loss);
     json.EndObject();
   }
   json.EndArray();

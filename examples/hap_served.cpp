@@ -24,6 +24,10 @@
 // the bound port as one line so scripts can discover it. The process
 // runs until SIGINT/SIGTERM, then drains and exits 0.
 //
+// --lanes (default: --max-batch) caps how many forwards of one batch run
+// at once, as does the thread-pool width (HAP_NUM_THREADS). Every lane
+// runs the one loaded model, so a lane costs no memory.
+//
 // --max-batch, --lanes, --queue-capacity and --cache-capacity must be at
 // least 1. The delay, depth, SLO, deadline, connection and idle-timeout
 // flags must be at least 0, where 0 means none (no shedding, no SLO, no

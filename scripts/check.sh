@@ -60,9 +60,10 @@ EOF
 obs_pass
 
 # --- Serving pass (docs/SERVING.md) -------------------------------------
-# Train a tiny checkpoint, replay it through the serving stack at two
-# thread-pool widths (predictions must be identical — serving is
-# deterministic), and run the serve-throughput bench, which exits non-zero
+# Train a tiny checkpoint, replay it through the serving stack at
+# thread-pool widths 1 and 4 (predictions must be identical — serving is
+# deterministic, and at width 4 four chunks of a batch run at once on the
+# one shared model), and run the serve-throughput bench, which exits non-zero
 # unless served predictions are bit-identical to direct forwards and int8
 # parity holds; its JSON is then checked for what the bench does not gate
 # itself. The serving concurrency tests (hot-swap under load) also run in
@@ -70,17 +71,17 @@ obs_pass
 serve_pass() {
   echo "=== build: serving smoke ==="
   rm -f build/serve_ckpt.bin build/serve_preds_t1.txt \
-    build/serve_preds_t2.txt build/BENCH_serve_throughput.json
+    build/serve_preds_t4.txt build/BENCH_serve_throughput.json
   ./build/examples/hap_tool classify --dataset mutag --method HAP \
     --graphs 30 --epochs 2 --hidden 8 --seed 7 \
     --checkpoint build/serve_ckpt.bin > /dev/null
-  for t in 1 2; do
+  for t in 1 4; do
     HAP_NUM_THREADS=$t ./build/examples/hap_serve \
       --checkpoint build/serve_ckpt.bin --dataset mutag --method HAP \
       --hidden 8 --requests 100 --seed 7 \
       --predictions-out "build/serve_preds_t${t}.txt" > /dev/null
   done
-  cmp build/serve_preds_t1.txt build/serve_preds_t2.txt
+  cmp build/serve_preds_t1.txt build/serve_preds_t4.txt
   echo "serve predictions identical across thread counts"
   HAP_BENCH_FAST=1 ./build/bench/bench_serve_throughput \
     build/BENCH_serve_throughput.json > /dev/null

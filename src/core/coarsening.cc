@@ -362,19 +362,6 @@ Tensor CoarseningModule::ComputeAttention(const Tensor& c_or_h) const {
                     });
 }
 
-namespace {
-
-// Mass-normalised cluster formation H' = D_M⁻¹ Mᵀ H (see
-// normalize_cluster_mass), from MᵀH and M's column sums: each cluster
-// becomes the attention-weighted mean of its members.
-Tensor DivideByClusterMass(const Tensor& mt_h, const Tensor& column_mass) {
-  Tensor mass = ClampMin(column_mass, 1e-9f);  // (N', 1)
-  Tensor inv_mass = Div(Tensor::Ones(mass.rows(), 1), mass);
-  return ScaleRows(mt_h, inv_mass);
-}
-
-}  // namespace
-
 CoarseningModule::CoarsenProducts CoarseningModule::ComputeProducts(
     const Tensor& m, const Tensor& h, const GraphLevel& level) const {
   static obs::Counter* mode_dense =
@@ -415,9 +402,6 @@ CoarseningModule::CoarsenProducts CoarseningModule::ComputeProducts(
     topk_dropped->Add(static_cast<uint64_t>(
         static_cast<int64_t>(m.rows()) * m.cols() - kept));
     out.h = AssignmentTransposeMatMul(m_k, h);
-    if (config_.normalize_cluster_mass) {
-      out.h = DivideByClusterMass(out.h, AssignmentColumnSums(m_k));
-    }
     // The fused CSR triple product streams A's nonzeros against Mₖ's
     // per-row entries.
     out.adj = CsrCoarsenAdjacency(*csr, m_k);
@@ -426,9 +410,6 @@ CoarseningModule::CoarsenProducts CoarseningModule::ComputeProducts(
   mode_dense->Increment();
   Tensor m_t = Transpose(m);
   out.h = MatMul(m_t, h);  // Eq. 17
-  if (config_.normalize_cluster_mass) {
-    out.h = DivideByClusterMass(out.h, ReduceSumCols(m_t));
-  }
   // Eq. 18: A' = Mᵀ A M; the inner A·M goes through the level so sparse
   // input adjacencies use the CSR fast path. The adjacency products are
   // pinned to fp32 even under a reduced-precision serving scope
@@ -469,9 +450,8 @@ CoarsenResult CoarseningModule::Forward(const Tensor& h,
   nodes_in->Record(static_cast<uint64_t>(level.num_nodes()));
   clusters_out->Record(static_cast<uint64_t>(config_.num_clusters));
   obs::ScopedTimerNs timer(span_ns);
-  Tensor m = config_.use_gcont ? ComputeAttention(ComputeGCont(h))
-                               : ComputeAttention(h);
-  last_attention_ = m;
+  const Tensor m = config_.use_gcont ? ComputeAttention(ComputeGCont(h))
+                                     : ComputeAttention(h);
   return FormClusters(m, h, level);
 }
 

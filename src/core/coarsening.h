@@ -39,15 +39,6 @@ struct CoarseningConfig {
   /// says MOA synthesizes (Sec. 4.4.2) and makes the attention genuinely
   /// adaptive. Enabled by default; disable to study the literal Eq. 14.
   bool bilinear_moa = true;
-  /// Normalise cluster formation by attention mass: H' = D_M⁻¹ Mᵀ H with
-  /// D_M = diag(colsum M), i.e. each cluster is the attention-weighted
-  /// *mean* of its members rather than the sum of Eq. 17. Off by default
-  /// (paper-literal): sums grow with N, but that very growth carries the
-  /// graph-size signal several tasks rely on (e.g. subgraph matching,
-  /// where the partner's relative size is discriminative); fully
-  /// size-invariant embeddings flatten it. Enable to study size-invariant
-  /// pooling. The coarsened adjacency keeps the Eq. 18 form either way.
-  bool normalize_cluster_mass = false;
   /// How A' = MᵀAM is computed (docs/SPARSE.md). kDense is the default —
   /// the bit-deterministic reference path every parity test pins. The
   /// sparse paths change numerics (top-k drops assignment mass) and are
@@ -93,6 +84,10 @@ struct CoarseningConfig {
 /// untaped call standardises C in place and records no backward state.
 /// Under an int8 scope an untaped call's H·T and C·G GEMMs may run
 /// quantized, as MatMul's shape dispatch decides; a taped MOA stays fp32.
+/// Forward() keeps no copy of M: a reader recomputes it as
+/// ComputeAttention(ComputeGCont(h)) (ComputeAttention(h) with GCont
+/// ablated), so an eval-mode forward writes no module state and any number
+/// of threads may run one eval-mode module at once.
 class CoarseningModule : public Coarsener {
  public:
   CoarseningModule(const CoarseningConfig& config, Rng* rng);
@@ -111,7 +106,7 @@ class CoarseningModule : public Coarsener {
   /// in training mode): C₀ = H·T runs as one GEMM over all graphs, then
   /// each graph's slice of C₀ goes through the same attention, cluster
   /// formation and deterministic soft sampling as Forward(). Bit-equal
-  /// per graph to Forward() in fp32. Does NOT update last_attention().
+  /// per graph to Forward() in fp32.
   BatchedCoarsenResult ForwardBatched(const Tensor& h,
                                       const BatchedLevel& level) const override;
 
@@ -144,10 +139,6 @@ class CoarseningModule : public Coarsener {
   /// Deterministically restarts the Gumbel noise stream (see
   /// Module::ReseedNoise; used by the data-parallel trainers).
   void ReseedNoise(uint64_t seed) override { noise_rng_ = Rng(seed); }
-
-  /// The M matrix from the most recent Forward() (for the receptive-field
-  /// analysis of Fig. 1 and the property tests).
-  const Tensor& last_attention() const { return last_attention_; }
 
   const CoarseningConfig& config() const { return config_; }
 
@@ -183,9 +174,9 @@ class CoarseningModule : public Coarsener {
   Tensor cluster_seeds_;    // (N', F)              (when !use_gcont)
   Tensor attn_row_;         // a₁
   Tensor attn_col_;         // a₂
+  // Drawn only in training mode, so eval forwards write no member.
   mutable Rng noise_rng_;
   bool training_ = true;
-  mutable Tensor last_attention_;
 };
 
 }  // namespace hap

@@ -12,10 +12,14 @@ DiffPoolCoarsener::DiffPoolCoarsener(int in_features, int num_clusters,
       embed_layer_(in_features, in_features, rng, Activation::kRelu),
       num_clusters_(num_clusters) {}
 
+Tensor DiffPoolCoarsener::Assignment(const Tensor& h,
+                                     const GraphLevel& level) const {
+  return SoftmaxRows(assign_layer_.Forward(h, level));
+}
+
 CoarsenResult DiffPoolCoarsener::Forward(const Tensor& h,
                                          const GraphLevel& level) const {
-  Tensor assignment = SoftmaxRows(assign_layer_.Forward(h, level));
-  last_assignment_ = assignment;
+  const Tensor assignment = Assignment(h, level);
   Tensor embedded = embed_layer_.Forward(h, level);
   Tensor coarse_h = MatMul(Transpose(assignment), embedded);
   Tensor coarse_adj =

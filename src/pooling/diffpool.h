@@ -22,15 +22,14 @@ class DiffPoolCoarsener : public Coarsener {
 
   int num_clusters() const { return num_clusters_; }
 
-  /// The last-forward assignment matrix S (for tests/visualisation); only
-  /// valid immediately after Forward().
-  const Tensor& last_assignment() const { return last_assignment_; }
+  /// The assignment matrix S (N x N') Forward() pools `h` on `level` with,
+  /// computed afresh (tests, visualisation): Forward() keeps no copy.
+  Tensor Assignment(const Tensor& h, const GraphLevel& level) const;
 
  private:
   GcnLayer assign_layer_;
   GcnLayer embed_layer_;
   int num_clusters_;
-  mutable Tensor last_assignment_;
 };
 
 }  // namespace hap

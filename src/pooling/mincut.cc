@@ -15,6 +15,18 @@ Tensor Trace(const Tensor& square) {
   return ReduceSumAll(Mul(square, eye));
 }
 
+/// The diagonal of D as an (N, 1) constant: each row of the adjacency
+/// values summed in double.
+Tensor Degrees(const Tensor& adjacency) {
+  Tensor degrees(adjacency.rows(), 1);
+  for (int i = 0; i < adjacency.rows(); ++i) {
+    double d = 0.0;
+    for (int j = 0; j < adjacency.cols(); ++j) d += adjacency.At(i, j);
+    degrees.Set(i, 0, static_cast<float>(d));
+  }
+  return degrees;
+}
+
 }  // namespace
 
 MinCutPoolCoarsener::MinCutPoolCoarsener(int in_features, int num_clusters,
@@ -23,28 +35,29 @@ MinCutPoolCoarsener::MinCutPoolCoarsener(int in_features, int num_clusters,
       assign2_(in_features, num_clusters, rng),
       num_clusters_(num_clusters) {}
 
+Tensor MinCutPoolCoarsener::Assignment(const Tensor& h) const {
+  return SoftmaxRows(assign2_.Forward(Relu(assign1_.Forward(h))));
+}
+
 CoarsenResult MinCutPoolCoarsener::Forward(const Tensor& h,
                                            const GraphLevel& level) const {
-  const Tensor& adjacency = level.adjacency();
-  Tensor assignment =
-      SoftmaxRows(assign2_.Forward(Relu(assign1_.Forward(h))));  // (N, k)
-  Tensor s_t = Transpose(assignment);
-  CoarsenResult result{
-      MatMul(s_t, h), GraphLevel(MatMul(s_t, level.Aggregate(assignment)))};
+  const Tensor assignment = Assignment(h);  // (N, k)
+  const Tensor s_t = Transpose(assignment);
+  return {MatMul(s_t, h),
+          GraphLevel(MatMul(s_t, level.Aggregate(assignment)))};
+}
+
+Tensor MinCutPoolCoarsener::AuxiliaryLoss(const Tensor& h,
+                                          const GraphLevel& level) const {
+  const Tensor assignment = Assignment(h);
+  const Tensor s_t = Transpose(assignment);
 
   // Normalised-cut relaxation: maximise within-cluster edge mass.
-  Tensor degree_diag = Tensor::Zeros(adjacency.rows(), adjacency.cols());
-  {
-    // D as a constant from the (data) adjacency values.
-    for (int i = 0; i < adjacency.rows(); ++i) {
-      double d = 0.0;
-      for (int j = 0; j < adjacency.cols(); ++j) d += adjacency.At(i, j);
-      degree_diag.Set(i, i, static_cast<float>(d));
-    }
-  }
-  Tensor cut_num = Trace(result.level.adjacency());
+  // Tr(SᵀDS) = Σᵢ dᵢ‖Sᵢ‖², so D never becomes an N×N matrix.
+  Tensor cut_num = Trace(MatMul(s_t, level.Aggregate(assignment)));
   Tensor cut_den = AddScalar(
-      Trace(MatMul(s_t, MatMul(degree_diag, assignment))), 1e-9f);
+      ReduceSumAll(ScaleRows(Square(assignment), Degrees(level.adjacency()))),
+      1e-9f);
   Tensor cut_loss = Neg(Div(cut_num, cut_den));
 
   // Orthogonality: SᵀS/||SᵀS||_F should approach I/sqrt(k).
@@ -58,8 +71,7 @@ CoarsenResult MinCutPoolCoarsener::Forward(const Tensor& h,
   Tensor ortho_loss =
       Sqrt(AddScalar(ReduceSumAll(Square(Sub(normalized, target))), 1e-12f));
 
-  last_aux_loss_ = Add(cut_loss, ortho_loss);
-  return result;
+  return Add(cut_loss, ortho_loss);
 }
 
 void MinCutPoolCoarsener::CollectParameters(std::vector<Tensor>* out) const {

@@ -12,8 +12,9 @@ namespace hap {
 /// top of the task loss,
 ///   L_cut   = -Tr(Sᵀ A S) / Tr(Sᵀ D S)            (relaxed normalised cut)
 ///   L_ortho = ‖SᵀS/‖SᵀS‖_F − I/√k‖_F              (balanced clusters),
-/// while H' = SᵀH, A' = SᵀAS like DiffPool. Call auxiliary_loss() right
-/// after Forward() and add it to the task loss.
+/// while H' = SᵀH, A' = SᵀAS like DiffPool. Forward() computes only H' and
+/// A'; a trainer that optimises the clustering objective adds
+/// AuxiliaryLoss() to its task loss.
 class MinCutPoolCoarsener : public Coarsener {
  public:
   MinCutPoolCoarsener(int in_features, int num_clusters, Rng* rng);
@@ -22,16 +23,20 @@ class MinCutPoolCoarsener : public Coarsener {
                         const GraphLevel& level) const override;
   void CollectParameters(std::vector<Tensor>* out) const override;
 
-  /// Cut + orthogonality regulariser from the most recent Forward().
-  const Tensor& auxiliary_loss() const { return last_aux_loss_; }
+  /// L_cut + L_ortho for the assignment Forward() computes on the same
+  /// `h` and `level`, differentiable with respect to the weights. D is a
+  /// constant of the adjacency's values, so `level` must be dense-backed.
+  Tensor AuxiliaryLoss(const Tensor& h, const GraphLevel& level) const;
 
   int num_clusters() const { return num_clusters_; }
 
  private:
+  /// S = softmax(MLP(H)), (N, k).
+  Tensor Assignment(const Tensor& h) const;
+
   Linear assign1_;
   Linear assign2_;
   int num_clusters_;
-  mutable Tensor last_aux_loss_;
 };
 
 }  // namespace hap

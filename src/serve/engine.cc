@@ -279,17 +279,19 @@ void InferenceEngine::ProcessBatch(std::vector<Request> batch) {
   }
   const std::shared_ptr<const ServedModel>& model = resolved.value();
 
-  // Split the unique graphs into one contiguous chunk per lane (lanes are
-  // independent replicas; a lane never runs two forwards at once) and fan
-  // the chunks across the pool.
+  // Split the unique graphs into contiguous chunks and fan them across the
+  // pool; chunk i runs as lane i on the one shared model. Lanes cap how
+  // many forwards run at once, and so does the pool width: chunks beyond
+  // it would only queue, as smaller batched forwards.
   std::vector<int> predictions(groups.size(), -1);
-  const int lanes = model->lanes();
-  const size_t chunks = std::min(groups.size(), static_cast<size_t>(lanes));
-  // Per-lane tensor pools: a lane runs at most one forward at a time, so
-  // its arena is never contended. Buffers persist across batches; each
-  // batch is an arena "step", allocation-free after the first.
-  while (lane_arenas_.size() < static_cast<size_t>(lanes)) {
-    lane_arenas_.push_back(std::make_shared<TensorArena>());
+  const size_t chunks =
+      std::min({groups.size(), static_cast<size_t>(model->lanes()),
+                static_cast<size_t>(NumThreads())});
+  // Per-chunk tensor pools: chunk i runs one forward per batch, so its
+  // arena is never contended. Buffers persist across batches; each batch
+  // is an arena "step", allocation-free after the first.
+  while (chunk_arenas_.size() < chunks) {
+    chunk_arenas_.push_back(std::make_shared<TensorArena>());
   }
 
   const uint64_t compute_start = metrics ? obs::MonotonicNs() : 0;
@@ -310,11 +312,10 @@ void InferenceEngine::ProcessBatch(std::vector<Request> batch) {
         }
       }
       const uint64_t start = telemetry ? obs::MonotonicNs() : 0;
-      ArenaScope arena_scope(lane_arenas_[static_cast<size_t>(lane)]);
+      ArenaScope arena_scope(chunk_arenas_[static_cast<size_t>(lane)]);
       // Precision is thread-local state, so the scope lives on the pool
       // thread running this lane's forward, not on the batcher.
-      PrecisionScope precision_scope(
-          model->precision(), model->lane_scales(static_cast<int>(lane)));
+      PrecisionScope precision_scope(model->precision(), model->scales());
       std::vector<PreparedGraph> graphs;
       graphs.reserve(hi - lo);
       for (size_t g = lo; g < hi; ++g) {
@@ -336,8 +337,8 @@ void InferenceEngine::ProcessBatch(std::vector<Request> batch) {
         }
       }
     });
-    for (int lane = 0; lane < lanes; ++lane) {
-      lane_arenas_[static_cast<size_t>(lane)]->ResetStep();
+    for (size_t chunk = 0; chunk < chunks; ++chunk) {
+      chunk_arenas_[chunk]->ResetStep();
     }
   } catch (...) {
     auto error = std::current_exception();

@@ -24,8 +24,8 @@ namespace hap::serve {
 /// while keeping the added latency bounded by max_delay_us.
 struct EngineConfig {
   /// Largest micro-batch handed to the compute stage. Its distinct
-  /// graphs are split into one chunk per model lane
-  /// (ServedModelConfig::lanes), and the chunks run in parallel.
+  /// graphs are split into min(distinct graphs, ServedModelConfig::lanes,
+  /// NumThreads()) chunks, which run in parallel on the one model.
   int max_batch = 16;
   /// How long the batcher waits for stragglers after the first request of
   /// a batch before dispatching it anyway.
@@ -59,11 +59,12 @@ struct EngineConfig {
 /// backpressure, engine shut down). A single batcher thread gathers
 /// micro-batches (RequestQueue), coalesces requests that carry the same
 /// prepared graph into one forward whose result fans back out to every
-/// requester, splits the unique graphs into one chunk per model lane, and
-/// runs each chunk through ServedModel::PredictBatched, the lanes in
-/// parallel. Each lane forward runs at the precision the resolved model
-/// was loaded at (ServedModelConfig::precision), with that lane's
-/// pre-quantized scales.
+/// requester, splits the unique graphs into min(unique graphs, model
+/// lanes, pool width) chunks, and runs each chunk through
+/// ServedModel::PredictBatched, the chunks in parallel on the one shared
+/// model. Each chunk forward runs at the precision the resolved model was
+/// loaded at (ServedModelConfig::precision), with its pre-quantized
+/// scales.
 ///
 /// Hot-swap: an engine built over a ModelRegistry re-resolves its model
 /// for every batch, so a Publish/Reload takes effect on the next batch
@@ -130,11 +131,11 @@ class InferenceEngine {
   std::thread batcher_;
   std::mutex shutdown_mu_;  // serialises concurrent Shutdown calls
   std::atomic<bool> shut_down_{false};
-  // One arena per model lane: eval forwards on a lane cycle their tensor
-  // buffers through the lane's pool, so steady-state serving performs no
-  // heap allocation. Sized lazily by ProcessBatch (only the batcher
-  // thread touches it) and grown if a hot-swap raises the lane count.
-  std::vector<std::shared_ptr<TensorArena>> lane_arenas_;
+  // One arena per chunk slot: the forward of a batch's chunk i cycles its
+  // tensor buffers through pool i, so steady-state serving performs no
+  // heap allocation. Grown lazily by ProcessBatch (only the batcher
+  // thread touches it) to the most chunks a batch has run.
+  std::vector<std::shared_ptr<TensorArena>> chunk_arenas_;
   // Per-request JSONL access log (EngineConfig::access_log_path).
   // Written only by the batcher thread; closed by Shutdown.
   std::FILE* access_log_ = nullptr;

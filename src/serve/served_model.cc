@@ -20,29 +20,22 @@ StatusOr<std::shared_ptr<const ServedModel>> ServedModel::Load(
         "feature_dim, hidden, num_classes and lanes must be positive");
   }
   auto model = std::shared_ptr<ServedModel>(new ServedModel(config));
-  for (int lane = 0; lane < config.lanes; ++lane) {
-    // The init seed is irrelevant: every weight is overwritten by the
-    // checkpoint, which also verifies the architecture shape-by-shape.
-    Rng rng(1);
-    auto replica = std::make_unique<GraphClassifier>(
-        MakeEmbedderByName(config.method, config.feature_dim, config.hidden,
-                           &rng),
-        config.num_classes, config.hidden, &rng);
-    // Lane 0 also captures the checkpoint's v2 scale section (if any);
-    // the entries are index-keyed, so one read serves every lane.
-    std::vector<QuantScaleEntry>* scales_out =
-        lane == 0 ? &model->scale_entries_ : nullptr;
-    if (Status s = LoadModule(replica.get(), checkpoint_path, scales_out);
-        !s.ok()) {
-      return Status(s.code(), "loading '" + checkpoint_path +
-                                  "' for method " + config.method + ": " +
-                                  s.message());
-    }
-    replica->set_training(false);
-    replica->set_coarsen_mode(config.coarsen_mode, config.topk);
-    model->replicas_.push_back(std::move(replica));
+  // The init seed is irrelevant: every weight is overwritten by the
+  // checkpoint, which also verifies the architecture shape-by-shape and
+  // hands over its v2 scale section (if any).
+  Rng rng(1);
+  model->classifier_ = std::make_unique<GraphClassifier>(
+      MakeEmbedderByName(config.method, config.feature_dim, config.hidden,
+                         &rng),
+      config.num_classes, config.hidden, &rng);
+  if (Status s = LoadModule(model->classifier_.get(), checkpoint_path,
+                            &model->scale_entries_);
+      !s.ok()) {
+    return Status(s.code(), "loading '" + checkpoint_path + "' for method " +
+                                config.method + ": " + s.message());
   }
-  model->num_parameters_ = model->replicas_[0]->NumParameters();
+  model->classifier_->set_training(false);
+  model->classifier_->set_coarsen_mode(config.coarsen_mode, config.topk);
   if (config.precision == Precision::kInt8) {
     if (model->scale_entries_.empty() && !config.calibration_graphs.empty()) {
       // Checkpoint carries no scales: calibrate activation absmax on the
@@ -53,27 +46,18 @@ StatusOr<std::shared_ptr<const ServedModel>> ServedModel::Load(
         if (Status s = model->ValidateRequest(graph); !s.ok()) {
           return Status(s.code(), "calibration graph: " + s.message());
         }
-        (void)model->replicas_[0]->Predict(graph);
+        (void)model->classifier_->Predict(graph);
       }
       model->scale_entries_ =
-          observer.Entries(model->replicas_[0]->Parameters());
+          observer.Entries(model->classifier_->Parameters());
     }
-    // Pre-quantize every lane's weight panels once, at load time. With no
-    // entries at all (no checkpoint scales, no calibration sample) the
-    // per-lane tables stay empty and every GEMM quantizes dynamically.
-    for (int lane = 0; lane < config.lanes; ++lane) {
-      model->lane_scales_.push_back(QuantScales::Build(
-          model->scale_entries_, model->replicas_[lane]->Parameters()));
-    }
+    // Pre-quantize the weight panels once, at load time. With no entries
+    // at all (no checkpoint scales, no calibration sample) the table stays
+    // empty and every GEMM quantizes dynamically.
+    model->scales_ = QuantScales::Build(model->scale_entries_,
+                                        model->classifier_->Parameters());
   }
   return std::shared_ptr<const ServedModel>(std::move(model));
-}
-
-const QuantScales* ServedModel::lane_scales(int lane) const {
-  if (lane_scales_.empty()) return nullptr;
-  HAP_CHECK_GE(lane, 0);
-  HAP_CHECK_LT(lane, static_cast<int>(lane_scales_.size()));
-  return &lane_scales_[lane];
 }
 
 Status ServedModel::ValidateRequest(const PreparedGraph& graph) const {
@@ -104,7 +88,7 @@ Status ServedModel::ValidateRequest(const PreparedGraph& graph) const {
 int ServedModel::Predict(const PreparedGraph& graph, int lane) const {
   HAP_CHECK_GE(lane, 0);
   HAP_CHECK_LT(lane, lanes());
-  return replicas_[lane]->Predict(graph);
+  return classifier_->Predict(graph);
 }
 
 std::vector<int> ServedModel::PredictBatched(
@@ -112,14 +96,13 @@ std::vector<int> ServedModel::PredictBatched(
   HAP_CHECK_GE(lane, 0);
   HAP_CHECK_LT(lane, lanes());
   HAP_CHECK(!graphs.empty());
-  const GraphClassifier& replica = *replicas_[lane];
-  if (!replica.SupportsBatched()) {
+  if (!classifier_->SupportsBatched()) {
     // No batched mirror (attention readouts, baseline coarseners): run
-    // the chunk graph by graph on this lane.
+    // the chunk graph by graph.
     std::vector<int> predictions;
     predictions.reserve(graphs.size());
     for (const PreparedGraph& graph : graphs) {
-      predictions.push_back(replica.Predict(graph));
+      predictions.push_back(classifier_->Predict(graph));
     }
     return predictions;
   }
@@ -134,7 +117,7 @@ std::vector<int> ServedModel::PredictBatched(
     features.push_back(graph.h);
     levels.push_back(graph.level);
   }
-  return replica.PredictBatched(BatchGraphs(features, levels));
+  return classifier_->PredictBatched(BatchGraphs(features, levels));
 }
 
 }  // namespace hap::serve

@@ -2,6 +2,7 @@
 #define HAP_SERVE_SERVED_MODEL_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,13 +21,13 @@ struct ServedModelConfig {
   int feature_dim = 0;
   int hidden = 32;
   int num_classes = 2;
-  /// Independent model replicas. Forwards mutate per-module scratch state
-  /// (e.g. CoarseningModule's attention snapshot), so one replica must
-  /// never run two forwards at once; distinct lanes are fully isolated.
+  /// Concurrency cap: the InferenceEngine runs at most this many forwards
+  /// of one batch at once. Every lane runs the one loaded model, whose
+  /// eval forwards write no module state, so lanes cost no memory.
   int lanes = 1;
   /// How hierarchical coarseners compute A' = MᵀAM (docs/SPARSE.md);
-  /// applied to every lane at load time. The default keeps the
-  /// bit-deterministic dense product.
+  /// applied at load time. The default keeps the bit-deterministic dense
+  /// product.
   CoarsenMode coarsen_mode = CoarsenMode::kDense;
   /// Per-row assignment budget for the top-k sparse path; <= 0 keeps the
   /// model's configured default.
@@ -45,15 +46,16 @@ struct ServedModelConfig {
   std::vector<PreparedGraph> calibration_graphs;
 };
 
-/// An immutable, eval-mode model loaded from a checkpoint. Instances are
-/// shared (shared_ptr<const ServedModel>) between the registry and every
+/// An immutable, eval-mode model loaded from a checkpoint: one set of
+/// weights, read by any number of threads at once. Instances are shared
+/// (shared_ptr<const ServedModel>) between the registry and every
 /// in-flight batch, so a hot-swap never destroys a model that a batch is
 /// still using.
 class ServedModel {
  public:
   /// Builds the architecture described by `config` and loads `checkpoint`
-  /// into every lane. Fails (without partial effects) on unknown method
-  /// names, unreadable files, and corrupt or mismatched checkpoints.
+  /// into it. Fails (without partial effects) on unknown method names,
+  /// unreadable files, and corrupt or mismatched checkpoints.
   static StatusOr<std::shared_ptr<const ServedModel>> Load(
       const ServedModelConfig& config, const std::string& checkpoint_path);
 
@@ -64,35 +66,37 @@ class ServedModel {
   /// InvalidArgument instead of tripping a CHECK inside the kernels.
   Status ValidateRequest(const PreparedGraph& graph) const;
 
-  /// Arg-max class prediction on lane `lane` (0 <= lane < lanes()).
-  /// Deterministic: eval mode disables Gumbel noise, so the result is
-  /// independent of lane and thread count. The caller must serialise
-  /// calls on the same lane; distinct lanes are independent.
+  /// Arg-max class prediction. `lane` (0 <= lane < lanes()) names the
+  /// caller's concurrency slot and is range-checked only: every lane runs
+  /// the same weights. Deterministic: eval mode disables Gumbel noise, so
+  /// the result is independent of lane and thread count. Safe to call
+  /// from any number of threads at once.
   int Predict(const PreparedGraph& graph, int lane) const;
 
-  /// Predictions for a micro-batch of distinct graphs on lane `lane`: one
-  /// batched forward (docs/BATCHING.md) when the architecture has a
-  /// batched mirror, else one Predict per graph. In fp32 the result is
-  /// bit-identical to calling Predict on each graph alone; under int8 a
-  /// fused GEMM may take the int8 kernel for the batch's total rows, so
-  /// predictions can depend on batch composition. Counts
-  /// serve.batched_forwards.total when the batched forward ran. The same
-  /// per-lane serialisation rule as Predict applies.
+  /// Predictions for a micro-batch of distinct graphs: one batched forward
+  /// (docs/BATCHING.md) when the architecture has a batched mirror, else
+  /// one Predict per graph. In fp32 the result is bit-identical to calling
+  /// Predict on each graph alone; under int8 a fused GEMM may take the
+  /// int8 kernel for the batch's total rows, so predictions can depend on
+  /// batch composition. Counts serve.batched_forwards.total when the
+  /// batched forward ran. `lane` and thread safety as for Predict.
   std::vector<int> PredictBatched(const std::vector<PreparedGraph>& graphs,
                                   int lane) const;
 
-  int lanes() const { return static_cast<int>(replicas_.size()); }
+  int lanes() const { return config_.lanes; }
   const ServedModelConfig& config() const { return config_; }
-  int64_t num_parameters() const { return num_parameters_; }
+  int64_t num_parameters() const { return classifier_->NumParameters(); }
 
   /// The precision this model was prepared for at load time.
   Precision precision() const { return config_.precision; }
-  /// Pre-quantized weight panels for lane `lane`, or nullptr when the
-  /// model was prepared at fp32 (no scales needed). Callers install
-  /// these via PrecisionScope on the thread running the lane forward.
-  const QuantScales* lane_scales(int lane) const;
-  /// The index-keyed scale entries backing lane_scales (for inspection
-  /// and re-serialization; empty unless precision == int8).
+  /// Pre-quantized weight panels, or nullptr when the model was prepared
+  /// at fp32 (no scales needed). Callers install them via PrecisionScope
+  /// on each thread that runs a forward.
+  const QuantScales* scales() const {
+    return scales_.has_value() ? &*scales_ : nullptr;
+  }
+  /// The index-keyed scale entries backing scales() (for inspection and
+  /// re-serialization; empty unless precision == int8).
   const std::vector<QuantScaleEntry>& scale_entries() const {
     return scale_entries_;
   }
@@ -101,13 +105,11 @@ class ServedModel {
   explicit ServedModel(ServedModelConfig config) : config_(std::move(config)) {}
 
   ServedModelConfig config_;
-  std::vector<std::unique_ptr<GraphClassifier>> replicas_;
-  /// One QuantScales per replica (same order), built from scale_entries_;
-  /// empty unless config_.precision == int8. Replicas hold distinct
-  /// weight tensors, so each lane binds the entries to its own pointers.
-  std::vector<QuantScales> lane_scales_;
+  std::unique_ptr<GraphClassifier> classifier_;
+  /// scale_entries_ bound to classifier_'s weights; set only when
+  /// config_.precision == int8.
+  std::optional<QuantScales> scales_;
   std::vector<QuantScaleEntry> scale_entries_;
-  int64_t num_parameters_ = 0;
 };
 
 }  // namespace hap::serve

@@ -1,7 +1,7 @@
 // Reduced-precision inference support: the eval-only Precision knob, the
 // calibration observer that harvests activation ranges from held-out
-// forwards, and the per-replica quantized-weight store the serving path
-// installs around each lane forward.
+// forwards, and the per-model quantized-weight store the serving path
+// installs around each forward.
 //
 // Design (docs/PERFORMANCE.md "Reduced-precision inference"):
 //  * Precision{fp32,int8} selects the MatMul forward kernel family
@@ -16,7 +16,7 @@
 //  * Calibration keys observations by the *weight* operand's TensorImpl
 //    and serializes them as index entries against the module's
 //    deterministic Parameters() order, so scales survive checkpointing
-//    and can be re-bound to any replica's distinct weight tensors. Only
+//    and can be re-bound to any loaded copy's distinct weight tensors. Only
 //    weights whose shape can dispatch int8 are observed
 //    (kernels::WeightShapeAdmitsInt8); an entry for any other weight is
 //    packed but never looked up.
@@ -53,7 +53,7 @@ const char* PrecisionName(Precision precision);
 
 /// One calibrated MatMul site, keyed by the weight's position in the
 /// module's deterministic Parameters() order (the serialization format —
-/// replica weight pointers differ, indices do not). act_absmax == 0 means
+/// weight pointers differ between loads, indices do not). act_absmax == 0 means
 /// "no activation observed here": the kernel falls back to dynamic
 /// per-call activation quantization.
 struct QuantScaleEntry {
@@ -75,14 +75,14 @@ struct WeightQuant {
   std::vector<int16_t> packed; // n * RoundUpK(k) values, transposed + padded
 };
 
-/// Immutable per-replica store mapping a weight TensorImpl to its
+/// Immutable per-model store mapping a weight TensorImpl to its
 /// pre-quantized panels. Built once at model load; read concurrently by
-/// lane threads without synchronisation.
+/// every serving thread without synchronisation.
 class QuantScales {
  public:
   QuantScales() = default;
 
-  /// Binds `entries` to this replica's parameter list (the same
+  /// Binds `entries` to a model's parameter list (the same
   /// deterministic order the entries were produced against) and packs
   /// each referenced weight. Entries whose index is out of range are
   /// ignored (a checkpoint from a different architecture fails shape
@@ -143,7 +143,7 @@ class CalibrationObserver {
   void Record(const void* weight_impl, float act_absmax);
 
   /// Converts observations into index entries against `params` (the same
-  /// replica the calibration forwards ran on). Weight absmax is computed
+  /// model the calibration forwards ran on). Weight absmax is computed
   /// here, from the weight data itself. Sites whose weight is not in
   /// `params` are dropped. Entries are sorted by param_index.
   std::vector<QuantScaleEntry> Entries(

@@ -452,30 +452,6 @@ Tensor AssignmentTransposeMatMul(const SparseAssignment& m, const Tensor& x) {
   return out;
 }
 
-Tensor AssignmentColumnSums(const SparseAssignment& m) {
-  BackwardFn backward;
-  if (WillTape(m.values)) {
-    backward = [pattern = m.pattern](internal::TensorImpl& node) {
-      internal::TensorImpl& pv = *node.parents[0];
-      pv.EnsureGrad();
-      for (size_t i = 0; i < pattern->col_idx.size(); ++i) {
-        pv.grad[i] += node.grad[pattern->col_idx[i]];
-      }
-    };
-  }
-  Tensor out = MakeOpResult(m.cols(), 1, {m.values}, std::move(backward));
-  // Storage order is row-major, so each column's entries arrive in
-  // ascending row order.
-  std::vector<double> sums(m.cols(), 0.0);
-  const std::vector<int>& col_idx = m.pattern->col_idx;
-  for (size_t i = 0; i < col_idx.size(); ++i) {
-    sums[col_idx[i]] += m.values.data()[i];
-  }
-  float* o = out.mutable_data();
-  for (int c = 0; c < m.cols(); ++c) o[c] = static_cast<float>(sums[c]);
-  return out;
-}
-
 Tensor CsrCoarsenAdjacency(const CsrMatrix& a, const SparseAssignment& m) {
   HAP_CHECK_EQ(a.rows(), a.cols());
   HAP_CHECK_EQ(a.rows(), m.rows());

@@ -147,12 +147,6 @@ SparseAssignment TopKAssignment(const Tensor& m, int k);
 /// scatter does. Differentiable with respect to M's values and X.
 Tensor AssignmentTransposeMatMul(const SparseAssignment& m, const Tensor& x);
 
-/// Column sums of an assignment M(n, c) -> (c, 1), accumulated in double
-/// in ascending row order: bit-identical to
-/// ReduceSumCols(Transpose(dense M)). Differentiable with respect to
-/// M's values.
-Tensor AssignmentColumnSums(const SparseAssignment& m);
-
 /// Fused coarsened adjacency A' = Mᵀ A M -> (c, c) for a CSR A(n,n) and a
 /// sparse assignment M(n,c), in O(nnz(A) * k²) where k is the max
 /// nonzeros per row of M. Neither the dense (n,c) intermediate A·M nor any

@@ -131,8 +131,9 @@ std::unique_ptr<GraphEmbedder> MakeEmbedderByName(const std::string& name,
                      std::make_unique<StructPoolCoarsener>(hidden, 1, rng));
   }
   if (name == "MinCutPool") {
-    // Auxiliary cut/ortho losses are exposed by the coarsener but the
-    // generic classification head trains on the task loss alone here.
+    // The generic classification head trains on the task loss alone;
+    // MinCutPoolCoarsener::AuxiliaryLoss (the cut/orthogonality terms) is
+    // computed only by a caller that adds it, never by Forward.
     return Hierarchy(feature_dim, hidden, rng,
                      std::make_unique<MinCutPoolCoarsener>(hidden, 8, rng),
                      std::make_unique<MinCutPoolCoarsener>(hidden, 1, rng));

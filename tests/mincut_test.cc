@@ -14,22 +14,29 @@ TEST(MinCutPoolTest, ShapesAndAuxLoss) {
   Rng rng(1);
   Graph g = ConnectedErdosRenyi(10, 0.4, &rng);
   MinCutPoolCoarsener pool(6, 3, &rng);
-  CoarsenResult result =
-      pool.Forward(Tensor::Randn(10, 6, &rng), GraphLevel(g.AdjacencyMatrix()));
+  const Tensor h = Tensor::Randn(10, 6, &rng);
+  const GraphLevel level(g.AdjacencyMatrix());
+  CoarsenResult result = pool.Forward(h, level);
   EXPECT_EQ(result.h.rows(), 3);
   EXPECT_EQ(result.level.adjacency().rows(), 3);
-  const Tensor& aux = pool.auxiliary_loss();
+  const Tensor aux = pool.AuxiliaryLoss(h, level);
   ASSERT_TRUE(aux.defined());
   EXPECT_TRUE(std::isfinite(aux.Item()));
+  // Balanced, fully within-cluster assignments would reach -1; any
+  // assignment keeps the cut term in [-1, 0] and the orthogonality term
+  // non-negative.
+  EXPECT_GE(aux.Item(), -1.0f - 1e-5f);
 }
 
 TEST(MinCutPoolTest, AuxLossIsDifferentiable) {
   Rng rng(2);
   Graph g = ConnectedErdosRenyi(8, 0.5, &rng);
   MinCutPoolCoarsener pool(4, 3, &rng);
-  CoarsenResult result =
-      pool.Forward(Tensor::Randn(8, 4, &rng), GraphLevel(g.AdjacencyMatrix()));
-  Tensor total = Add(ReduceSumAll(Square(result.h)), pool.auxiliary_loss());
+  const Tensor h = Tensor::Randn(8, 4, &rng);
+  const GraphLevel level(g.AdjacencyMatrix());
+  CoarsenResult result = pool.Forward(h, level);
+  Tensor total =
+      Add(ReduceSumAll(Square(result.h)), pool.AuxiliaryLoss(h, level));
   total.Backward();
   for (const Tensor& p : pool.Parameters()) {
     bool any = false;
@@ -46,14 +53,12 @@ TEST(MinCutPoolTest, CutLossPrefersCommunityAlignedAssignment) {
   Tensor h(16, 2);
   for (int u = 0; u < 16; ++u) h.Set(u, g.node_label(u), 1.0f);
   MinCutPoolCoarsener pool(2, 2, &rng);
-  Tensor adjacency = g.AdjacencyMatrix();
-  pool.Forward(h, GraphLevel(adjacency));
-  const float initial = pool.auxiliary_loss().Item();
+  const GraphLevel level(g.AdjacencyMatrix());
+  const float initial = pool.AuxiliaryLoss(h, level).Item();
   // A few optimisation steps on the aux objective alone.
   std::vector<Tensor> params = pool.Parameters();
   for (int step = 0; step < 60; ++step) {
-    pool.Forward(h, GraphLevel(adjacency));
-    Tensor loss = pool.auxiliary_loss();
+    Tensor loss = pool.AuxiliaryLoss(h, level);
     loss.Backward();
     for (Tensor& p : params) {
       float* data = p.mutable_data();
@@ -61,8 +66,7 @@ TEST(MinCutPoolTest, CutLossPrefersCommunityAlignedAssignment) {
       p.ZeroGrad();
     }
   }
-  pool.Forward(h, GraphLevel(adjacency));
-  EXPECT_LT(pool.auxiliary_loss().Item(), initial);
+  EXPECT_LT(pool.AuxiliaryLoss(h, level).Item(), initial);
 }
 
 TEST(MinCutPoolTest, WorksAsHierarchyStage) {

@@ -172,10 +172,11 @@ TEST(AttPoolTest, GlobalAndLocalModes) {
 TEST(DiffPoolTest, FixedClusterCountAndAssignmentRows) {
   Fixture f;
   DiffPoolCoarsener pool(6, 3, &f.rng);
-  CoarsenResult result = pool.Forward(f.h, GraphLevel(f.adj));
+  const GraphLevel level(f.adj);
+  CoarsenResult result = pool.Forward(f.h, level);
   EXPECT_EQ(result.h.rows(), 3);
   EXPECT_EQ(result.level.adjacency().rows(), 3);
-  const Tensor& s = pool.last_assignment();
+  const Tensor s = pool.Assignment(f.h, level);
   EXPECT_EQ(s.rows(), 10);
   EXPECT_EQ(s.cols(), 3);
   for (int r = 0; r < 10; ++r) {
@@ -183,6 +184,9 @@ TEST(DiffPoolTest, FixedClusterCountAndAssignmentRows) {
     for (int c = 0; c < 3; ++c) sum += s.At(r, c);
     EXPECT_NEAR(sum, 1.0f, 1e-5);
   }
+  // Forward pools with exactly this assignment: A' = SᵀAS.
+  const Tensor coarse_adj = MatMul(Transpose(s), level.Aggregate(s));
+  EXPECT_EQ(result.level.adjacency().values(), coarse_adj.values());
 }
 
 TEST(AsapTest, CoarsensWithSoftMembership) {

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <memory>
 #include <iterator>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,6 +46,18 @@ std::string WriteCheckpoint(const ServedModelConfig& config,
   return path;
 }
 
+/// A weight seed per fixture method whose untrained model predicts each
+/// class for 12 of the fixture's 24 graphs. Most seeds make a hidden-8
+/// model answer one class for every graph, and then a request resolved
+/// with another graph's answer would still look right. No one seed splits
+/// all five methods.
+uint64_t SplittingSeed(const std::string& method) {
+  static const std::map<std::string, uint64_t> kSeeds = {
+      {"HAP", 23},      {"MeanAttPool", 112}, {"SAGPool", 268},
+      {"DiffPool", 238}, {"MinCutPool", 332}};
+  return kSeeds.at(method);
+}
+
 struct ServeFixture {
   ServedModelConfig config;
   GraphDataset dataset;
@@ -53,8 +66,7 @@ struct ServeFixture {
   std::shared_ptr<const ServedModel> model;
   std::vector<int> direct;  // model's own single-graph predictions
 
-  explicit ServeFixture(int lanes = 4, uint64_t weight_seed = 21,
-                        const std::string& method = "HAP") {
+  explicit ServeFixture(int lanes = 4, const std::string& method = "HAP") {
     Rng rng(3);
     dataset = MakeMutagLike(24, &rng);
     prepared = PrepareDataset(dataset);
@@ -63,11 +75,16 @@ struct ServeFixture {
     config.hidden = 8;
     config.num_classes = dataset.num_classes;
     config.lanes = lanes;
-    checkpoint = WriteCheckpoint(config, "serve_fixture.bin", weight_seed);
+    checkpoint =
+        WriteCheckpoint(config, "serve_fixture.bin", SplittingSeed(method));
     model = ServedModel::Load(config, checkpoint).value();
     for (const PreparedGraph& g : prepared) {
       direct.push_back(model->Predict(g, 0));
     }
+    const auto ones = std::count(direct.begin(), direct.end(), 1);
+    EXPECT_GT(ones, 0) << method << " predicts class 0 for every graph";
+    EXPECT_LT(ones, static_cast<int64_t>(direct.size()))
+        << method << " predicts class 1 for every graph";
   }
 };
 
@@ -88,7 +105,7 @@ TEST(ServedModelTest, LoadRejectsBadInputs) {
 
 TEST(ServeEngineTest, PredictionsMatchDirectForwardAtAnyThreadCount) {
   ServeFixture fx;
-  for (int threads : {1, 2}) {
+  for (int threads : {1, 4}) {
     SetNumThreads(threads);
     InferenceEngine engine(fx.model, EngineConfig{});
     std::vector<std::future<int>> futures;
@@ -258,9 +275,8 @@ TEST(ServeEngineTest, ServesHandBuiltLevels) {
 TEST(ServeEngineTest, KeepsSharedFeaturesWithDistinctLevelsApart) {
   // Coalescing keys on the features buffer and the level together: two
   // requests in one batch that share one h but carry different structure
-  // each run their own forward and resolve to their own prediction. These
-  // weights predict both classes on the fixture's graphs.
-  ServeFixture fx(/*lanes=*/4, /*weight_seed=*/23);
+  // each run their own forward and resolve to their own prediction.
+  ServeFixture fx;
   const PreparedGraph& base = fx.prepared[0];
   const int n = base.h.rows();
   // A level over the same nodes whose prediction differs, so a merged pair
@@ -359,7 +375,7 @@ TEST(ServeEngineTest, ArchitecturesWithoutBatchedMirrorServePerGraph) {
   // batched mirror: PredictBatched runs each lane chunk graph by graph,
   // and no batched forward is counted.
   for (const char* method : {"MeanAttPool", "SAGPool"}) {
-    ServeFixture fx(/*lanes=*/2, /*weight_seed=*/21, method);
+    ServeFixture fx(/*lanes=*/2, method);
     const uint64_t batched_before =
         obs::CounterValue(obs::names::kServeBatchedForwards);
     EngineConfig config;
@@ -379,6 +395,37 @@ TEST(ServeEngineTest, ArchitecturesWithoutBatchedMirrorServePerGraph) {
     EXPECT_EQ(obs::CounterValue(obs::names::kServeBatchedForwards),
               batched_before)
         << method;
+  }
+}
+
+TEST(ServedModelTest, LanesPredictConcurrentlyOnOneModel) {
+  // Every lane runs the one loaded model. `lanes` threads call Predict at
+  // once, each walking the graphs from its own offset so different graphs
+  // are in flight together; every answer must equal the serial forward.
+  // The fixture's weights predict both classes, so an answer crossed
+  // between graphs would show.
+  for (const char* method : {"HAP", "DiffPool", "MinCutPool"}) {
+    SCOPED_TRACE(method);
+    ServeFixture fx(/*lanes=*/4, method);
+    const int lanes = fx.model->lanes();
+    const int n = static_cast<int>(fx.prepared.size());
+    std::vector<std::vector<int>> answers(lanes, std::vector<int>(n, -1));
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int lane = 0; lane < lanes; ++lane) {
+      threads.emplace_back([&, lane] {
+        ready.fetch_add(1);
+        while (ready.load() < lanes) std::this_thread::yield();
+        for (int i = 0; i < n; ++i) {
+          const int g = (i + lane * n / lanes) % n;
+          answers[lane][g] = fx.model->Predict(fx.prepared[g], lane);
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    for (int lane = 0; lane < lanes; ++lane) {
+      EXPECT_EQ(answers[lane], fx.direct) << "lane " << lane;
+    }
   }
 }
 

@@ -86,30 +86,20 @@ struct Products {
   Tensor adj;
 };
 
-Tensor MassNormalized(const Tensor& mt_h, const Tensor& column_mass) {
-  Tensor mass = ClampMin(column_mass, 1e-9f);
-  return ScaleRows(mt_h, Div(Tensor::Ones(mass.rows(), 1), mass));
-}
-
-Products CsrPath(const CsrMatrix& a, const Tensor& m, const Tensor& h, int k,
-                 bool normalize_mass) {
+Products CsrPath(const CsrMatrix& a, const Tensor& m, const Tensor& h,
+                 int k) {
   const SparseAssignment m_k = TopKAssignment(m, k);
   Products out;
   out.h = AssignmentTransposeMatMul(m_k, h);
-  if (normalize_mass) {
-    out.h = MassNormalized(out.h, AssignmentColumnSums(m_k));
-  }
   out.adj = CsrCoarsenAdjacency(a, m_k);
   return out;
 }
 
 Products ComposedPath(const CsrMatrix& a, const Tensor& m, const Tensor& h,
-                      int k, bool normalize_mass) {
+                      int k) {
   const Tensor m_k = ComposedTopK(m, k);
-  const Tensor m_t = Transpose(m_k);
   Products out;
-  out.h = MatMul(m_t, h);
-  if (normalize_mass) out.h = MassNormalized(out.h, ReduceSumCols(m_t));
+  out.h = MatMul(Transpose(m_k), h);
   out.adj = ComposedCsrCoarsen(a, m_k);
   return out;
 }
@@ -235,20 +225,17 @@ TEST(SparseCoarsenPathTest, ForwardBitEqualToComposedReference) {
   const Tensor m = EdgeCaseAssignment(n, c, &rng);
   const Tensor h = Tensor::Randn(n, 5, &rng);
   for (int k : {1, 2, c - 1, c, c + 3}) {
-    for (bool normalize : {false, true}) {
-      SCOPED_TRACE("k=" + std::to_string(k) +
-                   " normalize=" + std::to_string(normalize));
-      const Products reference = ComposedPath(adjacency, m, h, k, normalize);
-      const Products sparse = CsrPath(adjacency, m, h, k, normalize);
-      EXPECT_TRUE(BitEqual(sparse.h, reference.h));
-      EXPECT_TRUE(BitEqual(sparse.adj, reference.adj));
-      // Same bits when the products land on the tape.
-      const Tensor m_taped = m.Detach().set_requires_grad(true);
-      const Products taped = CsrPath(adjacency, m_taped, h, k, normalize);
-      EXPECT_TRUE(taped.adj.requires_grad());
-      EXPECT_TRUE(BitEqual(taped.h, sparse.h));
-      EXPECT_TRUE(BitEqual(taped.adj, sparse.adj));
-    }
+    SCOPED_TRACE("k=" + std::to_string(k));
+    const Products reference = ComposedPath(adjacency, m, h, k);
+    const Products sparse = CsrPath(adjacency, m, h, k);
+    EXPECT_TRUE(BitEqual(sparse.h, reference.h));
+    EXPECT_TRUE(BitEqual(sparse.adj, reference.adj));
+    // Same bits when the products land on the tape.
+    const Tensor m_taped = m.Detach().set_requires_grad(true);
+    const Products taped = CsrPath(adjacency, m_taped, h, k);
+    EXPECT_TRUE(taped.adj.requires_grad());
+    EXPECT_TRUE(BitEqual(taped.h, sparse.h));
+    EXPECT_TRUE(BitEqual(taped.adj, sparse.adj));
   }
 }
 
@@ -271,29 +258,23 @@ TEST(SparseCoarsenPathTest, GradientsMatchComposedReference) {
     return std::abs(got - want) <= 1e-5f * std::max(1.0f, std::abs(want));
   };
   for (int k : {1, 2, c - 1, c}) {
-    for (bool normalize : {false, true}) {
-      SCOPED_TRACE("k=" + std::to_string(k) +
-                   " normalize=" + std::to_string(normalize));
-      Tensor m_sparse = m.Detach().set_requires_grad(true);
-      Tensor h_sparse = h.Detach().set_requires_grad(true);
-      const Products sparse = CsrPath(csr, m_sparse, h_sparse, k, normalize);
-      loss(sparse.h, sparse.adj).Backward();
+    SCOPED_TRACE("k=" + std::to_string(k));
+    Tensor m_sparse = m.Detach().set_requires_grad(true);
+    Tensor h_sparse = h.Detach().set_requires_grad(true);
+    const Products sparse = CsrPath(csr, m_sparse, h_sparse, k);
+    loss(sparse.h, sparse.adj).Backward();
 
-      Tensor m_ref = m.Detach().set_requires_grad(true);
-      Tensor h_ref = h.Detach().set_requires_grad(true);
-      const Tensor m_k = ComposedTopK(m_ref, k);
-      Tensor h_out = MatMul(Transpose(m_k), h_ref);
-      if (normalize) {
-        h_out = MassNormalized(h_out, ReduceSumCols(Transpose(m_k)));
-      }
-      loss(h_out, DenseCoarsen(dense_a, m_k)).Backward();
+    Tensor m_ref = m.Detach().set_requires_grad(true);
+    Tensor h_ref = h.Detach().set_requires_grad(true);
+    const Tensor m_k = ComposedTopK(m_ref, k);
+    loss(MatMul(Transpose(m_k), h_ref), DenseCoarsen(dense_a, m_k))
+        .Backward();
 
-      for (int64_t i = 0; i < m.size(); ++i) {
-        EXPECT_PRED2(near, m_sparse.grad()[i], m_ref.grad()[i]);
-      }
-      for (int64_t i = 0; i < h.size(); ++i) {
-        EXPECT_PRED2(near, h_sparse.grad()[i], h_ref.grad()[i]);
-      }
+    for (int64_t i = 0; i < m.size(); ++i) {
+      EXPECT_PRED2(near, m_sparse.grad()[i], m_ref.grad()[i]);
+    }
+    for (int64_t i = 0; i < h.size(); ++i) {
+      EXPECT_PRED2(near, h_sparse.grad()[i], h_ref.grad()[i]);
     }
   }
 }
@@ -307,13 +288,12 @@ TEST(SparseCoarsenPathTest, UntapedSparseProductsBuildNoClosure) {
     const SparseAssignment a = TopKAssignment(m, 2);
     const std::vector<Tensor> outs = {
         SpMatMul(csr, x), CsrTransposeMatMul(csr, x), a.values,
-        AssignmentTransposeMatMul(a, x), AssignmentColumnSums(a),
-        CsrCoarsenAdjacency(csr, a)};
+        AssignmentTransposeMatMul(a, x), CsrCoarsenAdjacency(csr, a)};
     int count = 0;
     for (const Tensor& t : outs) count += t.impl().backward_fn ? 1 : 0;
     return count;
   };
-  EXPECT_EQ(closures(), 6);
+  EXPECT_EQ(closures(), 5);
   NoGradGuard no_grad;
   EXPECT_EQ(closures(), 0);
 }
@@ -350,8 +330,7 @@ TEST(AssignmentTransposeMatMulTest, GradientMatchesNumerical) {
   GradCheckResult result = CheckGradients(
       [&](const std::vector<Tensor>& in) {
         SparseAssignment a = TopKAssignment(in[0], 3);
-        return Add(ReduceSumAll(Square(AssignmentTransposeMatMul(a, in[1]))),
-                   ReduceSumAll(Square(AssignmentColumnSums(a))));
+        return ReduceSumAll(Square(AssignmentTransposeMatMul(a, in[1])));
       },
       {Tensor::Randn(6, 3, &rng, 1.0f, /*requires_grad=*/true), h});
   EXPECT_TRUE(result.ok) << result.max_rel_error;
@@ -536,31 +515,26 @@ TEST(CoarsenModeTest, TopkModeBitEqualToComposedReference) {
   const Tensor h = Tensor::Randn(12, 6, &data_rng);
   const int clusters = SmallConfig().num_clusters;
   for (int k : {1, 2, clusters - 1}) {
-    for (bool normalize : {false, true}) {
-      for (bool taped : {false, true}) {
-        SCOPED_TRACE("k=" + std::to_string(k) + " normalize=" +
-                     std::to_string(normalize) +
-                     " taped=" + std::to_string(taped));
-        CoarseningConfig config = SmallConfig();
-        config.normalize_cluster_mass = normalize;
-        Rng rng(14);
-        CoarseningModule module(config, &rng);
-        module.set_training(false);
-        module.set_coarsen_mode(CoarsenMode::kTopkSparse, k);
-        CoarsenResult sparse;
-        if (taped) {
-          sparse = module.Forward(h, level);
-          ASSERT_TRUE(sparse.level.adjacency().requires_grad());
-        } else {
-          NoGradGuard no_grad;
-          sparse = module.Forward(h, level);
-        }
-        // Reference: the same attention through the composed chain.
-        const Products reference =
-            ComposedPath(csr, module.last_attention(), h, k, normalize);
-        EXPECT_TRUE(BitEqual(sparse.h, reference.h));
-        EXPECT_TRUE(BitEqual(sparse.level.adjacency(), reference.adj));
+    for (bool taped : {false, true}) {
+      SCOPED_TRACE("k=" + std::to_string(k) +
+                   " taped=" + std::to_string(taped));
+      Rng rng(14);
+      CoarseningModule module(SmallConfig(), &rng);
+      module.set_training(false);
+      module.set_coarsen_mode(CoarsenMode::kTopkSparse, k);
+      CoarsenResult sparse;
+      if (taped) {
+        sparse = module.Forward(h, level);
+        ASSERT_TRUE(sparse.level.adjacency().requires_grad());
+      } else {
+        NoGradGuard no_grad;
+        sparse = module.Forward(h, level);
       }
+      // Reference: the same attention through the composed chain.
+      const Tensor m = module.ComputeAttention(module.ComputeGCont(h));
+      const Products reference = ComposedPath(csr, m, h, k);
+      EXPECT_TRUE(BitEqual(sparse.h, reference.h));
+      EXPECT_TRUE(BitEqual(sparse.level.adjacency(), reference.adj));
     }
   }
 }
@@ -661,7 +635,8 @@ TEST(CoarsenModeTest, TopkCountersCountStoredEntries) {
   const uint64_t dropped_before = dropped->Value();
   NoGradGuard no_grad;
   module.Forward(h, level);
-  const int64_t stored = TopKAssignment(module.last_attention(), 4).nnz();
+  const int64_t stored =
+      TopKAssignment(module.ComputeAttention(module.ComputeGCont(h)), 4).nnz();
   ASSERT_LT(stored, n * 4) << "no kept entry underflowed to zero";
   EXPECT_EQ(kept->Value() - kept_before, static_cast<uint64_t>(stored));
   EXPECT_EQ(dropped->Value() - dropped_before,
