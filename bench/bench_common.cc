@@ -1,5 +1,6 @@
 #include "bench_common.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -7,6 +8,15 @@ namespace hap::bench {
 
 int FastOr(int fast_value, int value) {
   return std::getenv("HAP_BENCH_FAST") != nullptr ? fast_value : value;
+}
+
+double Quantile(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, values.size() - 1);
+  return values[lo] +
+         (pos - static_cast<double>(lo)) * (values[hi] - values[lo]);
 }
 
 void JsonWriter::Prefix(const std::string* key) {

@@ -2,6 +2,7 @@
 #define HAP_BENCH_BENCH_COMMON_H_
 
 #include <string>
+#include <vector>
 
 #include "train/model_zoo.h"
 
@@ -14,6 +15,10 @@ using hap::MakeEmbedderByName;
 /// Scales a benchmark workload down when HAP_BENCH_FAST is set in the
 /// environment (useful for smoke runs); returns `value` or `fast_value`.
 int FastOr(int fast_value, int value);
+
+/// Linear-interpolated quantile q in [0, 1] of `values` (non-empty): the
+/// median and quartiles the benches report over interleaved replays.
+double Quantile(std::vector<double> values, double q);
 
 /// Minimal dependency-free JSON emitter for the BENCH_*.json result files
 /// that track the perf trajectory across PRs. Build the document with

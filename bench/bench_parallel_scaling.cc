@@ -36,16 +36,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// Linear-interpolated quantile q of `values`.
-double Quantile(std::vector<double> values, double q) {
-  std::sort(values.begin(), values.end());
-  const double pos = q * static_cast<double>(values.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, values.size() - 1);
-  return values[lo] +
-         (values[hi] - values[lo]) * (pos - static_cast<double>(lo));
-}
-
 // Median-of-repeats wall time for `fn`, in milliseconds.
 template <typename Fn>
 double TimeMs(int repeats, Fn&& fn) {

@@ -134,16 +134,6 @@ struct ServeRun {
   double agreement = 1.0;  // stream-weighted argmax match vs fp32
 };
 
-// Linear-interpolated quantile q in [0, 1] of `values` (non-empty).
-double Quantile(std::vector<double> values, double q) {
-  std::sort(values.begin(), values.end());
-  const double pos = q * static_cast<double>(values.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, values.size() - 1);
-  return values[lo] +
-         (pos - static_cast<double>(lo)) * (values[hi] - values[lo]);
-}
-
 /// Replays `stream` (indices into `prepared`) through one engine and
 /// scores each prediction against the fp32 per-graph reference.
 ServeRun RunServeLoop(const std::shared_ptr<const ServedModel>& model,

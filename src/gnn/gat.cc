@@ -6,6 +6,23 @@
 
 namespace hap {
 
+namespace {
+
+Tensor ApplyActivation(const Tensor& x, Activation activation) {
+  switch (activation) {
+    case Activation::kNone:
+      return x;
+    case Activation::kRelu:
+      return Relu(x);
+    case Activation::kTanh:
+      return Tanh(x);
+  }
+  HAP_CHECK(false) << "unreachable";
+  return x;
+}
+
+}  // namespace
+
 GatLayer::GatLayer(int in_features, int out_features, Rng* rng,
                    Activation activation, float leaky_slope)
     : linear_(in_features, out_features, rng, /*bias=*/false),

@@ -6,19 +6,6 @@
 
 namespace hap {
 
-Tensor ApplyActivation(const Tensor& x, Activation activation) {
-  switch (activation) {
-    case Activation::kNone:
-      return x;
-    case Activation::kRelu:
-      return Relu(x);
-    case Activation::kTanh:
-      return Tanh(x);
-  }
-  HAP_CHECK(false) << "unreachable";
-  return x;
-}
-
 GcnLayer::GcnLayer(int in_features, int out_features, Rng* rng,
                    Activation activation)
     : linear_(in_features, out_features, rng, /*bias=*/true),
@@ -27,7 +14,7 @@ GcnLayer::GcnLayer(int in_features, int out_features, Rng* rng,
 Tensor GcnLayer::Forward(const Tensor& h, const GraphLevel& level) const {
   HAP_CHECK_EQ(h.rows(), level.num_nodes());
   Tensor propagated = level.Propagate(h);
-  return ApplyActivation(linear_.Forward(propagated), activation_);
+  return linear_.Forward(propagated, activation_);
 }
 
 Tensor GcnLayer::ForwardBatched(const Tensor& h,
@@ -41,7 +28,7 @@ Tensor GcnLayer::ForwardBatched(const Tensor& h,
     parts.push_back(level.levels[s].Propagate(h_s));
   }
   Tensor propagated = ConcatRows(parts);
-  return ApplyActivation(linear_.Forward(propagated), activation_);
+  return linear_.Forward(propagated, activation_);
 }
 
 void GcnLayer::CollectParameters(std::vector<Tensor>* out) const {

@@ -8,12 +8,6 @@
 
 namespace hap {
 
-/// Activation applied after a GNN layer.
-enum class Activation { kNone, kRelu, kTanh };
-
-/// Applies `activation` to `x`.
-Tensor ApplyActivation(const Tensor& x, Activation activation);
-
 /// Graph convolution layer (Kipf & Welling; Eq. 12):
 ///   H_{k+1} = act( D̃^{-1/2} Ã D̃^{-1/2} H_k W_k ).
 ///

@@ -16,8 +16,8 @@ Tensor GinLayer::Forward(const Tensor& h, const GraphLevel& level) const {
   HAP_CHECK_EQ(h.rows(), level.num_nodes());
   Tensor aggregated =
       Add(MulScalar(h, 1.0f + eps_), level.Aggregate(h));
-  Tensor hidden = Relu(mlp1_.Forward(aggregated));
-  return ApplyActivation(mlp2_.Forward(hidden), activation_);
+  Tensor hidden = mlp1_.Forward(aggregated, Activation::kRelu);
+  return mlp2_.Forward(hidden, activation_);
 }
 
 Tensor GinLayer::ForwardBatched(const Tensor& h,
@@ -31,8 +31,8 @@ Tensor GinLayer::ForwardBatched(const Tensor& h,
     parts.push_back(level.levels[s].Aggregate(h_s));
   }
   Tensor aggregated = Add(MulScalar(h, 1.0f + eps_), ConcatRows(parts));
-  Tensor hidden = Relu(mlp1_.Forward(aggregated));
-  return ApplyActivation(mlp2_.Forward(hidden), activation_);
+  Tensor hidden = mlp1_.Forward(aggregated, Activation::kRelu);
+  return mlp2_.Forward(hidden, activation_);
 }
 
 void GinLayer::CollectParameters(std::vector<Tensor>* out) const {

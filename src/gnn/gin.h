@@ -1,7 +1,7 @@
 #ifndef HAP_GNN_GIN_H_
 #define HAP_GNN_GIN_H_
 
-#include "gnn/gcn.h"
+#include "graph/batched_graph.h"
 #include "graph/graph_level.h"
 #include "tensor/module.h"
 

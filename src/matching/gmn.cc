@@ -37,7 +37,7 @@ std::pair<Tensor, Tensor> GmnModel::Propagate(const Tensor& h1,
     Tensor attention = SoftmaxRows(MatMul(self, Transpose(other)));
     Tensor mismatch = Sub(self, MatMul(attention, other));
     Tensor joined = ConcatCols(ConcatCols(self, neighbor), mismatch);
-    return Relu(update_layers_[layer]->Forward(joined));
+    return update_layers_[layer]->Forward(joined, Activation::kRelu);
   };
   return {update_one(h1, g1, h2), update_one(h2, g2, h1)};
 }
@@ -45,7 +45,7 @@ std::pair<Tensor, Tensor> GmnModel::Propagate(const Tensor& h1,
 Tensor GmnModel::Pool(const Tensor& h, const GraphLevel& level) const {
   if (pooling_ == Pooling::kGatedSum) {
     Tensor gates = Sigmoid(gate_->Forward(h));
-    Tensor values = Tanh(value_->Forward(h));
+    Tensor values = value_->Forward(h, Activation::kTanh);
     return ReduceSumRows(ScaleRows(values, gates));
   }
   CoarsenResult coarse = hap_coarsener_->Forward(h, level);
@@ -56,8 +56,8 @@ std::pair<Tensor, Tensor> GmnModel::EmbedPair(const Tensor& h1,
                                               const GraphLevel& g1,
                                               const Tensor& h2,
                                               const GraphLevel& g2) const {
-  Tensor x1 = Relu(input_proj_.Forward(h1));
-  Tensor x2 = Relu(input_proj_.Forward(h2));
+  Tensor x1 = input_proj_.Forward(h1, Activation::kRelu);
+  Tensor x2 = input_proj_.Forward(h2, Activation::kRelu);
   for (int layer = 0; layer < config_.layers; ++layer) {
     auto [next1, next2] = Propagate(x1, g1, x2, g2, layer);
     x1 = next1;

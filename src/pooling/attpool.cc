@@ -19,7 +19,8 @@ CoarsenResult AttPoolCoarsener::Forward(const Tensor& h,
                                         const GraphLevel& level) const {
   const Tensor& adjacency = level.adjacency();
   const int n = h.rows();
-  Tensor scores = MatMul(Tanh(transform_.Forward(h)), context_);  // (N, 1)
+  Tensor scores =
+      MatMul(transform_.Forward(h, Activation::kTanh), context_);  // (N, 1)
   Tensor attention = SoftmaxRows(Transpose(scores));              // (1, N)
   std::vector<float> importance(n);
   if (mode_ == Mode::kGlobal) {

@@ -69,7 +69,7 @@ Tensor GatedSumReadout::Forward(const Tensor& h,
                                 const GraphLevel& level) const {
   (void)level;
   Tensor gates = Sigmoid(gate_.Forward(h));   // (N, 1)
-  Tensor values = Tanh(value_.Forward(h));    // (N, F)
+  Tensor values = value_.Forward(h, Activation::kTanh);  // (N, F)
   return ReduceSumRows(ScaleRows(values, gates));
 }
 

@@ -36,7 +36,8 @@ MinCutPoolCoarsener::MinCutPoolCoarsener(int in_features, int num_clusters,
       num_clusters_(num_clusters) {}
 
 Tensor MinCutPoolCoarsener::Assignment(const Tensor& h) const {
-  return SoftmaxRows(assign2_.Forward(Relu(assign1_.Forward(h))));
+  return SoftmaxRows(
+      assign2_.Forward(assign1_.Forward(h, Activation::kRelu)));
 }
 
 CoarsenResult MinCutPoolCoarsener::Forward(const Tensor& h,

@@ -18,7 +18,7 @@ Tensor Set2SetReadout::Forward(const Tensor& h,
     Tensor logits = MatMul(h, Transpose(query));      // (N, 1)
     Tensor attention = SoftmaxRows(Transpose(logits));  // (1, N)
     readout = MatMul(attention, h);                   // (1, F)
-    query = Tanh(update_.Forward(ConcatCols(query, readout)));
+    query = update_.Forward(ConcatCols(query, readout), Activation::kTanh);
   }
   return ConcatCols(query, readout);
 }

@@ -55,11 +55,11 @@ void GPoolCoarsener::CollectParameters(std::vector<Tensor>* out) const {
 }
 
 SagPoolCoarsener::SagPoolCoarsener(int in_features, double ratio, Rng* rng)
-    : score_layer_(in_features, 1, rng, Activation::kNone), ratio_(ratio) {}
+    : score_layer_(in_features, 1, rng, Activation::kTanh), ratio_(ratio) {}
 
 CoarsenResult SagPoolCoarsener::Forward(const Tensor& h,
                                         const GraphLevel& level) const {
-  Tensor gates = Tanh(score_layer_.Forward(h, level));  // (N, 1)
+  Tensor gates = score_layer_.Forward(h, level);  // (N, 1), tanh scores
   return KeepTopK(h, level.adjacency(), gates, ratio_);
 }
 

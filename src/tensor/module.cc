@@ -11,10 +11,8 @@ Linear::Linear(int in_features, int out_features, Rng* rng, bool bias)
   }
 }
 
-Tensor Linear::Forward(const Tensor& x) const {
-  Tensor out = MatMul(x, weight_);
-  if (bias_.defined()) out = AddRowBroadcast(out, bias_);
-  return out;
+Tensor Linear::Forward(const Tensor& x, Activation activation) const {
+  return Dense(x, weight_, bias_, activation);
 }
 
 void Linear::CollectParameters(std::vector<Tensor>* out) const {

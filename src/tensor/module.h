@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "tensor/ops.h"
 #include "tensor/tensor.h"
 
 namespace hap {
@@ -41,15 +42,18 @@ class Module {
   }
 };
 
-/// Fully-connected layer y = x W + b with Xavier-initialised W.
+/// Fully-connected layer y = act(x W + b) with Xavier-initialised W.
 class Linear : public Module {
  public:
   /// If `bias` is false the layer is a pure linear map (used for GCont's
   /// transformation T in Eq. 13).
   Linear(int in_features, int out_features, Rng* rng, bool bias = true);
 
-  /// x is (m, in_features); returns (m, out_features).
-  Tensor Forward(const Tensor& x) const;
+  /// x is (m, in_features); returns (m, out_features). The layer owns
+  /// its activation: the product, the bias add and `activation` run as
+  /// one op (Dense in tensor/ops.h).
+  Tensor Forward(const Tensor& x,
+                 Activation activation = Activation::kNone) const;
 
   void CollectParameters(std::vector<Tensor>* out) const override;
 

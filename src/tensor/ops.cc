@@ -4,6 +4,10 @@
 #include <cmath>
 #include <numeric>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "common/thread_pool.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -25,9 +29,9 @@ internal::TensorImpl& Parent(internal::TensorImpl& node, size_t i) {
 // docs/THREADING.md.
 
 // --- Reduced-precision MatMul forwards (tensor/quant.h) ---
-// These produce untaped results only: MatMul's guard refuses non-fp32
-// scopes whenever the product would land on the tape, so the backward
-// closure below can never run.
+// These produce untaped results only: MatMulForward's guard refuses
+// non-fp32 scopes whenever the product would land on the tape, so they
+// need no backward function.
 
 // While a CalibrationObserver is installed on this thread, an
 // activation·parameter product records the activation's absmax keyed by
@@ -88,9 +92,7 @@ Tensor Int8MatMul(const Tensor& a, const Tensor& b) {
   kernels::PackAInt8(a.data(), m, k, 1.0f / a_scale, aq);
   const float scale = a_scale * b_scale;
 
-  Tensor out = MakeOpResult(m, n, {}, [](internal::TensorImpl&) {
-    HAP_CHECK(false) << "int8 MatMul result must never be taped";
-  });
+  Tensor out(m, n);
   float* o = out.mutable_data();
   ParallelFor(0, m, RowGrain(k_pad * n), [&](int64_t lo, int64_t hi) {
     kernels::Int8GemmRows(aq, bq, o, k_pad, n, scale, lo, hi);
@@ -98,9 +100,10 @@ Tensor Int8MatMul(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-}  // namespace
-
-Tensor MatMul(const Tensor& a, const Tensor& b) {
+// MatMul's forward without the tape: the calibration record, the
+// precision dispatch with its refusal to tape a reduced-precision
+// product, the counters and the kernel. Returns a fresh untaped result.
+Tensor MatMulForward(const Tensor& a, const Tensor& b) {
   HAP_CHECK_EQ(a.cols(), b.rows());
   const int m = a.rows(), k = a.cols(), n = b.cols();
   MaybeRecordCalibration(a, b);
@@ -131,24 +134,161 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     disp_blocked->Increment();
   }
   obs::ScopedTimerNs timer(op_ns);
-  Tensor out = MakeOpResult(m, n, {a, b}, [m, k, n](internal::TensorImpl& node) {
-    internal::TensorImpl& pa = Parent(node, 0);
-    internal::TensorImpl& pb = Parent(node, 1);
-    // Each parent accumulates only if it requires grad: gradient-free
-    // inputs (cached propagation operators, dataset tensors) are skipped,
-    // which both avoids the wasted O(mkn) work and keeps tensors shared
-    // across data-parallel workers free of concurrent grad writes.
-    if (pa.requires_grad) {
-      pa.EnsureGrad();  // dA += dOut * B^T
-      AddMatMulBt(node.grad.data(), pb.data.data(), pa.grad.data(), m, k, n);
-    }
-    if (pb.requires_grad) {
-      pb.EnsureGrad();  // dB += A^T * dOut
-      AddMatMulAt(pa.data.data(), node.grad.data(), pb.grad.data(), m, k, n);
-    }
-  });
+  Tensor out(m, n);
   AddMatMul(a.data(), b.data(), out.mutable_data(), m, k, n);
   return out;
+}
+
+// max(x, 0) without a branch: MAXSS returns its second operand (+0) when
+// the first is NaN or a zero of either sign, which is exactly
+// x > 0 ? x : 0. A compare-and-jump here mispredicts on about half of
+// the elements of an activation with random signs.
+inline float ReluScalar(float x) {
+#if defined(__SSE2__)
+  return _mm_cvtss_f32(_mm_max_ss(_mm_set_ss(x), _mm_setzero_ps()));
+#else
+  return x > 0.0f ? x : 0.0f;
+#endif
+}
+
+// ReLU's derivative x > 0 ? 1 : 0, branch-free for the same reason.
+inline float ReluMask(float x) {
+#if defined(__SSE2__)
+  return _mm_cvtss_f32(_mm_and_ps(_mm_cmpgt_ss(_mm_set_ss(x), _mm_setzero_ps()),
+                                  _mm_set_ss(1.0f)));
+#else
+  return x > 0.0f ? 1.0f : 0.0f;
+#endif
+}
+
+// Dense's epilogue over rows [lo, hi) of the row-major (·, n) buffer `o`,
+// in place: o = act(o + bias) with `bias` n floats or nullptr. Each
+// element rounds the bias add once and then applies max(·, 0) or
+// std::tanh, as the bias-row add and Relu or Tanh did as separate ops.
+void BiasActivationRows(float* o, const float* bias, int64_t n,
+                        Activation activation, int64_t lo, int64_t hi) {
+  const bool relu = activation == Activation::kRelu;
+  for (int64_t i = lo; i < hi; ++i) {
+    float* row = o + i * n;
+    if (activation == Activation::kTanh) {
+      for (int64_t j = 0; j < n; ++j) {
+        row[j] = std::tanh(bias != nullptr ? row[j] + bias[j] : row[j]);
+      }
+      continue;
+    }
+    int64_t j = 0;
+#if defined(__SSE2__)
+    const __m128 zero = _mm_setzero_ps();
+    for (; j + 4 <= n; j += 4) {
+      __m128 v = _mm_loadu_ps(row + j);
+      if (bias != nullptr) v = _mm_add_ps(v, _mm_loadu_ps(bias + j));
+      if (relu) v = _mm_max_ps(v, zero);
+      _mm_storeu_ps(row + j, v);
+    }
+#endif
+    for (; j < n; ++j) {
+      const float v = bias != nullptr ? row[j] + bias[j] : row[j];
+      row[j] = relu ? ReluScalar(v) : v;
+    }
+  }
+}
+
+// Dense's backward. dz, the product's gradient, is formed as the
+// separate ops' tape formed it: each of the activation node and the bias
+// node added its contribution to a zero-filled buffer, so dz carries one
+// `0.0f +` per node and -0 normalises the same way. The activation's
+// derivative comes from the output y: y > 0 exactly when the
+// pre-activation is, and tanh' = 1 - y². The bias column sums run over
+// rows ascending, from what the bias node received.
+void DenseBackward(internal::TensorImpl& node, int m, int k, int n,
+                   Activation activation, bool has_bias) {
+  internal::TensorImpl& px = Parent(node, 0);
+  internal::TensorImpl& pw = Parent(node, 1);
+  const float* g = node.grad.data();
+  const float* y = node.data.data();
+  std::vector<float> dz(node.grad.size());
+  float* d = dz.data();
+  ParallelFor(0, m, RowGrain(n), [&](int64_t lo, int64_t hi) {
+    for (int64_t e = lo * n; e < hi * n; ++e) {
+      float v = g[e];
+      if (activation == Activation::kRelu) {
+        v = 0.0f + v * ReluMask(y[e]);
+      } else if (activation == Activation::kTanh) {
+        v = 0.0f + v * (1.0f - y[e] * y[e]);
+      }
+      d[e] = has_bias ? 0.0f + v : v;
+    }
+  });
+  if (has_bias) {
+    internal::TensorImpl& pb = Parent(node, 2);
+    if (pb.requires_grad) {
+      pb.EnsureGrad();
+      // Without an activation the bias node read the output's gradient.
+      const float* src = activation == Activation::kNone ? g : d;
+      float* gb = pb.grad.data();
+      for (int64_t i = 0; i < m; ++i) {
+        for (int64_t j = 0; j < n; ++j) gb[j] += src[i * n + j];
+      }
+    }
+  }
+  if (px.requires_grad) {
+    px.EnsureGrad();  // dx += dz · Wᵀ
+    AddMatMulBt(d, pw.data.data(), px.grad.data(), m, k, n);
+  }
+  if (pw.requires_grad) {
+    pw.EnsureGrad();  // dW += xᵀ · dz
+    AddMatMulAt(px.data.data(), d, pw.grad.data(), m, k, n);
+  }
+}
+
+}  // namespace
+
+Tensor MatMul(const Tensor& a, const Tensor& b) {
+  const int m = a.rows(), k = a.cols(), n = b.cols();
+  Tensor out = MatMulForward(a, b);
+  return TapeResult(
+      std::move(out), {a, b}, [m, k, n](internal::TensorImpl& node) {
+        internal::TensorImpl& pa = Parent(node, 0);
+        internal::TensorImpl& pb = Parent(node, 1);
+        // Each parent accumulates only if it requires grad: gradient-free
+        // inputs (cached propagation operators, dataset tensors) are
+        // skipped, which both avoids the wasted O(mkn) work and keeps
+        // tensors shared across data-parallel workers free of concurrent
+        // grad writes.
+        if (pa.requires_grad) {
+          pa.EnsureGrad();  // dA += dOut * B^T
+          AddMatMulBt(node.grad.data(), pb.data.data(), pa.grad.data(), m, k,
+                      n);
+        }
+        if (pb.requires_grad) {
+          pb.EnsureGrad();  // dB += A^T * dOut
+          AddMatMulAt(pa.data.data(), node.grad.data(), pb.grad.data(), m, k,
+                      n);
+        }
+      });
+}
+
+Tensor Dense(const Tensor& x, const Tensor& w, const Tensor& bias,
+             Activation activation) {
+  const bool has_bias = bias.defined();
+  if (!has_bias && activation == Activation::kNone) return MatMul(x, w);
+  if (has_bias) {
+    HAP_CHECK_EQ(bias.rows(), 1);
+    HAP_CHECK_EQ(bias.cols(), w.cols());
+  }
+  Tensor out = MatMulForward(x, w);
+  const int m = out.rows(), k = x.cols(), n = out.cols();
+  float* o = out.mutable_data();
+  const float* b = has_bias ? bias.data() : nullptr;
+  ParallelFor(0, m, RowGrain(n), [&](int64_t lo, int64_t hi) {
+    BiasActivationRows(o, b, n, activation, lo, hi);
+  });
+  if (!WillTape(x, w, bias)) return out;
+  return TapeResult(
+      std::move(out), {x, w, bias},
+      [m, k, n, activation, has_bias](internal::TensorImpl& node) {
+        DenseBackward(node, m, k, n, activation, has_bias);
+      });
 }
 
 // All three split output rows over the pool, and each output keeps the
@@ -199,8 +339,10 @@ Tensor Add(const Tensor& a, const Tensor& b) {
         }
       });
   float* o = out.mutable_data();
+  const float* ad = a.data();
+  const float* bd = b.data();
   ParallelFor(0, a.size(), kParallelGrainWork, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) o[i] = a.data()[i] + b.data()[i];
+    for (int64_t i = lo; i < hi; ++i) o[i] = ad[i] + bd[i];
   });
   return out;
 }
@@ -235,8 +377,10 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
                               }
                             });
   float* o = out.mutable_data();
+  const float* ad = a.data();
+  const float* bd = b.data();
   ParallelFor(0, a.size(), kParallelGrainWork, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) o[i] = a.data()[i] - b.data()[i];
+    for (int64_t i = lo; i < hi; ++i) o[i] = ad[i] - bd[i];
   });
   return out;
 }
@@ -273,8 +417,10 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
                               }
                             });
   float* o = out.mutable_data();
+  const float* ad = a.data();
+  const float* bd = b.data();
   ParallelFor(0, a.size(), kParallelGrainWork, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) o[i] = a.data()[i] * b.data()[i];
+    for (int64_t i = lo; i < hi; ++i) o[i] = ad[i] * bd[i];
   });
   return out;
 }
@@ -307,45 +453,11 @@ Tensor Div(const Tensor& a, const Tensor& b) {
         }
       });
   float* o = out.mutable_data();
+  const float* ad = a.data();
+  const float* bd = b.data();
   ParallelFor(0, a.size(), kParallelGrainWork, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) o[i] = a.data()[i] / b.data()[i];
+    for (int64_t i = lo; i < hi; ++i) o[i] = ad[i] / bd[i];
   });
-  return out;
-}
-
-Tensor AddRowBroadcast(const Tensor& a, const Tensor& row) {
-  HAP_CHECK_EQ(row.rows(), 1);
-  HAP_CHECK_EQ(row.cols(), a.cols());
-  const int m = a.rows(), n = a.cols();
-  Tensor out =
-      MakeOpResult(m, n, {a, row}, [m, n](internal::TensorImpl& node) {
-        internal::TensorImpl& pa = Parent(node, 0);
-        internal::TensorImpl& pr = Parent(node, 1);
-        if (pa.requires_grad) {
-          pa.EnsureGrad();
-          for (int i = 0; i < m; ++i) {
-            for (int j = 0; j < n; ++j) {
-              pa.grad[static_cast<size_t>(i) * n + j] +=
-                  node.grad[static_cast<size_t>(i) * n + j];
-            }
-          }
-        }
-        if (pr.requires_grad) {
-          pr.EnsureGrad();
-          for (int i = 0; i < m; ++i) {
-            for (int j = 0; j < n; ++j) {
-              pr.grad[j] += node.grad[static_cast<size_t>(i) * n + j];
-            }
-          }
-        }
-      });
-  float* o = out.mutable_data();
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < n; ++j) {
-      o[static_cast<size_t>(i) * n + j] =
-          a.data()[static_cast<size_t>(i) * n + j] + row.data()[j];
-    }
-  }
   return out;
 }
 
@@ -383,12 +495,14 @@ Tensor ScaleRows(const Tensor& a, const Tensor& scale) {
         }
       });
   float* o = out.mutable_data();
+  const float* ad = a.data();
+  const float* sd = scale.data();
   ParallelFor(0, m, RowGrain(n), [&](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) {
-      const float s = scale.data()[i];
+      const float s = sd[i];
       for (int j = 0; j < n; ++j) {
         o[static_cast<size_t>(i) * n + j] =
-            a.data()[static_cast<size_t>(i) * n + j] * s;
+            ad[static_cast<size_t>(i) * n + j] * s;
       }
     }
   });
@@ -423,10 +537,12 @@ Tensor ScaleCols(const Tensor& a, const Tensor& scale) {
         }
       });
   float* o = out.mutable_data();
+  const float* ad = a.data();
+  const float* sd = scale.data();
   for (int i = 0; i < m; ++i) {
     for (int j = 0; j < n; ++j) {
       o[static_cast<size_t>(i) * n + j] =
-          a.data()[static_cast<size_t>(i) * n + j] * scale.data()[j];
+          ad[static_cast<size_t>(i) * n + j] * sd[j];
     }
   }
   return out;
@@ -458,9 +574,11 @@ Tensor OuterSum(const Tensor& col, const Tensor& row) {
         }
       });
   float* o = out.mutable_data();
+  const float* cd = col.data();
+  const float* rd = row.data();
   for (int i = 0; i < m; ++i) {
     for (int j = 0; j < n; ++j) {
-      o[static_cast<size_t>(i) * n + j] = col.data()[i] + row.data()[j];
+      o[static_cast<size_t>(i) * n + j] = cd[i] + rd[j];
     }
   }
   return out;
@@ -479,8 +597,9 @@ Tensor MulScalar(const Tensor& a, float c) {
                     });
       });
   float* o = out.mutable_data();
+  const float* ad = a.data();
   ParallelFor(0, a.size(), kParallelGrainWork, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) o[i] = a.data()[i] * c;
+    for (int64_t i = lo; i < hi; ++i) o[i] = ad[i] * c;
   });
   return out;
 }
@@ -495,7 +614,9 @@ Tensor AddScalar(const Tensor& a, float c) {
         }
       });
   float* o = out.mutable_data();
-  for (int64_t i = 0; i < a.size(); ++i) o[i] = a.data()[i] + c;
+  const float* ad = a.data();
+  const int64_t size = a.size();
+  for (int64_t i = 0; i < size; ++i) o[i] = ad[i] + c;
   return out;
 }
 
@@ -516,11 +637,11 @@ Tensor Transpose(const Tensor& a) {
     });
   });
   float* o = out.mutable_data();
+  const float* ad = a.data();
   ParallelFor(0, m, RowGrain(n), [&](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) {
       for (int j = 0; j < n; ++j) {
-        o[static_cast<size_t>(j) * m + i] =
-            a.data()[static_cast<size_t>(i) * n + j];
+        o[static_cast<size_t>(j) * m + i] = ad[static_cast<size_t>(i) * n + j];
       }
     }
   });
@@ -555,14 +676,16 @@ Tensor ConcatCols(const Tensor& a, const Tensor& b) {
         }
       });
   float* o = out.mutable_data();
+  const float* ad = a.data();
+  const float* bd = b.data();
   const int n = na + nb;
   for (int i = 0; i < m; ++i) {
     for (int j = 0; j < na; ++j) {
-      o[static_cast<size_t>(i) * n + j] = a.data()[static_cast<size_t>(i) * na + j];
+      o[static_cast<size_t>(i) * n + j] = ad[static_cast<size_t>(i) * na + j];
     }
     for (int j = 0; j < nb; ++j) {
       o[static_cast<size_t>(i) * n + na + j] =
-          b.data()[static_cast<size_t>(i) * nb + j];
+          bd[static_cast<size_t>(i) * nb + j];
     }
   }
   return out;
@@ -637,10 +760,11 @@ Tensor SliceCols(const Tensor& a, int c0, int c1) {
         }
       });
   float* o = out.mutable_data();
+  const float* ad = a.data();
   for (int i = 0; i < m; ++i) {
     for (int j = 0; j < w; ++j) {
       o[static_cast<size_t>(i) * w + j] =
-          a.data()[static_cast<size_t>(i) * n + c0 + j];
+          ad[static_cast<size_t>(i) * n + c0 + j];
     }
   }
   return out;
@@ -698,8 +822,9 @@ Tensor UnaryOp(const Tensor& a, Fwd fwd, Dfn dfn) {
                     });
       });
   float* o = out.mutable_data();
+  const float* ad = a.data();
   ParallelFor(0, a.size(), kParallelGrainWork, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) o[i] = fwd(a.data()[i]);
+    for (int64_t i = lo; i < hi; ++i) o[i] = fwd(ad[i]);
   });
   return out;
 }
@@ -708,8 +833,8 @@ Tensor UnaryOp(const Tensor& a, Fwd fwd, Dfn dfn) {
 
 Tensor Relu(const Tensor& a) {
   return UnaryOp(
-      a, [](float x) { return x > 0.0f ? x : 0.0f; },
-      [](float x, float) { return x > 0.0f ? 1.0f : 0.0f; });
+      a, [](float x) { return ReluScalar(x); },
+      [](float x, float) { return ReluMask(x); });
 }
 
 Tensor LeakyRelu(const Tensor& a, float alpha) {
@@ -799,14 +924,15 @@ Tensor SoftmaxRows(const Tensor& a) {
     });
   });
   float* o = out.mutable_data();
+  const float* ad = a.data();
   ParallelFor(0, m, RowGrain(n), [&](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) {
       const size_t row = static_cast<size_t>(i) * n;
-      float mx = a.data()[row];
-      for (int j = 1; j < n; ++j) mx = std::max(mx, a.data()[row + j]);
+      float mx = ad[row];
+      for (int j = 1; j < n; ++j) mx = std::max(mx, ad[row + j]);
       double sum = 0.0;
       for (int j = 0; j < n; ++j) {
-        o[row + j] = std::exp(a.data()[row + j] - mx);
+        o[row + j] = std::exp(ad[row + j] - mx);
         sum += o[row + j];
       }
       const float inv = static_cast<float>(1.0 / sum);
@@ -836,15 +962,16 @@ Tensor LogSoftmaxRows(const Tensor& a) {
     });
   });
   float* o = out.mutable_data();
+  const float* ad = a.data();
   ParallelFor(0, m, RowGrain(n), [&](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) {
       const size_t row = static_cast<size_t>(i) * n;
-      float mx = a.data()[row];
-      for (int j = 1; j < n; ++j) mx = std::max(mx, a.data()[row + j]);
+      float mx = ad[row];
+      for (int j = 1; j < n; ++j) mx = std::max(mx, ad[row + j]);
       double sum = 0.0;
-      for (int j = 0; j < n; ++j) sum += std::exp(a.data()[row + j] - mx);
+      for (int j = 0; j < n; ++j) sum += std::exp(ad[row + j] - mx);
       const float lse = mx + static_cast<float>(std::log(sum));
-      for (int j = 0; j < n; ++j) o[row + j] = a.data()[row + j] - lse;
+      for (int j = 0; j < n; ++j) o[row + j] = ad[row + j] - lse;
     }
   });
   return out;
@@ -860,8 +987,10 @@ Tensor ReduceSumAll(const Tensor& a) {
                   for (int64_t i = lo; i < hi; ++i) pa.grad[i] += g;
                 });
   });
+  const float* ad = a.data();
+  const int64_t size = a.size();
   double sum = 0.0;
-  for (int64_t i = 0; i < a.size(); ++i) sum += a.data()[i];
+  for (int64_t i = 0; i < size; ++i) sum += ad[i];
   out.mutable_data()[0] = static_cast<float>(sum);
   return out;
 }
@@ -885,13 +1014,14 @@ Tensor ReduceSumRows(const Tensor& a) {
     });
   });
   float* o = out.mutable_data();
+  const float* ad = a.data();
   // Column-blocked: each output element is one full-column sum, so every
   // block owns a disjoint slice of the output and keeps i ascending.
   ParallelFor(0, n, RowGrain(m), [&](int64_t lo, int64_t hi) {
     for (int64_t j = lo; j < hi; ++j) {
       double sum = 0.0;
       for (int i = 0; i < m; ++i) {
-        sum += a.data()[static_cast<size_t>(i) * n + j];
+        sum += ad[static_cast<size_t>(i) * n + j];
       }
       o[j] = static_cast<float>(sum);
     }
@@ -914,11 +1044,12 @@ Tensor ReduceSumCols(const Tensor& a) {
     });
   });
   float* o = out.mutable_data();
+  const float* ad = a.data();
   ParallelFor(0, m, RowGrain(n), [&](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) {
       double sum = 0.0;
       for (int j = 0; j < n; ++j) {
-        sum += a.data()[static_cast<size_t>(i) * n + j];
+        sum += ad[static_cast<size_t>(i) * n + j];
       }
       o[i] = static_cast<float>(sum);
     }
@@ -940,11 +1071,12 @@ Tensor ReduceMaxRows(const Tensor& a) {
   const int m = a.rows(), n = a.cols();
   HAP_CHECK_GT(m, 0);
   // Capture argmax per column for the backward pass.
+  const float* ad = a.data();
   std::vector<int> argmax(n, 0);
   for (int j = 0; j < n; ++j) {
-    float best = a.data()[j];
+    float best = ad[j];
     for (int i = 1; i < m; ++i) {
-      const float v = a.data()[static_cast<size_t>(i) * n + j];
+      const float v = ad[static_cast<size_t>(i) * n + j];
       if (v > best) {
         best = v;
         argmax[j] = i;
@@ -960,7 +1092,7 @@ Tensor ReduceMaxRows(const Tensor& a) {
   });
   float* o = out.mutable_data();
   for (int j = 0; j < n; ++j) {
-    o[j] = a.data()[static_cast<size_t>(argmax[j]) * n + j];
+    o[j] = ad[static_cast<size_t>(argmax[j]) * n + j];
   }
   return out;
 }
@@ -978,9 +1110,10 @@ Tensor NllLoss(const Tensor& logprobs, const std::vector<int>& labels) {
           pa.grad[static_cast<size_t>(i) * c + labels[i]] -= g;
         }
       });
+  const float* lp = logprobs.data();
   double sum = 0.0;
   for (int i = 0; i < b; ++i) {
-    sum -= logprobs.data()[static_cast<size_t>(i) * c + labels[i]];
+    sum -= lp[static_cast<size_t>(i) * c + labels[i]];
   }
   out.mutable_data()[0] = static_cast<float>(sum / b);
   return out;

@@ -25,6 +25,21 @@ namespace hap {
 /// later quantization.
 Tensor MatMul(const Tensor& a, const Tensor& b);
 
+/// Activation a dense layer applies to its output (Dense,
+/// Linear::Forward) and a GNN layer to its result.
+enum class Activation { kNone, kRelu, kTanh };
+
+/// Dense layer act(x·W + b) as one op: x (m,k), w (k,n) and bias (1,n),
+/// or an undefined bias for none. The product takes MatMul's path (its
+/// dispatch, counters, calibration record, int8 selection and refusal to
+/// tape a reduced-precision product); the bias add and the activation
+/// then run in place on the product's buffer in one pass, and a taped
+/// result records one node. Forward and gradients are bit-identical to
+/// MatMul, a bias-row add and Relu or Tanh run as separate ops (NaN
+/// payloads aside, as for every kernel here).
+Tensor Dense(const Tensor& x, const Tensor& w, const Tensor& bias,
+             Activation activation);
+
 /// Accumulating products on row-major float buffers, the kernels behind
 /// MatMul's forward and backward, for hand-written backward passes:
 /// AddMatMul is out(m,n) += A(m,k)·B(k,n), AddMatMulBt is
@@ -48,9 +63,6 @@ Tensor Mul(const Tensor& a, const Tensor& b);
 
 /// Elementwise quotient a / b. The caller guarantees b is nonzero.
 Tensor Div(const Tensor& a, const Tensor& b);
-
-/// Adds a 1xN row vector to every row of A (bias broadcast).
-Tensor AddRowBroadcast(const Tensor& a, const Tensor& row);
 
 /// Multiplies row i of A(m,n) by scale[i] from an (m,1) column vector
 /// (used for Top-K gating in gPool/SAGPool).

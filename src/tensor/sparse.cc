@@ -539,9 +539,11 @@ Tensor CsrCoarsenAdjacency(const CsrMatrix& a, const SparseAssignment& m) {
 
 double EdgeDensity(const Tensor& dense, float threshold) {
   if (dense.size() == 0) return 0.0;
+  const float* values = dense.data();
+  const int64_t size = dense.size();
   int64_t count = 0;
-  for (int64_t i = 0; i < dense.size(); ++i) {
-    if (std::abs(dense.data()[i]) > threshold) ++count;
+  for (int64_t i = 0; i < size; ++i) {
+    if (std::abs(values[i]) > threshold) ++count;
   }
   return static_cast<double>(count) / static_cast<double>(dense.size());
 }

@@ -20,7 +20,7 @@ Tensor GraphClassifier::Logits(const PreparedGraph& graph) const {
   for (size_t level = 1; level < levels.size(); ++level) {
     joined = ConcatCols(joined, levels[level]);
   }
-  return head2_.Forward(Relu(head1_.Forward(joined)));
+  return head2_.Forward(head1_.Forward(joined, Activation::kRelu));
 }
 
 int GraphClassifier::Predict(const PreparedGraph& graph) const {
@@ -45,7 +45,7 @@ Tensor GraphClassifier::LogitsBatched(const BatchedGraph& batch) const {
     joined = ConcatCols(joined, levels[level]);
   }
   // Row g is graph g's joined embedding; the heads are row-local.
-  return head2_.Forward(Relu(head1_.Forward(joined)));
+  return head2_.Forward(head1_.Forward(joined, Activation::kRelu));
 }
 
 std::vector<int> GraphClassifier::PredictBatched(

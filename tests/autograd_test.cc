@@ -90,7 +90,8 @@ TEST(GradCheckTest, DivAndSqrt) {
 TEST(GradCheckTest, BroadcastOps) {
   ExpectGradOk(
       [](const std::vector<Tensor>& in) {
-        Tensor t = AddRowBroadcast(in[0], in[1]);
+        Tensor t = Dense(in[0], Tensor::Identity(3), in[1],
+                         Activation::kNone);
         t = ScaleRows(t, in[2]);
         t = ScaleCols(t, in[3]);
         return ReduceSumAll(Square(t));
@@ -98,6 +99,26 @@ TEST(GradCheckTest, BroadcastOps) {
       {Leaf(2, 3, {0.1f, 0.2f, 0.3f, 0.4f, 0.5f, 0.6f}),
        Leaf(1, 3, {1.0f, -0.5f, 0.2f}), Leaf(2, 1, {0.8f, 1.2f}),
        Leaf(1, 3, {0.5f, 1.5f, -1.0f})});
+}
+
+TEST(GradCheckTest, Dense) {
+  for (const Activation activation :
+       {Activation::kNone, Activation::kRelu, Activation::kTanh}) {
+    for (const bool bias : {false, true}) {
+      SCOPED_TRACE(static_cast<int>(activation) * 2 + bias);
+      std::vector<Tensor> inputs = {
+          Leaf(3, 2, {0.5f, -1.0f, 2.0f, -0.4f, 0.3f, 0.9f}),
+          Leaf(2, 3, {0.7f, -0.2f, 0.4f, 1.1f, 0.6f, -0.8f})};
+      if (bias) inputs.push_back(Leaf(1, 3, {0.1f, -0.3f, 0.2f}));
+      // Every pre-activation stays at least 0.03 from the ReLU kink.
+      ExpectGradOk(
+          [activation](const std::vector<Tensor>& in) {
+            const Tensor b = in.size() > 2 ? in[2] : Tensor();
+            return ReduceSumAll(Square(Dense(in[0], in[1], b, activation)));
+          },
+          inputs);
+    }
+  }
 }
 
 TEST(GradCheckTest, OuterSum) {

@@ -130,11 +130,13 @@ inline std::vector<float> ZeroLaden(int rows, int cols, Rng* rng) {
 
 /// Bit-equal element by element, except that a NaN only has to meet a
 /// NaN: NaN payloads are outside the kernels' bit contract
-/// (tensor/matmul_kernels.h).
-inline bool SameBitsOrBothNan(const Tensor& a, const Tensor& b) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  for (int64_t i = 0; i < a.size(); ++i) {
-    const float x = a.data()[i], y = b.data()[i];
+/// (tensor/matmul_kernels.h). Which of two NaN operands a float add
+/// returns follows the operand order the compiler picked.
+inline bool SameBitsOrBothNan(const std::vector<float>& a,
+                              const std::vector<float>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    const float x = a[i], y = b[i];
     if (std::isnan(x) || std::isnan(y)) {
       if (std::isnan(x) != std::isnan(y)) return false;
     } else if (std::memcmp(&x, &y, sizeof(float)) != 0) {
@@ -142,6 +144,11 @@ inline bool SameBitsOrBothNan(const Tensor& a, const Tensor& b) {
     }
   }
   return true;
+}
+
+inline bool SameBitsOrBothNan(const Tensor& a, const Tensor& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         SameBitsOrBothNan(a.values(), b.values());
 }
 
 }  // namespace hap::reference

@@ -4,7 +4,10 @@
 // gradients within 1e-5 relative (Frobenius) for every input and
 // parameter, finite-difference checks, gradient bits independent of the
 // thread count, no grad buffer for a parent without requires_grad, and
-// the size of one HAP training tape.
+// the size of one HAP training tape. The fused dense layer (Dense)
+// against the composed chain of dense_reference.h: forwards and
+// gradients bit-equal (NaN payloads aside), at any thread count and
+// under an int8 scope.
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -20,12 +23,14 @@
 #include "common/thread_pool.h"
 #include "core/coarsening.h"
 #include "core/gumbel.h"
+#include "dense_reference.h"
 #include "graph/datasets.h"
 #include "graph/propagation.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "tensor/grad_check.h"
 #include "tensor/ops.h"
+#include "tensor/quant.h"
 #include "train/classifier.h"
 #include "train/model_zoo.h"
 #include "train/prepared.h"
@@ -363,6 +368,162 @@ TEST(FusedOpsTest, FiniteDifferenceGradients) {
   EXPECT_TRUE(sym.ok) << "sym " << sym.max_rel_error;
 }
 
+// --- Dense ---
+
+constexpr Activation kActivations[] = {Activation::kNone, Activation::kRelu,
+                                       Activation::kTanh};
+
+std::string DenseCase(Activation activation, bool bias, int m, int n) {
+  const char* const names[] = {"none", "relu", "tanh"};
+  return std::string(names[static_cast<int>(activation)]) +
+         (bias ? " bias" : " no-bias") + " m=" + std::to_string(m) +
+         " n=" + std::to_string(n);
+}
+
+// ZeroLaden entries with every special value the epilogue must carry:
+// NaN, ±Inf, denormals of both signs and a float with a denormal square,
+// one each at a stride of `stride` entries.
+std::vector<float> SpecialLaden(int rows, int cols, int stride, Rng* rng) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float kSpecial[] = {std::numeric_limits<float>::quiet_NaN(),
+                            inf,
+                            -inf,
+                            denorm,
+                            -denorm,
+                            1e-30f,
+                            -0.0f,
+                            0.0f};
+  std::vector<float> v = ZeroLaden(rows, cols, rng);
+  for (size_t e = 0, s = 0; e < v.size(); e += stride, ++s) {
+    v[e] = kSpecial[s % (sizeof(kSpecial) / sizeof(kSpecial[0]))];
+  }
+  return v;
+}
+
+// x (m, 6) with a special value every 11 entries, w (6, n) with one every
+// 13, and a (1, n) bias that is mostly special values.
+struct DenseLeaves {
+  Tensor x, w, b;
+};
+
+DenseLeaves MakeDenseLeaves(int m, int n, uint64_t seed) {
+  Rng rng(seed);
+  return {Leaf(m, 6, SpecialLaden(m, 6, 11, &rng)),
+          Leaf(6, n, SpecialLaden(6, n, 13, &rng)),
+          Leaf(1, n, SpecialLaden(1, n, 2, &rng))};
+}
+
+TEST(FusedOpsTest, DenseForwardBitEqualToReference) {
+  for (int m : {1, 2, 37}) {
+    for (int n : {1, 3, 4, 7, 8, 9, 31, 32, 33}) {
+      const DenseLeaves in = MakeDenseLeaves(m, n, m * 100 + n);
+      for (const Activation activation : kActivations) {
+        for (const bool bias : {false, true}) {
+          SCOPED_TRACE(DenseCase(activation, bias, m, n));
+          const Tensor b = bias ? in.b : Tensor();
+          const Tensor expected = reference::Dense(in.x, in.w, b, activation);
+          const Tensor taped = Dense(in.x, in.w, b, activation);
+          EXPECT_TRUE(taped.requires_grad());
+          EXPECT_TRUE(SameBitsOrBothNan(taped, expected));
+          NoGradGuard no_grad;
+          const Tensor untaped = Dense(in.x, in.w, b, activation);
+          EXPECT_FALSE(untaped.requires_grad());
+          EXPECT_TRUE(SameBitsOrBothNan(untaped, expected));
+        }
+      }
+    }
+  }
+}
+
+// Gradients for x, W and b, also with x gradient-free as in a first
+// layer over dataset features: x then gets no grad buffer.
+TEST(FusedOpsTest, DenseGradientsBitEqualToReference) {
+  for (int m : {1, 2, 37}) {
+    for (int n : {1, 3, 4, 7, 8, 9, 31, 32, 33}) {
+      const DenseLeaves in = MakeDenseLeaves(m, n, m * 100 + n);
+      const std::vector<Tensor> leaves = {in.x, in.w, in.b};
+      for (const Activation activation : kActivations) {
+        for (const bool bias : {false, true}) {
+          for (const bool x_grad : {true, false}) {
+            SCOPED_TRACE(DenseCase(activation, bias, m, n) +
+                         (x_grad ? "" : " x-gradient-free"));
+            Tensor x = in.x;
+            x.set_requires_grad(x_grad);
+            x.impl().grad.clear();
+            const Tensor b = bias ? in.b : Tensor();
+            const auto fused = Gradients(
+                [&] { return Dense(in.x, in.w, b, activation); }, leaves, 7);
+            const auto expected = Gradients(
+                [&] { return reference::Dense(in.x, in.w, b, activation); },
+                leaves, 7);
+            for (size_t i = 0; i < leaves.size(); ++i) {
+              EXPECT_TRUE(SameBitsOrBothNan(fused[i], expected[i]))
+                  << "leaf " << i;
+            }
+            EXPECT_EQ(fused[0].empty(), !x_grad);
+            x.set_requires_grad(true);
+          }
+        }
+      }
+    }
+  }
+}
+
+// Rows split over the pool in the epilogue, the dz pass and the products:
+// 3000 rows are several blocks of each at 4 threads.
+TEST(FusedOpsTest, DenseBitsIndependentOfThreadCount) {
+  const int original = NumThreads();
+  Rng rng(29);
+  const Tensor x = Tensor::Randn(3000, 32, &rng, 1.0f, true);
+  const Tensor w = Tensor::Randn(32, 33, &rng, 1.0f, true);
+  const Tensor b = Tensor::Randn(1, 33, &rng, 1.0f, true);
+  const std::vector<Tensor> leaves = {x, w, b};
+  for (const Activation activation : kActivations) {
+    SCOPED_TRACE(DenseCase(activation, true, 3000, 33));
+    const auto op = [&] { return Dense(x, w, b, activation); };
+    SetNumThreads(1);
+    const Tensor serial = op();
+    const auto serial_grads = Gradients(op, leaves, 9);
+    SetNumThreads(4);
+    const Tensor parallel = op();
+    const auto parallel_grads = Gradients(op, leaves, 9);
+    EXPECT_TRUE(SameBitsOrBothNan(serial, parallel));
+    for (size_t i = 0; i < leaves.size(); ++i) {
+      EXPECT_TRUE(SameBitsOrBothNan(serial_grads[i], parallel_grads[i]))
+          << "leaf " << i;
+    }
+  }
+  SetNumThreads(original);
+}
+
+// Under an int8 scope Dense's product is MatMul's: a taped call is
+// refused, and an untaped one runs the int8 kernel and equals MatMul
+// followed by the bias add and the activation.
+TEST(FusedOpsTest, DenseUnderInt8Scope) {
+  Rng rng(31);
+  const Tensor x = Tensor::Randn(64, 64, &rng);
+  const Tensor w = Tensor::Randn(64, 64, &rng, 1.0f, true);
+  const Tensor b = Tensor::Randn(1, 64, &rng, 1.0f, true);
+  PrecisionScope scope(Precision::kInt8);
+  EXPECT_DEATH(Dense(x, w, b, Activation::kRelu), "refuses taped tensors");
+  NoGradGuard no_grad;
+  obs::HotCountersHold hot_counters;
+  for (const Activation activation : kActivations) {
+    for (const bool bias : {false, true}) {
+      SCOPED_TRACE(DenseCase(activation, bias, 64, 64));
+      const Tensor bias_or_none = bias ? b : Tensor();
+      const uint64_t before =
+          obs::CounterValue(obs::names::kMatMulDispatchInt8);
+      const Tensor fused = Dense(x, w, bias_or_none, activation);
+      EXPECT_EQ(obs::CounterValue(obs::names::kMatMulDispatchInt8),
+                before + 1);
+      EXPECT_TRUE(SameBitsOrBothNan(
+          fused, reference::Dense(x, w, bias_or_none, activation)));
+    }
+  }
+}
+
 // Taped nodes reachable from `root`, root included.
 int TapedNodes(const Tensor& root) {
   std::unordered_set<const internal::TensorImpl*> seen;
@@ -381,9 +542,11 @@ int TapedNodes(const Tensor& root) {
 // One HAP training example's tape (hidden 32, a 36-node PROTEINS-like
 // graph whose level 0 dispatches sparse). GCont standardisation, MOA,
 // soft sampling and each SymNormalize of the coarsened level record one
-// node apiece, so the tape holds 40 taped nodes and Loss plus Backward
-// run 17 MatMuls; with the composed ops of coarsening_reference.h it held
-// 109 and ran 33.
+// node apiece, and so does each dense layer's product, bias add and
+// activation (Dense), so the tape holds 31 taped nodes and Loss plus
+// Backward run 17 MatMuls. With the composed dense chain of
+// dense_reference.h it held 40; with the composed ops of
+// coarsening_reference.h as well, 109 nodes and 33 MatMuls.
 TEST(FusedOpsTest, HapTrainingTapeSize) {
   Rng rng(3);
   const GraphDataset dataset = MakeProteinsLike(8, &rng);
@@ -401,7 +564,7 @@ TEST(FusedOpsTest, HapTrainingTapeSize) {
   const int taped = TapedNodes(loss);
   loss.Backward();
   const uint64_t matmuls = obs::CounterValue(obs::names::kMatMulCalls) - before;
-  EXPECT_EQ(taped, 40);
+  EXPECT_EQ(taped, 31);
   EXPECT_EQ(matmuls, 17u);
 }
 

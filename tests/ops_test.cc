@@ -44,12 +44,23 @@ TEST(OpsTest, AddSubMulDiv) {
 
 TEST(OpsTest, Broadcasts) {
   Tensor a = M(2, 2, {1, 2, 3, 4});
-  ExpectTensorEq(AddRowBroadcast(a, M(1, 2, {10, 20})), 2, 2,
-                 {11, 22, 13, 24});
   ExpectTensorEq(ScaleRows(a, M(2, 1, {2, 3})), 2, 2, {2, 4, 9, 12});
   ExpectTensorEq(ScaleCols(a, M(1, 2, {2, 3})), 2, 2, {2, 6, 6, 12});
   ExpectTensorEq(OuterSum(M(2, 1, {1, 2}), M(1, 2, {10, 20})), 2, 2,
                  {11, 21, 12, 22});
+}
+
+// Dense adds the bias to every row of the product, then activates.
+TEST(OpsTest, DenseAddsBiasThenActivates) {
+  Tensor x = M(2, 2, {1, 2, 3, 4});
+  Tensor w = M(2, 2, {1, 0, 0, -1});
+  Tensor b = M(1, 2, {10, -20});
+  ExpectTensorEq(Dense(x, w, b, Activation::kNone), 2, 2, {11, -22, 13, -24});
+  ExpectTensorEq(Dense(x, w, b, Activation::kRelu), 2, 2, {11, 0, 13, 0});
+  ExpectTensorEq(Dense(x, w, Tensor(), Activation::kRelu), 2, 2,
+                 {1, 0, 3, 0});
+  ExpectTensorEq(Dense(x, w, b, Activation::kTanh), 2, 2,
+                 {std::tanh(11.0f), -1, std::tanh(13.0f), -1});
 }
 
 TEST(OpsTest, ScalarOpsAndNeg) {
@@ -82,6 +93,18 @@ TEST(OpsTest, GatherRowsWithDuplicates) {
 TEST(OpsTest, Nonlinearities) {
   Tensor a = M(1, 4, {-2, -0.5, 0, 3});
   ExpectTensorEq(Relu(a), 1, 4, {0, 0, 0, 3});
+  // Bit for bit x > 0 ? x : 0, signed zeros, NaN and denormals included.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> special = {
+      std::numeric_limits<float>::quiet_NaN(), -0.0f, 0.0f, -inf, inf,
+      denorm, -denorm, -1.5f, 2.5f};
+  const Tensor relu = Relu(M(1, static_cast<int>(special.size()), special));
+  for (size_t i = 0; i < special.size(); ++i) {
+    const float expected = special[i] > 0.0f ? special[i] : 0.0f;
+    EXPECT_EQ(std::memcmp(&relu.data()[i], &expected, sizeof(float)), 0)
+        << "at " << i;
+  }
   ExpectTensorEq(LeakyRelu(a, 0.1f), 1, 4, {-0.2f, -0.05f, 0, 3});
   Tensor s = Sigmoid(M(1, 2, {0, 100}));
   EXPECT_NEAR(s.At(0, 0), 0.5f, 1e-6);
